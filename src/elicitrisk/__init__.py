@@ -1,96 +1,17 @@
-"""Law-invariant coherent risk measures and elicitability diagnostics."""
+"""Law-invariant coherent risk measures and elicitability diagnostics.
 
-from .distributions import (
-    Distribution,
-    Empirical,
-    FiniteAtomic,
-    Uniform,
-    dirac,
-    empirical_from_csv,
-    mix,
-    two_point,
-)
-from .spectral import (
-    SpectralMeasure,
-    UcDensity,
-    interval_mass,
-    measure_from_json,
-    measure_to_json,
-    mp_measure,
-    nu,
-    nu_via_U,
-    spectral_fn,
-    uc_measure,
-    uses_quadrature,
-)
-from .risk import (
-    ES,
-    CoherenceReport,
-    CoherenceViolation,
-    ExpectileRisk,
-    ExpectileSolution,
-    InfOverFamily,
-    NegMean,
-    RiskFunctional,
-    SpectralRisk,
-    VaR,
-    coherence_check,
-    es,
-    evaluate,
-    expectile,
-    functional_from_json,
-    functional_to_json,
-    l_C,
-    min_nu_over_mp,
-    u_C,
-    var,
-)
-from .elicit import (
-    DEFAULT_GRID,
-    BoundCheckReport,
-    BoundEntry,
-    CIdentification,
-    ConvexityWitness,
-    SpectralBoundsEntry,
-    SpectralBoundsReport,
-    bound_check,
-    convex_level_set_test,
-    diagnostic_report,
-    identify_C,
-    spectral_bounds_check,
-)
-from .scoring import (
-    ArgminInterval,
-    ExpectileScore,
-    ForecastSeries,
-    IdentityGenerator,
-    MethodScore,
-    QuantileScore,
-    SquaredGenerator,
-    TabulatedGenerator,
-    argmin_expected_score,
-    compare,
-)
+The package re-exports the public names of its modules, each listed once in
+that module's ``__all__``.
+"""
+
+from . import distributions, elicit, risk, scoring, spectral
+from .distributions import *  # noqa: F401,F403
+from .elicit import *  # noqa: F401,F403
+from .risk import *  # noqa: F401,F403
+from .scoring import *  # noqa: F401,F403
+from .spectral import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Distribution", "Empirical", "FiniteAtomic", "Uniform",
-    "dirac", "empirical_from_csv", "mix", "two_point",
-    "SpectralMeasure", "UcDensity", "interval_mass", "measure_from_json",
-    "measure_to_json", "mp_measure", "nu", "nu_via_U", "spectral_fn",
-    "uc_measure", "uses_quadrature",
-    "ES", "CoherenceReport", "CoherenceViolation", "ExpectileRisk",
-    "ExpectileSolution", "InfOverFamily", "NegMean", "RiskFunctional",
-    "SpectralRisk", "VaR", "coherence_check", "es", "evaluate", "expectile",
-    "functional_from_json", "functional_to_json", "l_C", "min_nu_over_mp",
-    "u_C", "var",
-    "DEFAULT_GRID", "BoundCheckReport", "BoundEntry", "CIdentification",
-    "ConvexityWitness", "SpectralBoundsEntry", "SpectralBoundsReport",
-    "bound_check", "convex_level_set_test", "diagnostic_report", "identify_C",
-    "spectral_bounds_check",
-    "ArgminInterval", "ExpectileScore", "ForecastSeries", "IdentityGenerator",
-    "MethodScore", "QuantileScore", "SquaredGenerator", "TabulatedGenerator",
-    "argmin_expected_score", "compare",
-    "__version__",
-]
+__all__ = [*distributions.__all__, *spectral.__all__, *risk.__all__, *elicit.__all__,
+           *scoring.__all__, "__version__"]

@@ -28,7 +28,7 @@ from .risk import (ES, ExpectileRisk, InfOverFamily, NegMean, RiskFunctional,
                    SpectralRisk, VaR, functional_from_json, functional_to_json)
 from .scoring import ExpectileScore, ForecastSeries, QuantileScore, compare
 from .spectral import (SpectralMeasure, interval_mass, measure_from_json,
-                       mp_measure, uc_measure, uses_quadrature)
+                       mp_measure, uc_measure)
 
 __all__ = ["main"]
 
@@ -49,6 +49,21 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+def _json_line(obj) -> str:
+    """One RFC 8259 JSON line: a NaN or infinity in the output is an error."""
+    try:
+        return json.dumps(obj, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise ValueError("the result is not a finite number") from None
+
+
+def _number(x, what: str) -> float:
+    # JSON numbers only: bool is an int subclass, and strings must not slip through float()
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"{what} must be a number, got {x!r}")
+    return float(x)
+
+
 def _dist_from_json(text: str) -> Distribution:
     """Inline law schema: {"type": "atomic"|"two_point"|"uniform"|"dirac", ...}."""
     obj = json.loads(text)
@@ -60,21 +75,25 @@ def _dist_from_json(text: str) -> Distribution:
         if keys != {"atoms"}:
             raise ValueError("atomic law takes exactly the key 'atoms'")
         atoms = obj["atoms"]
-        if not atoms:
-            raise ValueError("atomic law needs at least one atom")
-        return FiniteAtomic([a[0] for a in atoms], [a[1] for a in atoms])
+        if not isinstance(atoms, list) or not atoms:
+            raise ValueError("atomic law needs a nonempty list of [value, weight] atoms")
+        for entry in atoms:
+            if not isinstance(entry, list) or len(entry) != 2:
+                raise ValueError(f"bad atom entry {entry!r}; expected [value, weight]")
+        return FiniteAtomic([_number(a[0], "atom value") for a in atoms],
+                            [_number(a[1], "atom weight") for a in atoms])
     if kind == "two_point":
         if keys != {"x1", "x2", "p"}:
             raise ValueError("two_point law takes exactly the keys x1, x2, p")
-        return two_point(obj["x1"], obj["x2"], obj["p"])
+        return two_point(*(_number(obj[k], k) for k in ("x1", "x2", "p")))
     if kind == "uniform":
         if keys != {"a", "b"}:
             raise ValueError("uniform law takes exactly the keys a, b")
-        return Uniform(obj["a"], obj["b"])
+        return Uniform(_number(obj["a"], "a"), _number(obj["b"], "b"))
     if kind == "dirac":
         if keys != {"at"}:
             raise ValueError("dirac law takes exactly the key 'at'")
-        return dirac(obj["at"])
+        return dirac(_number(obj["at"], "at"))
     raise ValueError(f"unknown law type {kind!r}")
 
 
@@ -113,20 +132,6 @@ def _add_functional_flags(p: argparse.ArgumentParser):
     p.add_argument("--spec", help="full functional spec as inline JSON")
 
 
-def _eval_tolerance(rf: RiskFunctional, d: Distribution) -> float:
-    # 0 means closed-form arithmetic; otherwise the solver tolerance involved
-    if isinstance(rf, ExpectileRisk):
-        return 1e-12
-    measures = ()
-    if isinstance(rf, SpectralRisk):
-        measures = (rf.measure,)
-    elif isinstance(rf, InfOverFamily):
-        measures = rf.measures
-    if any(uses_quadrature(m, d) for m in measures):
-        return 1e-10
-    return 0.0
-
-
 def cmd_eval(args) -> int:
     if (args.data is None) == (args.dist is None):
         raise ValueError("exactly one of --data and --dist is required")
@@ -138,14 +143,15 @@ def cmd_eval(args) -> int:
         n = d.n_atoms if isinstance(d, FiniteAtomic) else None
     rf = _functional_from_args(args)
     value = rf.evaluate(d)
-    print(_fmt(value))
-    report = {
+    line = _json_line({
         "value": float(_fmt(value)),
         "spec": functional_to_json(rf),
         "n": n,
-        "tolerance": _eval_tolerance(rf, d),
-    }
-    print(json.dumps(report, sort_keys=True))
+        # 0 means closed-form arithmetic; the expectile reports the 1e-12 its contract states
+        "tolerance": 1e-12 if isinstance(rf, ExpectileRisk) else 0.0,
+    })
+    print(_fmt(value))
+    print(line)
     return 0
 
 
@@ -207,7 +213,7 @@ def cmd_elicit(args) -> int:
     report = diagnostic_report(ident, witness=witness, bound_report=bounds,
                                spectral_reports=spectral_reports,
                                search_budget=args.budget)
-    print(json.dumps(report, sort_keys=True))
+    print(_json_line(report))
     return 0 if report["verdict"] == "consistent" else 2
 
 

@@ -13,6 +13,7 @@ is the uniform law, which covers every closed-form case the diagnostics need.
 from __future__ import annotations
 
 import csv
+import math
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -120,6 +121,11 @@ def _canonical_atoms(values, weights):
 class FiniteAtomic(Distribution):
     """Law with finitely many atoms, stored as sorted values and cumulative weights.
 
+    Next to the cumulative weights c_i it keeps the prefix sums
+    S_i = sum_{j <= i} w_j (x_j - x_0), centred on the first atom, so the
+    partial quantile integral and both partial moments cost one binary
+    search each.
+
     Parameters
     ----------
     values : array_like
@@ -129,18 +135,25 @@ class FiniteAtomic(Distribution):
     """
 
     def __init__(self, values, weights):
-        vals, cum = _canonical_atoms(values, weights)
-        self._values = vals
+        self._set_ladder(*_canonical_atoms(values, weights))
+
+    def _set_ladder(self, values: np.ndarray, cum: np.ndarray, csum=None):
+        self._values = values
         self._cum = cum
-        self._weights = np.diff(cum, prepend=0.0)
+        self._weights = w = cum.copy()
+        w[1:] -= cum[:-1]
+        if csum is None:
+            # in place: every n-array temporary is fresh memory the kernel must fault in
+            csum = values - values[0]
+            csum *= w
+            csum.cumsum(out=csum)
+        self._csum = csum
 
     @classmethod
-    def _from_cum(cls, values: np.ndarray, cum: np.ndarray) -> "FiniteAtomic":
+    def _from_cum(cls, values: np.ndarray, cum: np.ndarray, csum=None) -> "FiniteAtomic":
         # internal: values strictly increasing, cum nondecreasing with cum[-1] == 1.0
         obj = cls.__new__(cls)
-        obj._values = np.asarray(values, dtype=float)
-        obj._cum = np.asarray(cum, dtype=float)
-        obj._weights = np.diff(obj._cum, prepend=0.0)
+        obj._set_ladder(np.asarray(values, dtype=float), np.asarray(cum, dtype=float), csum)
         return obj
 
     def atoms(self) -> list[tuple[float, float]]:
@@ -162,11 +175,15 @@ class FiniteAtomic(Distribution):
         idx = int(np.searchsorted(self._cum, v, side="left"))
         return float(self._values[idx])
 
+    def _pqi(self, p):
+        # level p lies on atom k, (c[k-1], c[k]]: take the integral up to c[k],
+        # x_0 c[k] + S[k], less x_k (c[k] - p)
+        k = self._cum.searchsorted(p)
+        x0 = self._values[0]
+        return x0 * p + self._csum[k] - (self._values[k] - x0) * (self._cum[k] - p)
+
     def partial_quantile_integral(self, p: float) -> float:
-        p = _check_prob(p)
-        prev = np.concatenate(([0.0], self._cum[:-1]))
-        seg = np.minimum(self._cum, p) - np.minimum(prev, p)
-        return float(np.dot(self._values, seg))
+        return float(self._pqi(_check_prob(p)))
 
     def support_min(self) -> float:
         return float(self._values[0])
@@ -175,15 +192,20 @@ class FiniteAtomic(Distribution):
         return float(self._values[-1])
 
     def upper_partial_moment(self, x: float) -> float:
-        diff = self._values - float(x)
-        return float(np.dot(self._weights, np.clip(diff, 0.0, None)))
+        # E(Y - x)^+ - E(x - Y)^+ = E Y - x
+        return max(self.lower_partial_moment(x) + self.mean() - float(x), 0.0)
 
     def lower_partial_moment(self, x: float) -> float:
-        diff = float(x) - self._values
-        return float(np.dot(self._weights, np.clip(diff, 0.0, None)))
+        # atoms i' < i lie at or below x: c[i-1] (x - x_0) - S[i-1]
+        i = int(np.searchsorted(self._values, float(x), side="right"))
+        if i == 0:
+            return 0.0
+        return max(float(self._cum[i - 1]) * (float(x) - float(self._values[0]))
+                   - float(self._csum[i - 1]), 0.0)
 
     def shift(self, c: float) -> "FiniteAtomic":
-        return FiniteAtomic._from_cum(self._values + float(c), self._cum)
+        # distances to the first atom do not move, so the prefix sums carry over
+        return FiniteAtomic._from_cum(self._values + float(c), self._cum, self._csum)
 
     def scale(self, lam: float) -> "FiniteAtomic":
         lam = float(lam)
@@ -191,7 +213,7 @@ class FiniteAtomic(Distribution):
             raise ValueError("scale factor must be nonnegative")
         if lam == 0.0:
             return dirac(0.0)
-        return FiniteAtomic._from_cum(self._values * lam, self._cum)
+        return FiniteAtomic._from_cum(self._values * lam, self._cum, self._csum * lam)
 
     def __repr__(self):
         pairs = ", ".join(f"({v:.6g}, {w:.6g})" for v, w in self.atoms()[:4])
@@ -210,14 +232,18 @@ class Empirical(FiniteAtomic):
         samples = np.sort(np.asarray(samples, dtype=float))
         if samples.size == 0:
             raise ValueError("empirical law needs at least one sample")
-        if not np.all(np.isfinite(samples)):
+        # sorted, so an infinity sits at an end and a NaN at the top
+        if not (math.isfinite(samples[0]) and math.isfinite(samples[-1])):
             raise ValueError("samples must be finite")
-        uniq, counts = np.unique(samples, return_counts=True)
-        cum = np.cumsum(counts) / samples.size
-        cum[-1] = 1.0
-        self._values = uniq
-        self._cum = cum
-        self._weights = np.diff(cum, prepend=0.0)
+        # an atom ends wherever the next value differs; without ties the
+        # sorted sample is the atom array itself
+        last = np.empty(samples.size, dtype=bool)
+        np.not_equal(samples[1:], samples[:-1], out=last[:-1])
+        last[-1] = True
+        ends = np.flatnonzero(last)
+        values = samples if ends.size == samples.size else samples[ends]
+        ends += 1
+        self._set_ladder(values, ends / samples.size)
         self.samples = samples
 
     def __repr__(self):
@@ -231,6 +257,8 @@ def two_point(x1: float, x2: float, p: float) -> FiniteAtomic:
     """
     x1, x2 = float(x1), float(x2)
     p = _check_prob(p)
+    if not (math.isfinite(x1) and math.isfinite(x2)):
+        raise ValueError(f"two_point atoms must be finite, got {x1!r} and {x2!r}")
     if x1 > x2:
         raise ValueError(f"two_point requires x1 <= x2, got {x1!r} > {x2!r}")
     if x1 == x2 or p == 1.0:
@@ -242,7 +270,10 @@ def two_point(x1: float, x2: float, p: float) -> FiniteAtomic:
 
 def dirac(a: float) -> FiniteAtomic:
     """Point mass at a."""
-    return FiniteAtomic._from_cum(np.array([float(a)]), np.array([1.0]))
+    a = float(a)
+    if not math.isfinite(a):
+        raise ValueError(f"a point mass needs a finite location, got {a!r}")
+    return FiniteAtomic._from_cum(np.array([a]), np.array([1.0]))
 
 
 class Uniform(Distribution):
@@ -267,9 +298,11 @@ class Uniform(Distribution):
         v = _check_level(v)
         return self.a + v * (self.b - self.a)
 
-    def partial_quantile_integral(self, p: float) -> float:
-        p = _check_prob(p)
+    def _pqi(self, p):
         return self.a * p + 0.5 * (self.b - self.a) * p * p
+
+    def partial_quantile_integral(self, p: float) -> float:
+        return float(self._pqi(_check_prob(p)))
 
     def support_min(self) -> float:
         return self.a

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import Distribution, Empirical, FiniteAtomic, dirac
+from .distributions import Distribution, Empirical, FiniteAtomic, Uniform
 from .spectral import (JSON_NORMALIZATION_TOL, SpectralMeasure, measure_from_json,
                        measure_to_json, mp_measure, nu, uc_measure)
 
@@ -88,44 +88,52 @@ class ExpectileSolution:
     p_star: float
 
 
-def _psi(d: Distribution, tau: float, x: float) -> float:
-    # tau * E(Y - x)^+ - (1 - tau) * E(x - Y)^+, strictly decreasing in x
-    if isinstance(d, FiniteAtomic):
-        diff = d._values - x
-        up = float(np.dot(d._weights, np.clip(diff, 0.0, None)))
-        down = float(np.dot(d._weights, np.clip(-diff, 0.0, None)))
-    else:
-        up = d.upper_partial_moment(x)
-        down = d.lower_partial_moment(x)
-    return tau * up - (1.0 - tau) * down
+def _expectile_atomic(d: FiniteAtomic, tau: float) -> float:
+    # psi(x) = tau E(Y - x)^+ - (1 - tau) E(x - Y)^+ is decreasing and piecewise
+    # linear, with slope -(tau + (1 - 2 tau) c_j) on segment j, (x_j, x_{j+1}).
+    x, w, cum = d._values, d._weights, d._cum
+    if x.size == 1:
+        return float(x[0])
+    b = 1.0 - 2.0 * tau
+    # psi at every atom from the prefix sums locates the sign change ...
+    psi = tau * d._csum[-1] + b * d._csum - (x - x[0]) * (tau + b * cum)
+    k = min(max(int(np.searchsorted(-psi, 0.0)), 1), x.size - 1)
+
+    # ... but a prefix difference keeps only the absolute accuracy of the whole
+    # sum, too little in a thin tail, so the residuals at the segment's ends are
+    # summed atom by atom.  Rounding may have shifted the segment by one.
+    def resid(i: int) -> float:
+        return float(tau * np.dot(w[i + 1:], x[i + 1:] - x[i])
+                     - (1.0 - tau) * np.dot(w[:i], x[i] - x[:i]))
+
+    lo, hi = resid(k - 1), resid(k)
+    if lo < 0.0:
+        j, i, r = k - 2, k - 1, lo
+    elif hi > 0.0:
+        j, i, r = k, k, hi
+    else:  # anchor at the end nearer the root, exact when the root is an atom
+        j, i, r = (k - 1, k - 1, lo) if lo < -hi else (k - 1, k, hi)
+    mu = float(x[i]) + r / (tau + b * float(cum[j]))
+    return min(max(mu, float(x[j])), float(x[j + 1]))
 
 
 def expectile(d: Distribution, tau: float) -> ExpectileSolution:
-    """Solve tau * E(Y - x)^+ = (1 - tau) * E(x - Y)^+ for x by bisection.
+    """Solve tau * E(Y - x)^+ = (1 - tau) * E(x - Y)^+ for x in closed form.
 
-    The root is bracketed by the support and the bracket is narrowed to a
-    width of about 1e-14 (scaled by the support magnitude); the returned
-    midpoint is then checked against |psi(mu)| <= 1e-10 * (1 + |mu|).
+    On an atomic law the equation is piecewise linear between atoms: the
+    sign change is located among the atoms by binary search over the prefix
+    sums and one linear equation is solved on that segment (Newey & Powell
+    1987).  On a uniform law on [a, b] it is quadratic, with root
+    (sqrt(tau) b + sqrt(1 - tau) a) / (sqrt(tau) + sqrt(1 - tau)).
     """
     tau = _check_open_unit(tau, "tau")
-    lo = d.support_min()
-    hi = d.support_max()
-    if lo == hi:
-        return ExpectileSolution(mu=lo, tau=tau, p_star=d.cdf(lo))
-    width_tol = 1e-14 * max(1.0, abs(lo), abs(hi))
-    for _ in range(200):
-        if hi - lo <= width_tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if _psi(d, tau, mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    mu = 0.5 * (lo + hi)
-    resid = _psi(d, tau, mu)
-    if abs(resid) > 1e-10 * (1.0 + abs(mu)):
-        raise ArithmeticError(
-            f"expectile bisection failed to converge: residual {resid!r} at {mu!r}")
+    if isinstance(d, FiniteAtomic):
+        mu = _expectile_atomic(d, tau)
+    elif isinstance(d, Uniform):
+        st, sc = math.sqrt(tau), math.sqrt(1.0 - tau)
+        mu = (st * d.b + sc * d.a) / (st + sc)
+    else:
+        raise TypeError(f"expectile is not defined for {type(d).__name__}")
     return ExpectileSolution(mu=mu, tau=tau, p_star=d.cdf(mu))
 
 

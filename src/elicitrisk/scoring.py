@@ -364,8 +364,8 @@ class ForecastSeries:
     """Aligned panel of forecasts from several methods over common periods.
 
     Periods keep their first-occurrence order from the source; every method
-    must cover every period, and a period's realization must agree across
-    rows.
+    must cover every period, a period's realization must agree across rows,
+    and every forecast and realization must be finite.
     """
 
     def __init__(self, periods, realizations, forecasts):
@@ -385,6 +385,11 @@ class ForecastSeries:
             missing = [p for p in self.periods if p not in f]
             if missing:
                 raise ValueError(f"method {m!r} is missing periods {missing!r}")
+        for name, values in (("realization", self.realizations),
+                             *((f"method {m!r}", f) for m, f in self.forecasts.items())):
+            bad = [p for p, v in values.items() if not math.isfinite(v)]
+            if bad:
+                raise ValueError(f"{name} is not finite at period {bad[0]!r}")
 
     @property
     def methods(self):
@@ -435,6 +440,9 @@ class ForecastSeries:
                 except (TypeError, ValueError):
                     raise ValueError(f"line {lineno}: forecast and realization "
                                      "must be numbers") from None
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise ValueError(f"line {lineno}: forecast and realization "
+                                     "must be finite")
                 if period in realizations:
                     if realizations[period] != y:
                         raise ValueError(

@@ -16,7 +16,10 @@ which equals the m-average of the lower tail means
     nu_via_U(m, Y) = integral of U_alpha(Y) m(dalpha),
     U_alpha(Y) = (1/alpha) * integral of F^{-1} over (0, alpha],  U_0 = essinf.
 
-Both routes are implemented independently and cross-check each other.
+Atoms of m enter both routes as w/alpha times a partial quantile integral.
+On atomic laws the density part is integrated independently by each route,
+so the two cross-check each other; on the uniform law both reduce to one
+closed form.
 
 The one parametric density provided has shape
 
@@ -34,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .distributions import Distribution, FiniteAtomic, Uniform
 
@@ -47,24 +49,16 @@ __all__ = [
     "interval_mass",
     "nu",
     "nu_via_U",
-    "uses_quadrature",
     "measure_from_json",
     "measure_to_json",
     "NORMALIZATION_TOL",
     "JSON_NORMALIZATION_TOL",
-    "QUAD_TOL",
-    "QUAD_LIMIT",
 ]
 
 # Programmatic constructions must normalize to this accuracy; JSON input,
 # typically hand-written decimals, gets the looser bound.
 NORMALIZATION_TOL = 1e-10
 JSON_NORMALIZATION_TOL = 1e-8
-
-# Adaptive quadrature contract for the one path that needs it
-# (continuous law paired with the parametric density).
-QUAD_TOL = 1e-10
-QUAD_LIMIT = 60
 
 
 @dataclass(frozen=True)
@@ -190,9 +184,9 @@ def _density_spectral(density: UcDensity | None, u: float) -> float:
     return c / (h * h) - c
 
 
-def _density_g_integral(density: UcDensity | None, p1: float, p2: float) -> float:
-    # integral of the density part of g_m over (p1, p2]
-    if density is None or density.C == 1.0 or p1 == p2:
+def _density_g_integral(density: UcDensity | None, p1, p2):
+    # integral of the density part of g_m over (p1, p2], elementwise on arrays
+    if density is None or density.C == 1.0:
         return 0.0
     c = density.C
     h1 = c + (1.0 - c) * p1
@@ -235,43 +229,51 @@ def _g_integral(m: SpectralMeasure, p1: float, p2: float) -> float:
     return atom_part + _density_g_integral(m.density, p1, p2)
 
 
+def _atom_part(m: SpectralMeasure, d: Distribution, route: str) -> float:
+    # sum over the atoms of w/alpha * integral of F^{-1} over (0, alpha], plus
+    # the atom at zero; exact for both law types
+    if not isinstance(d, (FiniteAtomic, Uniform)):
+        raise TypeError(f"{route} is not defined for {type(d).__name__}")
+    out = m.atom_at_zero * d.support_min()
+    if m._alphas.size:
+        out += float(np.dot(m._w_over_a, d._pqi(m._alphas)))
+    return out
+
+
+# Horner coefficients 1/m, m = 60 down to 3, of the series below
+_E_SERIES = 1.0 / np.arange(60.0, 2.0, -1.0)
+
+
+def _uniform_density_part(d: Uniform, C: float) -> float:
+    """Density part of nu for Uniform(a, b): a(1 - C) + (b - a) C E(1 - C).
+
+    E(t) = (-log(1 - t) - t) / t^2 - 1/2 = sum over m >= 3 of t^(m-2) / m.
+    The log form cancels as t -> 0, so below t = 1/2 the series is summed;
+    there its truncation after t^58 is below 1e-17 relative.
+    """
+    t = 1.0 - C
+    if t < 0.5:
+        e = t * float(np.polyval(_E_SERIES, t))
+    else:
+        e = (-math.log(C) - t) / (t * t) - 0.5
+    return d.a * t + (d.b - d.a) * C * e
+
+
 def nu(m: SpectralMeasure, d: Distribution) -> float:
     """Spectral functional E[g_m(V) F^{-1}(V)] + m({0}) * essinf, V uniform.
 
-    Exact for atomic laws: the quantile is constant on each cumulative-weight
-    interval (c[i-1], c[i]], so the integral is a finite sum of interval
-    masses.  For the uniform law the atom part is exact through partial
-    quantile integrals; only the density part uses adaptive quadrature
-    (absolute tolerance ``QUAD_TOL``, at most ``QUAD_LIMIT`` subintervals).
+    Exact for atomic laws: the atoms of m read the law's partial quantile
+    integrals, and the quantile is constant on each cumulative-weight
+    interval (c[i-1], c[i]], so the density part is a finite sum of interval
+    masses.  For the uniform law the density part has a closed form.
     """
-    if isinstance(d, FiniteAtomic):
-        cum = d._cum
-        prev = np.concatenate(([0.0], cum[:-1]))
-        if m._alphas.size:
-            overlap = np.clip(
-                np.minimum(m._alphas[None, :], cum[:, None]) - prev[:, None], 0.0, None)
-            masses = overlap @ m._w_over_a
-        else:
-            masses = np.zeros_like(cum)
-        if m.density is not None and m.density.C < 1.0:
-            c = m.density.C
-            h_prev = c + (1.0 - c) * prev
-            h_cum = c + (1.0 - c) * cum
-            masses = masses + (c / (1.0 - c) * (1.0 / h_prev - 1.0 / h_cum)
-                               - c * (cum - prev))
-        out = float(np.dot(d._values, masses))
-        return out + m.atom_at_zero * d.support_min()
-    if isinstance(d, Uniform):
-        out = m.atom_at_zero * d.support_min()
-        for a, w in zip(m._alphas, m._weights):
-            out += w * d.partial_quantile_integral(a) / a
-        if m.density is not None and m.density.C < 1.0:
-            dens = m.density
-            val, _ = quad(lambda v: _density_spectral(dens, v) * d.quantile(v),
-                          0.0, 1.0, epsabs=QUAD_TOL, limit=QUAD_LIMIT)
-            out += val
+    out = _atom_part(m, d, "nu")
+    if m.density is None or m.density.C == 1.0:
         return out
-    raise TypeError(f"nu is not defined for {type(d).__name__}")
+    if isinstance(d, Uniform):
+        return out + _uniform_density_part(d, m.density.C)
+    prev = np.concatenate(([0.0], d._cum[:-1]))
+    return out + float(np.dot(d._values, _density_g_integral(m.density, prev, d._cum)))
 
 
 def nu_via_U(m: SpectralMeasure, d: Distribution) -> float:
@@ -280,25 +282,19 @@ def nu_via_U(m: SpectralMeasure, d: Distribution) -> float:
     Atoms evaluate exactly.  For an atomic law the density part also
     evaluates exactly: the partial quantile integral is piecewise affine in
     alpha, so each piece integrates against the density in closed form.
+    For the uniform law it reduces to the same closed form as :func:`nu`.
     """
-    if not isinstance(d, (FiniteAtomic, Uniform)):
-        raise TypeError(f"nu_via_U is not defined for {type(d).__name__}")
-    out = m.atom_at_zero * d.support_min()
-    for a, w in zip(m._alphas, m._weights):
-        out += w * d.partial_quantile_integral(a) / a
+    out = _atom_part(m, d, "nu_via_U")
     if m.density is None or m.density.C == 1.0:
         return out
-    dens = m.density
+    c = m.density.C
     if isinstance(d, Uniform):
-        val, _ = quad(lambda a: (d.partial_quantile_integral(a) / a) * float(dens(a)),
-                      0.0, 1.0, epsabs=QUAD_TOL, limit=QUAD_LIMIT)
-        return out + val
-    c = dens.C
+        return out + _uniform_density_part(d, c)
     cum = d._cum
     prev = np.concatenate(([0.0], cum[:-1]))
-    pqi_prev = np.concatenate(([0.0], np.cumsum(d._weights * d._values)[:-1]))
-    # On (c[i-1], c[i]] the tail integral is pqi_prev[i] + x[i] * (a - c[i-1]),
-    # an affine function A + x*a with A = pqi_prev[i] - x[i] * c[i-1].
+    csum_prev = np.concatenate(([0.0], d._csum[:-1]))
+    # On (c[i-1], c[i]] the tail integral is x_0 c[i-1] + S[i-1] + x[i] (a - c[i-1]),
+    # an affine function A + x*a with A = S[i-1] - (x[i] - x_0) c[i-1].
     h_prev = c + (1.0 - c) * prev
     h_cum = c + (1.0 - c) * cum
     # (A + x*a)/a * f_C(a) = (A + x*a) * 2C(1-C)/h(a)^3, so each piece reduces to
@@ -306,14 +302,9 @@ def nu_via_U(m: SpectralMeasure, d: Distribution) -> float:
     i0 = c * (1.0 / h_prev**2 - 1.0 / h_cum**2)
     i1 = (2.0 * c / (1.0 - c)) * ((-1.0 / h_cum + c / (2.0 * h_cum**2))
                                   - (-1.0 / h_prev + c / (2.0 * h_prev**2)))
-    a_coef = pqi_prev - d._values * prev
+    a_coef = csum_prev - (d._values - d._values[0]) * prev
     val = float(np.dot(a_coef, i0) + np.dot(d._values, i1))
     return out + val
-
-
-def uses_quadrature(m: SpectralMeasure, d: Distribution) -> bool:
-    """True when evaluating nu(m, d) falls back to adaptive quadrature."""
-    return (isinstance(d, Uniform) and m.density is not None and m.density.C < 1.0)
 
 
 def measure_from_json(spec, tol: float = JSON_NORMALIZATION_TOL) -> SpectralMeasure:

@@ -1,9 +1,14 @@
 """End-to-end command-line behavior: output text, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import elicitrisk
 from elicitrisk import Empirical, es, measure_to_json, uc_measure
 from elicitrisk.cli import main
 
@@ -62,8 +67,9 @@ class TestEval:
                         "--dist", '{"type": "uniform", "a": 0.0, "b": 1.0}'])
         out = capsys.readouterr().out.splitlines()
         assert code == 0
-        assert json.loads(out[1])["tolerance"] == 1e-10
-        # same measure on an atomic law goes through exact arithmetic
+        # the uniform x density path is a closed form, so nothing is approximated
+        assert json.loads(out[1])["tolerance"] == 0.0
+        # same measure on an atomic law goes through exact arithmetic too
         run_cli(["eval", "--type", "spectral", "--measure", measure,
                  "--dist", '{"type": "dirac", "at": 1.0}'])
         out = capsys.readouterr().out.splitlines()
@@ -114,6 +120,39 @@ class TestEval:
             assert run_cli(argv) == 1, argv
             err = capsys.readouterr().err
             assert "error:" in err
+
+    @pytest.mark.parametrize("law", [
+        '{"type": "dirac", "at": Infinity}',
+        '{"type": "dirac", "at": NaN}',
+        '{"type": "dirac", "at": "1"}',
+        '{"type": "two_point", "x1": NaN, "x2": 1, "p": 0.5}',
+        '{"type": "two_point", "x1": 0, "x2": -Infinity, "p": 0.5}',
+        '{"type": "two_point", "x1": 0, "x2": 1, "p": true}',
+        '{"type": "uniform", "a": "0", "b": 1}',
+        '{"type": "atomic", "atoms": [[1]]}',
+        '{"type": "atomic", "atoms": [[1, 0.5, 0.5]]}',
+        '{"type": "atomic", "atoms": [1, 1]}',
+        '{"type": "atomic", "atoms": {"1": 1}}',
+        '{"type": "atomic", "atoms": [[1, "1"]]}',
+        '{"type": "atomic", "atoms": [["1", 1]]}',
+        '{"type": "atomic", "atoms": [[true, 1]]}',
+        '{"type": "atomic", "atoms": [[1, null]]}',
+        '{"type": "atomic", "atoms": [[Infinity, 1]]}',
+    ])
+    def test_malformed_law_is_one_error_line(self, capsys, law):
+        assert run_cli(["eval", "--type", "es", "--level", "0.3", "--dist", law]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_non_finite_result_is_an_error(self, capsys):
+        # finite atoms whose spread overflows a double: no NaN or Infinity
+        # reaches stdout
+        law = '{"type": "atomic", "atoms": [[-1.7e308, 0.5], [1.7e308, 0.5]]}'
+        assert run_cli(["eval", "--type", "negmean", "--dist", law]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and "finite" in err
 
     def test_unknown_type_rejected_by_parser(self, capsys):
         assert run_cli(["eval", "--type", "cvar", "--level", "0.5",
@@ -181,6 +220,14 @@ class TestScore:
         assert run_cli(["score", str(f), "--quantile", "0.5",
                         "--expectile", "0.5"]) == 1
         capsys.readouterr()
+
+    def test_non_finite_panel(self, capsys, tmp_path):
+        f = tmp_path / "panel.csv"
+        f.write_text(SCORE_CSV.replace("beta,t2,2.0,2.0", "beta,t2,nan,2.0"))
+        assert run_cli(["score", str(f), "--quantile", "0.5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: line 5: forecast and realization must be finite\n"
 
     def test_bad_panel(self, capsys, tmp_path):
         f = tmp_path / "panel.csv"
@@ -334,3 +381,14 @@ class TestGlobalFlags:
         capsys.readouterr()
         assert run_cli(["frobnicate"]) == 1
         capsys.readouterr()
+
+
+def test_import_needs_numpy_only():
+    # numpy is the one runtime dependency: importing the package and the CLI
+    # must not pull in scipy
+    src = str(Path(elicitrisk.__file__).resolve().parents[1])
+    code = ("import sys, elicitrisk.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"

@@ -145,6 +145,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             two_point(1.0, 0.0, 0.5)
 
+    def test_point_laws_reject_non_finite(self):
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                dirac(bad)
+            with pytest.raises(ValueError, match="finite"):
+                two_point(bad, 1.0, 0.5)
+            with pytest.raises(ValueError, match="finite"):
+                two_point(0.0, bad, 0.5)
+
     def test_empirical_exact_ladder(self):
         d = Empirical([3.0, 1.0, 2.0, 1.0])
         assert d.atoms() == [(1.0, 0.5), (2.0, 0.25), (3.0, 0.25)]
@@ -199,6 +208,48 @@ class TestUniformMoments:
         d = FiniteAtomic([0.0, 2.0], [0.5, 0.5])
         assert d.upper_partial_moment(1.0) == 0.5
         assert d.lower_partial_moment(1.0) == 0.5
+
+
+class TestPrefixSums:
+    """The ladder of centred prefix sums behind the O(log n) lookups."""
+
+    @staticmethod
+    def direct(d, x):
+        vals = np.array([v for v, _ in d.atoms()])
+        ws = np.array([w for _, w in d.atoms()])
+        return (float(np.dot(ws, np.clip(vals - x, 0.0, None))),
+                float(np.dot(ws, np.clip(x - vals, 0.0, None))))
+
+    def test_every_constructor_sets_it(self):
+        laws = [FiniteAtomic([3.0, -1.0, 3.0], [0.25, 0.5, 0.25]),
+                FiniteAtomic._from_cum(np.array([0.0, 2.0]), np.array([0.5, 1.0])),
+                Empirical([2.0, -1.0, 2.0, 5.0]), two_point(-1.0, 4.0, 0.3), dirac(7.0)]
+        for d in laws:
+            x = d._values
+            want = np.cumsum(d._weights * (x - x[0]))
+            assert d._csum.shape == x.shape
+            assert np.allclose(d._csum, want, rtol=0.0, atol=1e-15)
+            assert d._csum[0] == 0.0
+
+    def test_shift_reuses_and_scale_multiplies(self):
+        d = FiniteAtomic([-1.0, 0.5, 2.0], [0.2, 0.3, 0.5])
+        assert d.shift(1e8)._csum is d._csum
+        assert np.array_equal(d.scale(3.0)._csum, 3.0 * d._csum)
+
+    def test_partial_moments_match_direct_sums(self):
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            d = random_atomic(rng, max_atoms=30)
+            xs = np.concatenate((rng.uniform(-7.0, 7.0, 5), d._values[:3]))
+            for x in xs:
+                up, down = self.direct(d, float(x))
+                assert abs(d.upper_partial_moment(x) - up) <= 1e-13
+                assert abs(d.lower_partial_moment(x) - down) <= 1e-13
+
+    def test_partial_quantile_integral_at_ladder_levels(self):
+        d = FiniteAtomic([-2.0, 1.0, 4.0], [0.25, 0.25, 0.5])
+        for p, want in ((0.25, -0.5), (0.5, -0.25), (0.375, -0.375), (1.0, 1.75)):
+            assert d.partial_quantile_integral(p) == want
 
 
 @st.composite

@@ -10,6 +10,7 @@ from elicitrisk import (
     ES,
     Empirical,
     ExpectileRisk,
+    FiniteAtomic,
     InfOverFamily,
     NegMean,
     SpectralMeasure,
@@ -33,7 +34,7 @@ from elicitrisk import (
     var,
 )
 
-from helpers import random_atomic
+from helpers import bisection_expectile, random_atomic, random_law_with_ties
 
 
 def delta(a):
@@ -143,6 +144,95 @@ class TestExpectile:
         for bad in (0.0, 1.0, -0.1):
             with pytest.raises(ValueError):
                 expectile(Uniform(0.0, 1.0), bad)
+
+
+_TAUS = (1e-6, 0.05, 0.3, 0.5, 0.7, 0.95, 1.0 - 1e-6)
+
+
+def _magnitude(d) -> float:
+    return max(abs(d.support_min()), abs(d.support_max()))
+
+
+class TestExpectileOracle:
+    """The closed form against the bisection it replaced, to 1e-12 relative.
+
+    "Relative" is to the law's magnitude max(|min|, |max|), the scale both
+    solvers round at.
+    """
+
+    def check(self, d, tau, ref=None, magnitude=None):
+        ref = bisection_expectile(d, tau) if ref is None else ref
+        magnitude = _magnitude(d) if magnitude is None else magnitude
+        assert abs(expectile(d, tau).mu - ref) <= 1e-12 * magnitude, (d, tau)
+
+    def test_random_laws(self):
+        rng = np.random.default_rng(40)
+        for _ in range(200):
+            d = random_atomic(rng, max_atoms=40)
+            for tau in _TAUS:
+                self.check(d, tau)
+
+    def test_ties_and_duplicates(self):
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            d = random_law_with_ties(rng)
+            for tau in _TAUS:
+                self.check(d, tau)
+
+    def test_thin_tails_of_a_large_sample(self):
+        # with tau near 0 or 1 the root sits among a few extreme atoms of a
+        # 1e5-point sample, where prefix-sum differences alone lose digits
+        d = Empirical(np.random.default_rng(44).standard_t(3, 100_000))
+        for tau in (1e-6, 1e-3, 1.0 - 1e-3, 1.0 - 1e-6):
+            self.check(d, tau)
+
+    def test_root_on_an_atom_is_exact(self):
+        # weights 1/4, 1/2, 1/4 on -1, 0, 1 (exact in binary): the 1/2-expectile
+        # is the middle atom
+        d = FiniteAtomic([1.0, 0.0, -1.0, 0.0], np.full(4, 0.25))
+        sol = expectile(d, 0.5)
+        assert sol.mu == 0.0
+        assert sol.p_star == d.cdf(0.0)
+
+    def test_large_offsets(self):
+        rng = np.random.default_rng(42)
+        for offset in (1e8, -1e8):
+            for _ in range(50):
+                base = random_atomic(rng, max_atoms=20)
+                d = FiniteAtomic(base._values + offset, base._weights)
+                for tau in _TAUS:
+                    self.check(d, tau)
+
+    def test_extreme_scales(self):
+        # the bisection stops at an absolute width of 1e-14, too coarse for a
+        # law of size 1e-8, so the oracle runs at unit scale and is rescaled
+        rng = np.random.default_rng(43)
+        for lam in (1e-8, 1e-4, 1e4, 1e8):
+            for _ in range(50):
+                base = random_atomic(rng, max_atoms=20)
+                d = FiniteAtomic(base._values * lam, base._weights)
+                for tau in _TAUS:
+                    self.check(d, tau, lam * bisection_expectile(base, tau),
+                               lam * _magnitude(base))
+                    self.check(base.scale(lam), tau, lam * bisection_expectile(base, tau),
+                               lam * _magnitude(base))
+
+    def test_uniform(self):
+        for a, b in ((0.0, 1.0), (-3.0, 2.0), (1e8 - 2.0, 1e8 + 3.0), (-1e8 - 2.0, -1e8 + 3.0)):
+            for tau in _TAUS:
+                self.check(Uniform(a, b), tau)
+        for lam in (1e-8, 1e8):
+            for tau in _TAUS:
+                self.check(Uniform(-3.0 * lam, 2.0 * lam), tau,
+                           lam * bisection_expectile(Uniform(-3.0, 2.0), tau), 3.0 * lam)
+
+    def test_other_laws_rejected(self):
+        class Custom(Uniform):
+            pass
+
+        with pytest.raises(TypeError):
+            expectile(object(), 0.5)
+        assert expectile(Custom(0.0, 1.0), 0.5).mu == 0.5
 
 
 class TestEnvelopes:

@@ -332,6 +332,10 @@ class TestForecastSeries:
             ForecastSeries(["1"], {"1": 0.0}, {})
         with pytest.raises(ValueError, match="2 forecasts"):
             ForecastSeries.from_arrays({"a": [1.0, 2.0]}, [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="method 'a' is not finite at period '2'"):
+            ForecastSeries.from_arrays({"a": [1.0, float("nan")]}, [1.0, 2.0])
+        with pytest.raises(ValueError, match="realization is not finite at period '1'"):
+            ForecastSeries(["1"], {"1": float("-inf")}, {"a": {"1": 0.0}})
 
     def test_from_csv(self, tmp_path):
         f = tmp_path / "panel.csv"
@@ -356,6 +360,12 @@ class TestForecastSeries:
              "conflicting"),
             ("method,period,forecast,realization\na,t1,0.5,1.0\na,t1,0.6,1.0\n",
              "duplicate forecast"),
+            ("method,period,forecast,realization\na,t1,0.5,1.0\nb,t1,nan,1.0\n",
+             "line 3: forecast and realization must be finite"),
+            ("method,period,forecast,realization\na,t1,0.5,inf\n",
+             "line 2: forecast and realization must be finite"),
+            ("method,period,forecast,realization\na,t1,0.5,nan\nb,t1,0.6,nan\n",
+             "line 2: forecast and realization must be finite"),
         ]
         for body, msg in cases:
             f = tmp_path / "bad.csv"

@@ -1,6 +1,7 @@
 """Measures on the unit interval: weight profiles, interval masses, functionals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ import pytest
 from elicitrisk import (FiniteAtomic, SpectralMeasure, UcDensity, Uniform, dirac,
                         interval_mass, measure_from_json, measure_to_json,
                         mp_measure, nu, nu_via_U, spectral_fn, two_point,
-                        uc_measure, uses_quadrature)
+                        uc_measure)
 
-from helpers import random_atomic, random_measure
+from helpers import overlap_nu, random_atomic, random_law_with_ties, random_measure
 
 
 def delta(alpha: float) -> SpectralMeasure:
@@ -216,6 +217,104 @@ class TestNuViaU:
                 assert abs(nu(m, d) - nu_via_U(m, d)) <= 1e-12
 
 
+def _magnitude(d) -> float:
+    return max(abs(d.support_min()), abs(d.support_max()))
+
+
+class TestOverlapOracle:
+    """Both routes against the n x k overlap-matrix sum, to 1e-12 relative.
+
+    "Relative" is to the law's magnitude max(|min|, |max|).
+    """
+
+    def check(self, m, d):
+        ref = overlap_nu(m, d)
+        assert abs(nu(m, d) - ref) <= 1e-12 * _magnitude(d), (m, d)
+        assert abs(nu_via_U(m, d) - ref) <= 1e-12 * _magnitude(d), (m, d)
+
+    def test_random_laws(self):
+        rng = np.random.default_rng(50)
+        for _ in range(300):
+            self.check(random_measure(rng), random_atomic(rng, max_atoms=40))
+
+    def test_ties_and_duplicates(self):
+        rng = np.random.default_rng(51)
+        for _ in range(300):
+            self.check(random_measure(rng), random_law_with_ties(rng))
+        # measure levels that sit exactly on cumulative weights
+        d = FiniteAtomic([3.0, -1.0, 3.0, 0.0, -1.0], np.full(5, 0.2))
+        self.check(SpectralMeasure(atoms=[(0.4, 0.5), (0.6, 0.25), (1.0, 0.25)]), d)
+
+    def test_large_offsets_and_extreme_scales(self):
+        rng = np.random.default_rng(52)
+        for offset, lam in ((1e8, 1.0), (-1e8, 1.0), (0.0, 1e-8), (0.0, 1e8), (-1e8, 1e-4)):
+            for _ in range(60):
+                base = random_atomic(rng, max_atoms=20)
+                m = random_measure(rng)
+                self.check(m, FiniteAtomic(base._values * lam + offset, base._weights))
+                self.check(m, base.scale(lam).shift(offset))
+
+    def test_no_law_by_measure_matrix(self):
+        # the overlap matrix would take 8 * 1e5 * 400 bytes = 320 MB here
+        rng = np.random.default_rng(53)
+        d = FiniteAtomic(rng.standard_normal(100_000), np.full(100_000, 1e-5))
+        m = SpectralMeasure(atoms=zip(np.linspace(0.0025, 1.0, 400).tolist(),
+                                      np.full(400, 1.0 / 400).tolist()))
+        tracemalloc.start()
+        try:
+            nu(m, d)
+            nu_via_U(m, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
+class TestUniformDensityClosedForm:
+    """Uniform x density against scipy quadrature of well-conditioned integrands.
+
+    C / h^2 - C is written as C t (1 - v)(1 + h) / h^2 with t = 1 - C, so the
+    reference keeps its relative accuracy as C -> 1.
+    """
+
+    CS = (0.1, 0.5, 1.0 - 1e-6, 1.0 - 1e-12)
+
+    def reference(self, a, b, C, epsabs=0.0):
+        quad = pytest.importorskip("scipy.integrate").quad
+        t = 1.0 - C
+
+        def via_g(v):
+            h = C + t * v
+            return C * t * (1.0 - v) * (1.0 + h) / h**2 * (a + (b - a) * v)
+
+        def via_u(alpha):
+            h = C + t * alpha
+            return (a + 0.5 * (b - a) * alpha) * 2.0 * C * t * alpha / h**3
+
+        kw = dict(epsabs=epsabs, epsrel=1e-13, limit=200)
+        return quad(via_g, 0.0, 1.0, **kw)[0], quad(via_u, 0.0, 1.0, **kw)[0]
+
+    def test_density_part_alone(self):
+        # an atom at zero carries the rest of the mass and adds C * a = 0
+        for C in self.CS:
+            m = SpectralMeasure(atom_at_zero=C, density=UcDensity(C))
+            for b in (1.0, 1e-8, 1e8):
+                ref_g, ref_u = self.reference(0.0, b, C)
+                assert abs(ref_g - ref_u) <= 1e-13 * abs(ref_g)
+                assert abs(nu(m, Uniform(0.0, b)) - ref_g) <= 1e-12 * abs(ref_g), C
+                assert abs(nu_via_U(m, Uniform(0.0, b)) - ref_u) <= 1e-12 * abs(ref_u), C
+
+    def test_uc_measure(self):
+        for C in self.CS:
+            for a, b in ((-1.0, 2.0), (1e8, 1e8 + 3.0), (-1e8 - 5.0, -1e8)):
+                d = Uniform(a, b)
+                # the integrands change sign or sit on a large offset here
+                ref_g, ref_u = self.reference(a, b, C, epsabs=1e-15 * _magnitude(d))
+                atom = C * 0.5 * (a + b)
+                assert abs(nu(uc_measure(C), d) - (atom + ref_g)) <= 1e-12 * _magnitude(d)
+                assert abs(nu_via_U(uc_measure(C), d) - (atom + ref_u)) <= 1e-12 * _magnitude(d)
+
+
 class TestEquivariance:
     def test_translation(self):
         rng = np.random.default_rng(30)
@@ -232,14 +331,6 @@ class TestEquivariance:
             d = random_atomic(rng)
             for lam in (0.5, 2.0):
                 assert abs(nu(m, d.scale(lam)) - lam * nu(m, d)) <= 1e-12
-
-
-class TestQuadratureFlag:
-    def test_only_continuous_with_density(self):
-        assert uses_quadrature(uc_measure(0.5), Uniform(0.0, 1.0))
-        assert not uses_quadrature(uc_measure(0.5), dirac(1.0))
-        assert not uses_quadrature(delta(0.5), Uniform(0.0, 1.0))
-        assert not uses_quadrature(uc_measure(1.0), Uniform(0.0, 1.0))
 
 
 class TestJson:
