@@ -15,13 +15,14 @@ Every command is deterministic given its flags, input bytes, and seed.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 
 import numpy as np
 
-from .distributions import (Distribution, Empirical, FiniteAtomic, Uniform, dirac,
-                            empirical_from_csv, two_point)
+from .distributions import (Distribution, Empirical, FiniteAtomic, Uniform, _json_number,
+                            dirac, empirical_from_csv, two_point)
 from .elicit import (bound_check, convex_level_set_test, diagnostic_report,
                      identify_C, spectral_bounds_check)
 from .risk import (ES, ExpectileRisk, InfOverFamily, NegMean, RiskFunctional,
@@ -57,13 +58,6 @@ def _json_line(obj) -> str:
         raise ValueError("the result is not a finite number") from None
 
 
-def _number(x, what: str) -> float:
-    # JSON numbers only: bool is an int subclass, and strings must not slip through float()
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ValueError(f"{what} must be a number, got {x!r}")
-    return float(x)
-
-
 def _dist_from_json(text: str) -> Distribution:
     """Inline law schema: {"type": "atomic"|"two_point"|"uniform"|"dirac", ...}."""
     obj = json.loads(text)
@@ -80,20 +74,20 @@ def _dist_from_json(text: str) -> Distribution:
         for entry in atoms:
             if not isinstance(entry, list) or len(entry) != 2:
                 raise ValueError(f"bad atom entry {entry!r}; expected [value, weight]")
-        return FiniteAtomic([_number(a[0], "atom value") for a in atoms],
-                            [_number(a[1], "atom weight") for a in atoms])
+        return FiniteAtomic([_json_number(a[0], "atom value") for a in atoms],
+                            [_json_number(a[1], "atom weight") for a in atoms])
     if kind == "two_point":
         if keys != {"x1", "x2", "p"}:
             raise ValueError("two_point law takes exactly the keys x1, x2, p")
-        return two_point(*(_number(obj[k], k) for k in ("x1", "x2", "p")))
+        return two_point(*(_json_number(obj[k], k) for k in ("x1", "x2", "p")))
     if kind == "uniform":
         if keys != {"a", "b"}:
             raise ValueError("uniform law takes exactly the keys a, b")
-        return Uniform(_number(obj["a"], "a"), _number(obj["b"], "b"))
+        return Uniform(_json_number(obj["a"], "a"), _json_number(obj["b"], "b"))
     if kind == "dirac":
         if keys != {"at"}:
             raise ValueError("dirac law takes exactly the key 'at'")
-        return dirac(_number(obj["at"], "at"))
+        return dirac(_json_number(obj["at"], "at"))
     raise ValueError(f"unknown law type {kind!r}")
 
 
@@ -299,7 +293,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, NotImplementedError, ArithmeticError, OSError,
-            json.JSONDecodeError) as exc:
+            json.JSONDecodeError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

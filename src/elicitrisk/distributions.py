@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -46,6 +47,14 @@ def _check_prob(p: float, name: str = "p") -> float:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
     return p
+
+
+def _json_number(x, what: str) -> float:
+    """A number from parsed JSON; bool is an int subclass, and strings must not
+    slip through ``float``."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"{what} must be a number, got {x!r}")
+    return float(x)
 
 
 class Distribution(ABC):
@@ -102,8 +111,9 @@ def _canonical_atoms(values, weights):
         raise ValueError("an atomic law needs at least one atom")
     if not np.all(np.isfinite(values)):
         raise ValueError("atom values must be finite")
-    if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
-        raise ValueError("atom weights must be finite and nonnegative")
+    # NaN fails both comparisons; a bound on each weight keeps the total from overflowing
+    if not np.all((weights >= 0.0) & (weights <= 1.0 + WEIGHT_TOL)):
+        raise ValueError("atom weights must be finite and lie in [0, 1]")
     total = float(weights.sum())
     if abs(total - 1.0) > WEIGHT_TOL:
         raise ValueError(f"atom weights must sum to 1 within {WEIGHT_TOL}, got {total!r}")
@@ -138,6 +148,10 @@ class FiniteAtomic(Distribution):
         self._set_ladder(*_canonical_atoms(values, weights))
 
     def _set_ladder(self, values: np.ndarray, cum: np.ndarray, csum=None):
+        # every atomic law passes here; Python floats overflow to inf without a warning
+        if not math.isfinite(float(values[-1]) - float(values[0])):
+            raise ValueError("atom values must span a finite range, got "
+                             f"[{float(values[0])!r}, {float(values[-1])!r}]")
         self._values = values
         self._cum = cum
         self._weights = w = cum.copy()
@@ -204,8 +218,11 @@ class FiniteAtomic(Distribution):
                    - float(self._csum[i - 1]), 0.0)
 
     def shift(self, c: float) -> "FiniteAtomic":
-        # distances to the first atom do not move, so the prefix sums carry over
-        return FiniteAtomic._from_cum(self._values + float(c), self._cum, self._csum)
+        # distances to the first atom do not move, so the prefix sums carry over;
+        # an overflow leaves a range that _set_ladder rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = self._values + float(c)
+        return FiniteAtomic._from_cum(values, self._cum, self._csum)
 
     def scale(self, lam: float) -> "FiniteAtomic":
         lam = float(lam)
@@ -213,7 +230,9 @@ class FiniteAtomic(Distribution):
             raise ValueError("scale factor must be nonnegative")
         if lam == 0.0:
             return dirac(0.0)
-        return FiniteAtomic._from_cum(self._values * lam, self._cum, self._csum * lam)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values, csum = self._values * lam, self._csum * lam
+        return FiniteAtomic._from_cum(values, self._cum, csum)
 
     def __repr__(self):
         pairs = ", ".join(f"({v:.6g}, {w:.6g})" for v, w in self.atoms()[:4])
@@ -281,8 +300,9 @@ class Uniform(Distribution):
 
     def __init__(self, a: float, b: float):
         a, b = float(a), float(b)
-        if not (np.isfinite(a) and np.isfinite(b)) or not a < b:
-            raise ValueError(f"uniform law needs finite a < b, got [{a!r}, {b!r}]")
+        if not (a < b and math.isfinite(b - a)):
+            raise ValueError(f"uniform law needs finite a < b with a finite b - a, "
+                             f"got [{a!r}, {b!r}]")
         self.a = a
         self.b = b
 
@@ -355,21 +375,76 @@ def mix(d0: Distribution, d1: Distribution, p: float) -> FiniteAtomic:
     return FiniteAtomic(values, weights)
 
 
-def empirical_from_csv(path) -> Empirical:
-    """Read an empirical law from a CSV file with a header and a column ``y``."""
+# Characters on which numpy's parse and the csv module's could differ: the
+# quote, NUL (dropped from the end of numpy strings) and the ASCII separators
+# 0x1c-0x1f (whitespace to numpy's float parser, not to Python's float).
+_PER_ROW_ONLY = '"\0\x1c\x1d\x1e\x1f'
+
+
+def _read_columns(path, numbers, labels=()):
+    """Named columns of a CSV file with a header row, parsed by numpy.
+
+    Returns a float64 array with one column per name in ``numbers`` and, when
+    ``labels`` is given, a stripped string array with one column per label
+    name; one row per data row, blank lines skipped.  A name given twice in
+    the header means its last column.  Returns None whenever the per-row
+    parser must decide: the file holds a quote or a character in
+    ``_PER_ROW_ONLY``, a name is missing, or numpy rejects the data (ragged
+    rows, empty fields and the numbers Python's ``float`` reads but numpy
+    does not, such as ``1_0`` or non-ASCII digits).
+    """
+    try:
+        with open(path, newline="") as fh, warnings.catch_warnings():
+            # a warning, such as that for a file with no data rows, declines too
+            warnings.simplefilter("error")
+            for chunk in iter(lambda: fh.read(1 << 20), ""):
+                if any(c in chunk for c in _PER_ROW_ONLY):
+                    return None
+            fh.seek(0)
+            column = {name: i for i, name in enumerate(fh.readline().rstrip("\r\n").split(","))}
+            if not all(name in column for name in (*numbers, *labels)):
+                return None
+            start = fh.tell()
+            values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                                usecols=[column[name] for name in numbers])
+            if not labels:
+                return values, None
+            fh.seek(start)
+            # numpy reads strings in chunks of rows and warns that a blank line
+            # does not count towards a chunk; every row is still read
+            warnings.filterwarnings("ignore", "Input line", UserWarning)
+            text = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=str,
+                              usecols=[column[name] for name in labels])
+    # ValueError covers undecodable bytes, whose message the per-row parser gives
+    except (ValueError, IndexError, Warning):
+        return None
+    return values, np.char.strip(text)
+
+
+def _samples_by_rows(path) -> list[float]:
+    """Column ``y`` read row by row; errors name the physical line."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "y" not in reader.fieldnames:
             raise ValueError(f"{path}: expected a header row with a column named 'y'")
         samples = []
-        for i, row in enumerate(reader, start=2):
+        for row in reader:
             raw = row.get("y")
             if raw is None or raw.strip() == "":
-                raise ValueError(f"{path}:{i}: missing value in column 'y'")
+                raise ValueError(f"{path}:{reader.line_num}: missing value in column 'y'")
             try:
                 samples.append(float(raw))
             except ValueError as exc:
-                raise ValueError(f"{path}:{i}: could not parse {raw!r} as a real number") from exc
+                raise ValueError(f"{path}:{reader.line_num}: could not parse {raw!r} "
+                                 "as a real number") from exc
     if not samples:
         raise ValueError(f"{path}: no data rows")
-    return Empirical(samples)
+    return samples
+
+
+def empirical_from_csv(path) -> Empirical:
+    """Read an empirical law from a CSV file with a header and a column ``y``."""
+    columns = _read_columns(path, ["y"])
+    if columns is None:
+        return Empirical(_samples_by_rows(path))
+    return Empirical(columns[0][:, 0])

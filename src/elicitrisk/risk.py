@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import Distribution, Empirical, FiniteAtomic, Uniform
+from .distributions import Distribution, Empirical, FiniteAtomic, Uniform, _json_number
 from .spectral import (JSON_NORMALIZATION_TOL, SpectralMeasure, measure_from_json,
                        measure_to_json, mp_measure, nu, uc_measure)
 
@@ -388,7 +388,7 @@ def functional_from_json(spec, tol: float = JSON_NORMALIZATION_TOL) -> RiskFunct
     if kind in ("var", "es", "expectile"):
         if "level" not in spec:
             raise ValueError(f"functional type {kind!r} needs a 'level'")
-        level = float(spec["level"])
+        level = _json_number(spec["level"], "level")
         return {"var": VaR, "es": ES, "expectile": ExpectileRisk}[kind](level)
     if kind == "spectral":
         if "measure" not in spec:

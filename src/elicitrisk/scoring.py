@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, FiniteAtomic, Uniform, _check_level
+from .distributions import Distribution, FiniteAtomic, Uniform, _check_level, _read_columns
 
 __all__ = [
     "IdentityGenerator",
@@ -363,44 +363,57 @@ def argmin_expected_score(score, d: Distribution, grid_points: int = _ARGMIN_GRI
 class ForecastSeries:
     """Aligned panel of forecasts from several methods over common periods.
 
-    Periods keep their first-occurrence order from the source; every method
+    Stored as ``periods`` in first-occurrence order from the source, the
+    sorted ``methods``, the ``forecast_matrix`` with one row per method and
+    one column per period, and the realization of each period.  Every method
     must cover every period, a period's realization must agree across rows,
     and every forecast and realization must be finite.
     """
 
     def __init__(self, periods, realizations, forecasts):
-        self.periods = list(periods)
-        if not self.periods:
-            raise ValueError("need at least one period")
-        if len(set(self.periods)) != len(self.periods):
+        periods = list(periods)
+        if len(set(periods)) != len(periods):
             raise ValueError("periods must be distinct")
-        self.realizations = dict(realizations)
-        self.forecasts = {m: dict(f) for m, f in forecasts.items()}
-        if not self.forecasts:
-            raise ValueError("need at least one method")
-        for p in self.periods:
-            if p not in self.realizations:
+        for p in periods:
+            if p not in realizations:
                 raise ValueError(f"period {p!r} has no realization")
-        for m, f in self.forecasts.items():
-            missing = [p for p in self.periods if p not in f]
+        methods = sorted(forecasts)
+        for m in methods:
+            missing = [p for p in periods if p not in forecasts[m]]
             if missing:
                 raise ValueError(f"method {m!r} is missing periods {missing!r}")
-        for name, values in (("realization", self.realizations),
-                             *((f"method {m!r}", f) for m, f in self.forecasts.items())):
-            bad = [p for p, v in values.items() if not math.isfinite(v)]
-            if bad:
-                raise ValueError(f"{name} is not finite at period {bad[0]!r}")
+        matrix = np.array([[forecasts[m][p] for p in periods] for m in methods], dtype=float)
+        self._set(periods, methods, matrix.reshape(len(methods), len(periods)),
+                  np.array([realizations[p] for p in periods], dtype=float))
 
-    @property
-    def methods(self):
-        return sorted(self.forecasts)
+    def _set(self, periods: list, methods: list, matrix: np.ndarray, y: np.ndarray):
+        # every constructor ends here; periods are distinct and methods sorted
+        if not periods:
+            raise ValueError("need at least one period")
+        if not methods:
+            raise ValueError("need at least one method")
+        for name, row in (("realization", y), *((f"method {m!r}", x)
+                                                 for m, x in zip(methods, matrix))):
+            bad = np.flatnonzero(~np.isfinite(row))
+            if bad.size:
+                raise ValueError(f"{name} is not finite at period {periods[bad[0]]!r}")
+        matrix.flags.writeable = y.flags.writeable = False
+        self.periods = periods
+        self.methods = methods
+        self.forecast_matrix = matrix
+        self._y = y
+
+    @classmethod
+    def _from_matrix(cls, periods, methods, matrix, y) -> "ForecastSeries":
+        obj = cls.__new__(cls)
+        obj._set(periods, methods, matrix, y)
+        return obj
 
     def realization_vector(self) -> np.ndarray:
-        return np.array([self.realizations[p] for p in self.periods], dtype=float)
+        return self._y
 
     def forecast_vector(self, method: str) -> np.ndarray:
-        f = self.forecasts[method]
-        return np.array([f[p] for p in self.periods], dtype=float)
+        return self.forecast_matrix[self.methods.index(method)]
 
     @classmethod
     def from_arrays(cls, method_forecasts, realizations) -> "ForecastSeries":
@@ -408,19 +421,57 @@ class ForecastSeries:
 
         Periods are synthesized as "1".."n".
         """
-        realizations = [float(y) for y in realizations]
-        periods = [str(i) for i in range(1, len(realizations) + 1)]
-        forecasts = {}
-        for method, xs in method_forecasts.items():
-            xs = [float(x) for x in xs]
-            if len(xs) != len(periods):
-                raise ValueError(f"method {method!r} has {len(xs)} forecasts "
-                                 f"for {len(periods)} realizations")
-            forecasts[method] = dict(zip(periods, xs))
-        return cls(periods, dict(zip(periods, realizations)), forecasts)
+        y = np.fromiter(map(float, realizations), dtype=float)
+        methods = sorted(method_forecasts)
+        matrix = np.empty((len(methods), y.size))
+        for row, method in zip(matrix, methods):
+            xs = np.fromiter(map(float, method_forecasts[method]), dtype=float)
+            if xs.size != y.size:
+                raise ValueError(f"method {method!r} has {xs.size} forecasts "
+                                 f"for {y.size} realizations")
+            row[:] = xs
+        return cls._from_matrix([str(i) for i in range(1, y.size + 1)], methods, matrix, y)
 
     @classmethod
     def from_csv(cls, path) -> "ForecastSeries":
+        """Read a long-format panel: columns method, period, forecast, realization.
+
+        The columns are parsed by numpy; a file numpy cannot read, or one that
+        fails a check, is read again row by row, which names the physical line
+        of the first fault.
+        """
+        columns = _read_columns(path, ("forecast", "realization"), ("method", "period"))
+        panel = None if columns is None else cls._from_columns(*columns)
+        return panel if panel is not None else cls._from_rows(path)
+
+    @classmethod
+    def _from_columns(cls, numbers: np.ndarray, labels: np.ndarray):
+        """The panel from (forecast, realization) and (method, period) columns.
+
+        Returns None where a check fails, so that the per-row parser can name
+        the line at fault.
+        """
+        x, y = numbers.T
+        methods, m_code = np.unique(labels[:, 0], return_inverse=True)
+        periods, first, p_code = np.unique(labels[:, 1], return_index=True,
+                                           return_inverse=True)
+        # renumber the periods in first-occurrence order
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        p_code, first, periods = rank[p_code], first[order], periods[order]
+        n_m, n_p = methods.size, periods.size
+        if ("" in methods or "" in periods or x.size != n_m * n_p
+                or not np.isfinite(numbers).all()
+                or (np.bincount(m_code * n_p + p_code, minlength=x.size) != 1).any()
+                or (y != y[first][p_code]).any()):
+            return None
+        matrix = np.empty((n_m, n_p))
+        matrix[m_code, p_code] = x
+        return cls._from_matrix(periods.tolist(), methods.tolist(), matrix, y[first])
+
+    @classmethod
+    def _from_rows(cls, path) -> "ForecastSeries":
         required = {"method", "period", "forecast", "realization"}
         periods: list = []
         realizations: dict = {}
@@ -429,9 +480,11 @@ class ForecastSeries:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or not required.issubset(reader.fieldnames):
                 raise ValueError(f"forecast csv needs columns {sorted(required)}")
-            for lineno, row in enumerate(reader, start=2):
-                method = row["method"].strip()
-                period = row["period"].strip()
+            for row in reader:
+                lineno = reader.line_num
+                # a short row leaves its missing fields None
+                method = (row["method"] or "").strip()
+                period = (row["period"] or "").strip()
                 if not method or not period:
                     raise ValueError(f"line {lineno}: empty method or period")
                 try:
@@ -475,11 +528,13 @@ def compare(series: ForecastSeries, score) -> list[MethodScore]:
     """
     y = series.realization_vector()
     totals = []
-    for method in series.methods:
-        x = series.forecast_vector(method)
-        vals = np.asarray(score.score(x, y), dtype=float)
-        mean = math.fsum(vals.tolist()) / len(series.periods)
-        totals.append((method, mean))
+    for method, x in zip(series.methods, series.forecast_matrix):
+        # finite inputs can still overflow, as x * x does past 1.3e154
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.asarray(score.score(x, y), dtype=float)
+        if not np.isfinite(vals).all():
+            raise ValueError(f"method {method!r} has a score that is not a finite number")
+        totals.append((method, math.fsum(vals.tolist()) / y.size))
     totals.sort(key=lambda t: (t[1], t[0]))
     out: list[MethodScore] = []
     for i, (method, mean) in enumerate(totals):

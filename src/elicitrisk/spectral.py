@@ -34,11 +34,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, FiniteAtomic, Uniform
+from .distributions import Distribution, FiniteAtomic, Uniform, _json_number
 
 __all__ = [
     "UcDensity",
@@ -68,8 +69,10 @@ class UcDensity:
     C: float
 
     def __post_init__(self):
-        if not 0.0 < float(self.C) <= 1.0:
-            raise ValueError(f"density parameter C must lie in (0, 1], got {self.C!r}")
+        # a subnormal C would overflow the 1 / C of the closed forms
+        if not (0.0 < float(self.C) <= 1.0 and math.isfinite(1.0 / float(self.C))):
+            raise ValueError(f"density parameter C must lie in (0, 1] with a finite 1 / C, "
+                             f"got {self.C!r}")
         object.__setattr__(self, "C", float(self.C))
 
     def mass(self) -> float:
@@ -103,11 +106,15 @@ class SpectralMeasure:
         if not 0.0 <= atom_at_zero <= 1.0:
             raise ValueError(f"atom_at_zero must lie in [0, 1], got {atom_at_zero!r}")
         pairs = [(float(a), float(w)) for a, w in atoms]
+        # bounds that keep the total and every weight / level below overflow:
+        # a normalized weight is at most 1 + tol, and 1 / level is finite
+        # down to the smallest normal double
         for a, w in pairs:
-            if not 0.0 < a <= 1.0:
-                raise ValueError(f"atom level must lie in (0, 1], got {a!r}")
-            if not w > 0.0 or not math.isfinite(w):
-                raise ValueError(f"atom weight must be positive and finite, got {w!r}")
+            if not sys.float_info.min <= a <= 1.0:
+                raise ValueError(f"atom level must lie in (0, 1], no lower than "
+                                 f"{sys.float_info.min!r}, got {a!r}")
+            if not 0.0 < w <= 1.0 + tol:
+                raise ValueError(f"atom weight must lie in (0, 1], got {w!r}")
         if density is not None and not isinstance(density, UcDensity):
             raise TypeError("density must be a UcDensity or None")
 
@@ -320,7 +327,7 @@ def measure_from_json(spec, tol: float = JSON_NORMALIZATION_TOL) -> SpectralMeas
     unknown = set(spec) - {"atom0", "atoms", "density"}
     if unknown:
         raise ValueError(f"unknown measure spec keys: {sorted(unknown)}")
-    atom0 = spec.get("atom0", 0.0)
+    atom0 = _json_number(spec.get("atom0", 0.0), "atom0")
     atoms = spec.get("atoms", [])
     if not isinstance(atoms, list):
         raise ValueError("'atoms' must be a list of [alpha, weight] pairs")
@@ -328,13 +335,14 @@ def measure_from_json(spec, tol: float = JSON_NORMALIZATION_TOL) -> SpectralMeas
     for entry in atoms:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise ValueError(f"bad atom entry {entry!r}; expected [alpha, weight]")
-        pairs.append((float(entry[0]), float(entry[1])))
+        pairs.append((_json_number(entry[0], "atom level"),
+                      _json_number(entry[1], "atom weight")))
     density_spec = spec.get("density")
     density = None
     if density_spec is not None:
         if not isinstance(density_spec, dict) or density_spec.get("type") != "uc":
             raise ValueError(f"unsupported density spec {density_spec!r}")
-        density = UcDensity(float(density_spec["C"]))
+        density = UcDensity(_json_number(density_spec.get("C"), "density C"))
     return SpectralMeasure(atom_at_zero=atom0, atoms=pairs, density=density, tol=tol)
 
 

@@ -1,6 +1,9 @@
 """Shared randomized builders and oracles for the test suite."""
 
+import itertools
+
 import numpy as np
+from hypothesis import strategies as st
 
 from elicitrisk import FiniteAtomic, SpectralMeasure, mp_measure, uc_measure
 
@@ -114,3 +117,116 @@ def overlap_nu(m: SpectralMeasure, d: FiniteAtomic) -> float:
         h_cum = c + (1.0 - c) * cum
         masses = masses + (c / (1.0 - c) * (1.0 / h_prev - 1.0 / h_cum) - c * (cum - prev))
     return float(np.dot(d._values, masses)) + m.atom_at_zero * float(d._values[0])
+
+
+_csv_names = itertools.count()
+
+
+def write_csv(directory, text: str):
+    """Write text to a new file in directory, line ends untranslated."""
+    # a fresh name each time: truncating a file can cost milliseconds
+    path = directory / f"data{next(_csv_names)}.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    return path
+
+
+# Fields that Python's float and numpy's parser may read differently, or that
+# one of them rejects: underscores, non-ASCII digits and spaces, the ASCII
+# separators numpy strips, non-finite values, empty and non-numeric text.
+ODD_NUMBERS = ["1_0", "\u0661\u0662", "\u30002.5", "1.0\x1c", "\x1d2", "\t7\x1f", " 3 ", "-0.0",
+               "0.0", "nan", "-inf", "Infinity", "1e999", "", " ", "x", "0x1", "1,5"]
+ODD_LABELS = ["", " ", "a b", "\u0663", "x\x00", "#c", "a,b", '"q"']
+
+
+class Faults:
+    """Draws for one generated file.
+
+    A file gets at most two kinds of fault, each at about a third of the
+    places it can occur, so that most files are valid or close to valid.
+    """
+
+    KINDS = ("number", "label", "ragged", "quote", "blank", "cells", "conflict")
+
+    def __init__(self, draw):
+        self.draw = draw
+        self.kinds = draw(st.sets(st.sampled_from(self.KINDS), max_size=2))
+
+    def __call__(self, kind) -> bool:
+        return kind in self.kinds and self.draw(st.integers(1, 3)) == 1
+
+    def number(self) -> str:
+        if self("number"):
+            return self.draw(st.sampled_from(ODD_NUMBERS))
+        return repr(self.draw(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                        st.floats(-1e3, 1e3))))
+
+    def label(self, clean) -> str:
+        return self.draw(st.sampled_from(ODD_LABELS if self("label") else clean))
+
+    def header(self, names) -> list:
+        """The names in any order, maybe with an extra or a duplicate column."""
+        cols = list(self.draw(st.permutations(names)))
+        for extra in self.draw(st.lists(st.sampled_from(["note", *names]), max_size=2)):
+            cols.insert(self.draw(st.integers(0, len(cols))), extra)
+        return cols
+
+    def row(self, cols, value) -> list:
+        # the last column of a name is the one read; other columns get filler
+        last = {name: len(cols) - 1 - cols[::-1].index(name) for name in value}
+        return [value[c] if last.get(c) == i else self.label(["", "9", "n"])
+                for i, c in enumerate(cols)]
+
+    def text(self, rows) -> str:
+        """Serialise rows, header first.
+
+        Any row may be cut short, get an extra field or have a field quoted;
+        blank and whitespace-only lines may follow it; the line ends are LF,
+        CRLF or CR, with or without a final one.
+        """
+        draw = self.draw
+        lines = []
+        for fields in rows:
+            if self("ragged"):
+                fields = fields[:draw(st.integers(0, len(fields) - 1))]
+            if self("ragged"):
+                fields = [*fields, draw(st.sampled_from(["", "1", "z"]))]
+            if fields and self("quote"):
+                i = draw(st.integers(0, len(fields) - 1))
+                fields = [*fields[:i], '"' + fields[i].replace('"', '""') + '"', *fields[i + 1:]]
+            lines.append(",".join(fields))
+            if self("blank"):
+                lines.append(draw(st.sampled_from(["", " ", "\t"])))
+        end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        return end.join(lines) + (end if draw(st.booleans()) else "")
+
+
+@st.composite
+def sample_csv_texts(draw) -> str:
+    """CSV texts for the column-``y`` reader, valid and not."""
+    f = Faults(draw)
+    cols = f.header(["y"])
+    rows = [f.row(cols, {"y": f.number()}) for _ in range(draw(st.integers(0, 6)))]
+    return f.text([cols, *rows])
+
+
+@st.composite
+def panel_csv_texts(draw) -> str:
+    """Long-format panel texts: full grids, with cells dropped, repeated or conflicting."""
+    f = Faults(draw)
+    cols = f.header(["method", "period", "forecast", "realization"])
+    # dicts, not sets: the order must not depend on string hashing
+    methods = dict.fromkeys(f.label(["a", "b", " a", "c ", "m\u00e9"])
+                            for _ in range(draw(st.integers(1, 3))))
+    periods = dict.fromkeys(f.label(["1", "2", "t3", " 1", "\u0663"])
+                            for _ in range(draw(st.integers(1, 3))))
+    truth = {p: f.number() for p in periods}
+    cells = list(draw(st.permutations([(m, p) for m in methods for p in periods])))
+    if f("cells"):
+        del cells[draw(st.integers(0, len(cells) - 1))]
+    if cells and f("cells"):
+        cells.append(cells[draw(st.integers(0, len(cells) - 1))])
+    rows = [f.row(cols, {"method": m, "period": p, "forecast": f.number(),
+                         "realization": f.number() if f("conflict") else truth[p]})
+            for m, p in cells]
+    return f.text([cols, *rows])

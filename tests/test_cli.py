@@ -95,6 +95,9 @@ class TestEval:
     def test_errors_exit_one(self, capsys, tmp_path):
         f = tmp_path / "obs.csv"
         f.write_text("y\n1.0\n")
+        # a quoted field past the csv module's field size limit
+        huge = tmp_path / "huge.csv"
+        huge.write_text('y,note\n1.0,"' + "x" * 200_000 + '"\n')
         bad_calls = [
             # both and neither data source
             ["eval", "--type", "negmean", "--data", str(f),
@@ -115,6 +118,7 @@ class TestEval:
             ["eval", "--type", "spectral", "--dist", '{"type": "dirac", "at": 0.0}'],
             # missing file
             ["eval", "--type", "negmean", "--data", str(tmp_path / "nope.csv")],
+            ["eval", "--type", "negmean", "--data", str(huge)],
         ]
         for argv in bad_calls:
             assert run_cli(argv) == 1, argv
@@ -146,13 +150,23 @@ class TestEval:
         assert err.startswith("error:") and err.count("\n") == 1
 
     def test_non_finite_result_is_an_error(self, capsys):
-        # finite atoms whose spread overflows a double: no NaN or Infinity
-        # reaches stdout
-        law = '{"type": "atomic", "atoms": [[-1.7e308, 0.5], [1.7e308, 0.5]]}'
-        assert run_cli(["eval", "--type", "negmean", "--dist", law]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("error:") and "finite" in err
+        # finite values whose spread overflows a double: no NaN or Infinity
+        # reaches stdout, and no numpy warning reaches stderr
+        atomic = '{"type": "atomic", "atoms": [[-1.7e308, 0.5], [1.7e308, 0.5]]}'
+        spread = "atom values must span a finite range, got "
+        cases = [
+            (atomic, ["--type", "negmean"], spread + "[-1.7e+308, 1.7e+308]"),
+            (atomic, ["--type", "es", "--level", "0.5"], spread + "[-1.7e+308, 1.7e+308]"),
+            ('{"type": "two_point", "x1": -1e308, "x2": 1e308, "p": 0.5}',
+             ["--type", "expectile", "--level", "0.5"], spread + "[-1e+308, 1e+308]"),
+            ('{"type": "uniform", "a": -1.7e308, "b": 1.7e308}', ["--type", "es", "--level", "0.5"],
+             "uniform law needs finite a < b with a finite b - a, got [-1.7e+308, 1.7e+308]"),
+        ]
+        for law, flags, message in cases:
+            assert run_cli(["eval", *flags, "--dist", law]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"error: {message}\n"
 
     def test_unknown_type_rejected_by_parser(self, capsys):
         assert run_cli(["eval", "--type", "cvar", "--level", "0.5",

@@ -135,6 +135,19 @@ class TestConstruction:
             FiniteAtomic([], [])
         with pytest.raises(ValueError):
             FiniteAtomic([np.inf], [1.0])
+        # weights whose total would overflow: an error, not a numpy warning
+        with pytest.raises(ValueError, match="lie in \\[0, 1\\]"):
+            FiniteAtomic([0.0, 1.0], [1e308, 1e308])
+
+    def test_spread_must_be_finite(self):
+        # finite atoms whose distance overflows a double, from every constructor
+        for make in (lambda: FiniteAtomic([-1e308, 1e308], [0.5, 0.5]),
+                     lambda: Empirical([1e308, -1e308, 0.0]),
+                     lambda: two_point(-1e308, 1e308, 0.5),
+                     lambda: FiniteAtomic([0.0, 1e308], [0.5, 0.5]).shift(1e308),
+                     lambda: FiniteAtomic([-1.0, 1e308], [0.5, 0.5]).scale(2.0)):
+            with pytest.raises(ValueError, match="finite range"):
+                make()
 
     def test_two_point_collapses(self):
         assert two_point(2.0, 2.0, 0.3).atoms() == [(2.0, 1.0)]
@@ -164,6 +177,8 @@ class TestConstruction:
             Uniform(1.0, 1.0)
         with pytest.raises(ValueError):
             Uniform(2.0, 1.0)
+        with pytest.raises(ValueError, match="finite b - a"):
+            Uniform(-1e308, 1e308)
 
     def test_shift_scale(self):
         d = FiniteAtomic([-1.0, 2.0], [0.25, 0.75])
@@ -295,6 +310,13 @@ class TestCsvIngestion:
         path = tmp_path / "bad.csv"
         path.write_text("y\n1.0\noops\n")
         with pytest.raises(ValueError, match=":3:"):
+            empirical_from_csv(path)
+
+    def test_error_names_the_physical_line(self, tmp_path):
+        # the csv module skips the blank line; the error still names line 4
+        path = tmp_path / "bad.csv"
+        path.write_text("y\n1.0\n\noops\n")
+        with pytest.raises(ValueError, match=":4: could not parse 'oops'"):
             empirical_from_csv(path)
 
     def test_blank_value(self, tmp_path):

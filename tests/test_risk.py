@@ -442,6 +442,8 @@ class TestFunctionalJson:
             functional_from_json([1, 2])
         with pytest.raises(ValueError, match="level"):
             functional_from_json({"type": "es"})
+        with pytest.raises(ValueError, match="level must be a number, got None"):
+            functional_from_json({"type": "var", "level": None})
         with pytest.raises(ValueError, match="measure"):
             functional_from_json({"type": "spectral"})
         with pytest.raises(ValueError, match="nonempty"):

@@ -366,6 +366,10 @@ class TestForecastSeries:
              "line 2: forecast and realization must be finite"),
             ("method,period,forecast,realization\na,t1,0.5,nan\nb,t1,0.6,nan\n",
              "line 2: forecast and realization must be finite"),
+            ("method,period,forecast,realization\na,t1,0.5,1.0\n\n,t2,0.7,2.0\n",
+             "line 4: empty method"),
+            ("method,period,forecast,realization\na,t1,0.5,1.0\nb\n",
+             "line 3: empty method or period"),
         ]
         for body, msg in cases:
             f = tmp_path / "bad.csv"

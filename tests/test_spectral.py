@@ -28,6 +28,15 @@ class TestConstruction:
             SpectralMeasure(atoms=[(0.5, 0.0), (1.0, 1.0)])
         with pytest.raises(ValueError):
             SpectralMeasure(atom_at_zero=-0.1, atoms=[(1.0, 1.1)])
+        # subnormal levels, where weight / level can overflow (here 0.6 / level
+        # alone would not, but the merged 1.0 / level does), and weights past
+        # 1, whose total can
+        with pytest.raises(ValueError, match="no lower than"):
+            SpectralMeasure(atoms=[(5e-324, 1.0)])
+        with pytest.raises(ValueError, match="no lower than"):
+            SpectralMeasure(atoms=[(4e-309, 0.6), (4e-309, 0.4)])
+        with pytest.raises(ValueError, match="atom weight must lie in"):
+            SpectralMeasure(atoms=[(0.5, 1e308), (1.0, 1e308)])
 
     def test_normalization_tolerance(self):
         with pytest.raises(ValueError):
@@ -74,6 +83,8 @@ class TestConstruction:
             assert abs(float(f(v)) - 2.0 * 0.4 * 0.6 * v / h**3) < 1e-15
         with pytest.raises(ValueError):
             UcDensity(0.0)
+        with pytest.raises(ValueError, match="finite 1 / C"):
+            UcDensity(5e-324)
 
 
 class TestSpectralFn:
@@ -367,3 +378,9 @@ class TestJson:
             measure_from_json({"atom0": 0.0, "extra": 1})
         with pytest.raises(ValueError):
             measure_from_json({"density": {"type": "gaussian"}})
+        with pytest.raises(ValueError, match="atom0 must be a number, got None"):
+            measure_from_json({"atom0": None})
+        with pytest.raises(ValueError, match="atom weight must be a number"):
+            measure_from_json({"atoms": [[0.5, "1"]]})
+        with pytest.raises(ValueError, match="density C must be a number, got None"):
+            measure_from_json({"density": {"type": "uc"}})
