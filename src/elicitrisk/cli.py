@@ -141,8 +141,8 @@ def cmd_eval(args) -> int:
         "value": float(_fmt(value)),
         "spec": functional_to_json(rf),
         "n": n,
-        # 0 means closed-form arithmetic; the expectile reports the 1e-12 its contract states
-        "tolerance": 1e-12 if isinstance(rf, ExpectileRisk) else 0.0,
+        # every functional is closed-form arithmetic
+        "tolerance": 0.0,
     })
     print(_fmt(value))
     print(line)
@@ -268,8 +268,9 @@ def _build_parser() -> _Parser:
     p_elicit = sub.add_parser("elicit", help="elicitability diagnostics")
     _add_functional_flags(p_elicit)
     p_elicit.add_argument("--budget", type=int, default=10000,
-                          help="search budget for the mixture witness hunt")
-    p_elicit.add_argument("--seed", type=int, default=0, help="search seed")
+                          help="most candidates the mixture witness hunt tries")
+    p_elicit.add_argument("--seed", type=int, default=0,
+                          help="seed of the order in which the hunt tries its candidates")
     p_elicit.add_argument("--grid-size", type=int, default=19,
                           help="points in the identification grid on [0.05, 0.95]")
     p_elicit.add_argument("--tol", type=float, default=1e-9,

@@ -388,18 +388,27 @@ def _read_columns(path, numbers, labels=()):
     ``labels`` is given, a stripped string array with one column per label
     name; one row per data row, blank lines skipped.  A name given twice in
     the header means its last column.  Returns None whenever the per-row
-    parser must decide: the file holds a quote or a character in
-    ``_PER_ROW_ONLY``, a name is missing, or numpy rejects the data (ragged
-    rows, empty fields and the numbers Python's ``float`` reads but numpy
-    does not, such as ``1_0`` or non-ASCII digits).
+    parser must decide: the file holds a quote, a character in
+    ``_PER_ROW_ONLY`` or a field that may pass the csv module's field size
+    limit, a name is missing, or numpy rejects the data (ragged rows, empty
+    fields and the numbers Python's ``float`` reads but numpy does not, such
+    as ``1_0`` or non-ASCII digits).
     """
     try:
         with open(path, newline="") as fh, warnings.catch_warnings():
             # a warning, such as that for a file with no data rows, declines too
             warnings.simplefilter("error")
-            for chunk in iter(lambda: fh.read(1 << 20), ""):
+            # a field longer than the csv module's limit covers a whole block
+            # of at most half that length, so a block with no field end
+            # declines; chunks are whole blocks, so blocks stay aligned
+            block = min(max(1, (csv.field_size_limit() + 1) // 2), 1 << 20)
+            size = block * ((1 << 20) // block)
+            for chunk in iter(lambda: fh.read(size), ""):
                 if any(c in chunk for c in _PER_ROW_ONLY):
                     return None
+                for i in range(0, len(chunk) - block + 1, block):
+                    if all(chunk.find(c, i, i + block) < 0 for c in ",\n\r"):
+                        return None
             fh.seek(0)
             column = {name: i for i, name in enumerate(fh.readline().rstrip("\r\n").split(","))}
             if not all(name in column for name in (*numbers, *labels)):

@@ -20,6 +20,8 @@ C(1 - p) / (C(1 - p) + p).
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +48,8 @@ __all__ = [
 DEFAULT_GRID = tuple(np.linspace(0.05, 0.95, 19))
 
 # Search space for the mixture witness hunt: target values reachable by
-# two-point laws anchored at 0, and interior mixture weights.
+# two-point laws anchored at 0, and interior mixture weights.  The weights
+# are symmetric about 1/2, since the hunt tries each unordered pair once.
 _TARGETS = (-0.5, -1.0, -2.0)
 _MIX_WEIGHTS = (0.25, 0.5, 0.75)
 
@@ -136,75 +139,51 @@ class ConvexityWitness:
                 and abs(vm - self.target) > 10.0 * tol)
 
 
-def _solve_member(rf: RiskFunctional, p: float, target: float, tol: float):
-    """Two-point law at {0, x2} with weight p at 0 whose value hits target.
-
-    The value is nonincreasing in x2 for monotone functionals; families that
-    cannot reach the target (flat tails, jumps past it) return None and the
-    caller skips them.
-    """
-    if rf.evaluate(two_point(0.0, 0.0, p)) < target:
-        return None
-    hi = 1.0
-    f_hi = rf.evaluate(two_point(0.0, hi, p))
-    expansions = 0
-    while f_hi > target and expansions < 40:
-        hi *= 2.0
-        f_hi = rf.evaluate(two_point(0.0, hi, p))
-        expansions += 1
-    if f_hi > target:
-        return None
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = rf.evaluate(two_point(0.0, mid, p))
-        if abs(f_mid - target) <= 0.01 * tol:
-            return two_point(0.0, mid, p)
-        if f_mid > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * max(1.0, hi):
-            break
-    candidate = two_point(0.0, 0.5 * (lo + hi), p)
-    if abs(rf.evaluate(candidate) - target) <= tol:
-        return candidate
-    return None
+def _hunt_members(rf: RiskFunctional, pts: list[float], tol: float) -> dict:
+    """The hunt's members {(t, i): law}, as :func:`convex_level_set_test` states."""
+    members = {}
+    for i, p in enumerate(pts):
+        r_p = rf.evaluate(two_point(0.0, 1.0, p))
+        if not r_p < 0.0:
+            continue
+        for t in _TARGETS:
+            x2 = t / r_p
+            if math.isfinite(x2):
+                m = two_point(0.0, x2, p)
+                if abs(rf.evaluate(m) - t) <= tol:
+                    members[(t, i)] = m
+    return members
 
 
 def convex_level_set_test(rf: RiskFunctional, search_budget: int = 10000, seed: int = 0,
                           tol: float = 1e-9, grid=None):
-    """Randomized hunt for a mixture that breaks convex level sets.
+    """Seeded hunt for a mixture that breaks convex level sets.
 
-    Each trial picks a target value and two grid weights, solves the matching
-    two-point laws by bisection on the upper atom, and evaluates the
-    functional at three interior mixtures.  The first witness whose
-    recomputation passes :meth:`ConvexityWitness.validate` is returned;
-    ``None`` means only that no violation was found within the budget.
+    The functional is assumed positively homogeneous, as the two-point display
+    of :func:`identify_C` is.  So with r_p the value of the law putting mass p
+    at 0 and 1 - p at 1, the law with mass p at 0 whose value is a target
+    t < 0 is ``two_point(0, t / r_p, p)``; it exists only when r_p < 0, and is
+    kept only when its value lies within ``tol`` of t.
+
+    The candidates are a target and an unordered pair i < j of grid weights,
+    3 g (g - 1) / 2 of them on a grid of g points; the mixture weights are
+    symmetric, so the ordered pair (j, i) would add nothing.  They are tried
+    in the order of a permutation seeded by ``seed``, at most
+    ``search_budget`` of them, and each is evaluated at three interior
+    mixtures.  The first witness whose recomputation passes
+    :meth:`ConvexityWitness.validate` is returned; ``None`` means only that
+    no violation was found among the candidates tried.
     """
     if search_budget < 1:
         raise ValueError("search_budget must be positive")
     if grid is None:
         grid = DEFAULT_GRID
     pts = _check_grid(grid, minimum=2)
-    rng = np.random.default_rng(seed)
-    members: dict = {}
-    tried: set = set()
-    for trial in range(search_budget):
-        t = _TARGETS[int(rng.integers(0, len(_TARGETS)))]
-        i = int(rng.integers(0, len(pts)))
-        j = int(rng.integers(0, len(pts) - 1))
-        if j >= i:
-            j += 1
-        key = (t, i, j)
-        if key in tried:
-            continue
-        tried.add(key)
-        for pp in (pts[i], pts[j]):
-            if (t, pp) not in members:
-                members[(t, pp)] = _solve_member(rf, pp, t, tol)
-        m0 = members[(t, pts[i])]
-        m1 = members[(t, pts[j])]
+    members = _hunt_members(rf, pts, tol)
+    space = [(t, i, j) for t in _TARGETS for i, j in itertools.combinations(range(len(pts)), 2)]
+    for k in np.random.default_rng(seed).permutation(len(space))[:search_budget]:
+        t, i, j = space[k]
+        m0, m1 = members.get((t, i)), members.get((t, j))
         if m0 is None or m1 is None:
             continue
         for w in _MIX_WEIGHTS:

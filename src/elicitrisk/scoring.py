@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Distribution, FiniteAtomic, Uniform, _check_level, _read_columns
+from .risk import expectile
 
 __all__ = [
     "IdentityGenerator",
@@ -126,14 +127,6 @@ def _as_scalar_or_array(a):
     return float(a) if a.shape == () else a
 
 
-def _cdf_left(d: Distribution, x: float) -> float:
-    """Left limit of the CDF at x; differs from cdf(x) only at atoms."""
-    if isinstance(d, FiniteAtomic):
-        idx = int(np.searchsorted(d._values, x, side="left"))
-        return float(d._cum[idx - 1]) if idx > 0 else 0.0
-    return d.cdf(x)
-
-
 class QuantileScore:
     """Consistent score for the alpha-quantile.
 
@@ -173,12 +166,15 @@ class QuantileScore:
             f"expected quantile score not implemented for {type(d).__name__} "
             f"with {self.generator!r}")
 
-    def _has_derivative_path(self) -> bool:
-        return getattr(self.generator, "is_strictly_increasing", False)
-
-    def _expected_derivative(self, x: float, d: Distribution, side: str) -> float:
-        f = d.cdf(x) if side == "right" else _cdf_left(d, x)
-        return (f - self.alpha) * float(self.generator.derivative(x, side=side))
+    def _exact_edges(self, d: Distribution):
+        # a strictly increasing g keeps the minimizers at the alpha-quantiles:
+        # [q-, q+] on the ladder, a single point on a uniform law
+        if not getattr(self.generator, "is_strictly_increasing", False):
+            return None
+        q = d.quantile(self.alpha)
+        if isinstance(d, FiniteAtomic):
+            return q, float(d._values[np.searchsorted(d._cum, self.alpha, side="right")])
+        return q, q
 
     def __repr__(self):
         return f"QuantileScore(alpha={self.alpha!r}, generator={self.generator!r})"
@@ -227,13 +223,12 @@ class ExpectileScore:
             f"expected expectile score not implemented for {type(d).__name__} "
             f"with {self.generator!r}")
 
-    def _has_derivative_path(self) -> bool:
-        return isinstance(self.generator, SquaredGenerator)
-
-    def _expected_derivative(self, x: float, d: Distribution, side: str) -> float:
-        # d/dx E s = 2[(1-tau) E(x-Y)^+ - tau E(Y-x)^+], continuous in x
-        return 2.0 * ((1.0 - self.tau) * d.lower_partial_moment(x)
-                      - self.tau * d.upper_partial_moment(x))
+    def _exact_edges(self, d: Distribution):
+        # the squared generator's unique minimizer is the tau-expectile
+        if not isinstance(self.generator, SquaredGenerator):
+            return None
+        mu = expectile(d, self.tau).mu
+        return mu, mu
 
     def __repr__(self):
         return f"ExpectileScore(tau={self.tau!r}, generator={self.generator!r})"
@@ -253,46 +248,6 @@ class ArgminInterval:
 
     def contains(self, x: float, slack: float = 0.0) -> bool:
         return self.lo - slack <= x <= self.hi + slack
-
-
-def _sign_boundary(pred, a: float, b: float) -> tuple[float, float]:
-    """Bisect a monotone predicate, true at a and false at b.
-
-    Returns (last true point, first false point), a pair 1e-13-scale apart.
-    """
-    for _ in range(200):
-        if abs(b - a) <= 1e-13 * (1.0 + abs(a) + abs(b)):
-            break
-        mid = 0.5 * (a + b)
-        if pred(mid):
-            a = mid
-        else:
-            b = mid
-    return a, b
-
-
-def _argmin_by_derivative(score, d: Distribution, lo: float, hi: float):
-    # the expected score is unimodal with one-sided derivatives whose signs
-    # are monotone predicates; bisecting them pins both minimizer-set edges
-    def decreasing(x: float) -> bool:
-        return score._expected_derivative(x, d, "right") < 0.0
-
-    def not_increasing(x: float) -> bool:
-        return not score._expected_derivative(x, d, "left") > 0.0
-
-    if not decreasing(lo):
-        left = lo
-    elif decreasing(hi):
-        left = hi
-    else:
-        left = _sign_boundary(decreasing, lo, hi)[1]
-    if not_increasing(hi):
-        right = hi
-    elif not not_increasing(lo):
-        right = lo
-    else:
-        right = _sign_boundary(not_increasing, lo, hi)[0]
-    return left, right
 
 
 def _argmin_by_sublevel(score, d: Distribution, lo: float, hi: float, grid_points: int):
@@ -334,13 +289,14 @@ def argmin_expected_score(score, d: Distribution, grid_points: int = _ARGMIN_GRI
                           bracket=None) -> ArgminInterval:
     """Locate the minimizer interval of x -> expected_score(x, d).
 
-    When the score exposes one-sided derivatives of the expected score
-    (identity-type quantile generators, the squared expectile generator),
-    the edges come from sign bisection and a unique minimizer is recovered
-    as a degenerate interval to near machine precision.  Otherwise a
-    ``grid_points`` sweep over the bracket plus a zoom pins the minimum
-    value and the reported interval is its flat-to-tolerance sublevel set;
-    piecewise-linear generators genuinely produce wide intervals there.
+    Two scores have their minimizers in closed form, clipped to the bracket:
+    a quantile score with a strictly increasing generator is minimized on
+    [q-(alpha), q+(alpha)], the smallest and largest alpha-quantile (read off
+    the atom ladder, a single point on a uniform law), and the squared
+    expectile score at the tau-expectile alone.  Otherwise a ``grid_points``
+    sweep over the bracket plus a zoom pins the minimum value and the
+    reported interval is its flat-to-tolerance sublevel set; piecewise-linear
+    generators genuinely produce wide intervals there.
     """
     if bracket is None:
         lo, hi = d.support_min() - 0.5, d.support_max() + 0.5
@@ -348,14 +304,13 @@ def argmin_expected_score(score, d: Distribution, grid_points: int = _ARGMIN_GRI
         lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
-    if score._has_derivative_path():
-        left, right = _argmin_by_derivative(score, d, lo, hi)
+    edges = score._exact_edges(d)
+    if edges is not None:
+        left, right = (min(max(e, lo), hi) for e in edges)
     else:
         if grid_points < 3:
             raise ValueError("grid_points must be at least 3")
         left, right = _argmin_by_sublevel(score, d, lo, hi, grid_points)
-    if left > right:
-        left = right = 0.5 * (left + right)
     value = float(score.expected_score(0.5 * (left + right), d))
     return ArgminInterval(lo=left, hi=right, value=value)
 

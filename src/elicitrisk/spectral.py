@@ -166,7 +166,9 @@ def mp_measure(p: float, C: float) -> SpectralMeasure:
         raise ValueError(f"C must lie in (0, 1], got {C!r}")
     z = p * (1.0 - C) + C
     w1 = p * (1.0 - C) / z
-    atoms = [(1.0, 1.0 - w1)]
+    # 1 - w1 makes the two weights sum to exactly 1, but it is 0 once w1
+    # rounds to 1, for C below about 1e-16; C / z is then the weight at 1
+    atoms = [(1.0, (1.0 - w1) or C / z)]
     if w1 > 0.0:
         atoms.insert(0, (p, w1))
     return SpectralMeasure(atoms=atoms)

@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 from hypothesis import strategies as st
 
-from elicitrisk import FiniteAtomic, SpectralMeasure, mp_measure, uc_measure
+from elicitrisk import (FiniteAtomic, QuantileScore, SpectralMeasure, mp_measure, two_point,
+                        uc_measure)
 
 
 def random_atomic(rng, max_atoms=10, lo=-5.0, hi=5.0) -> FiniteAtomic:
@@ -117,6 +118,101 @@ def overlap_nu(m: SpectralMeasure, d: FiniteAtomic) -> float:
         h_cum = c + (1.0 - c) * cum
         masses = masses + (c / (1.0 - c) * (1.0 / h_prev - 1.0 / h_cum) - c * (cum - prev))
     return float(np.dot(d._values, masses)) + m.atom_at_zero * float(d._values[0])
+
+
+def bisection_member(rf, p: float, target: float, tol: float):
+    """Two-point law at {0, x2} with weight p at 0 whose value hits target.
+
+    This was the mixture hunt's member solver before the closed form
+    x2 = target / r_p: the value is nonincreasing in x2 for monotone
+    functionals, so the upper atom is bracketed by doubling (at most 40
+    times) and bisected (at most 200 steps).  Returns None where the target
+    is out of reach.
+    """
+    if rf.evaluate(two_point(0.0, 0.0, p)) < target:
+        return None
+    hi = 1.0
+    f_hi = rf.evaluate(two_point(0.0, hi, p))
+    expansions = 0
+    while f_hi > target and expansions < 40:
+        hi *= 2.0
+        f_hi = rf.evaluate(two_point(0.0, hi, p))
+        expansions += 1
+    if f_hi > target:
+        return None
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f_mid = rf.evaluate(two_point(0.0, mid, p))
+        if abs(f_mid - target) <= 0.01 * tol:
+            return two_point(0.0, mid, p)
+        if f_mid > target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-13 * max(1.0, hi):
+            break
+    candidate = two_point(0.0, 0.5 * (lo + hi), p)
+    if abs(rf.evaluate(candidate) - target) <= tol:
+        return candidate
+    return None
+
+
+def _expected_derivative(score, d, x: float, side: str) -> float:
+    """One-sided derivative in the forecast of the expected score."""
+    if isinstance(score, QuantileScore):
+        if side == "left" and isinstance(d, FiniteAtomic):  # the CDF's left limit
+            idx = int(np.searchsorted(d._values, x, side="left"))
+            f = float(d._cum[idx - 1]) if idx > 0 else 0.0
+        else:
+            f = d.cdf(x)
+        return (f - score.alpha) * float(score.generator.derivative(x, side=side))
+    # squared generator: 2[(1 - tau) E(x - Y)^+ - tau E(Y - x)^+], continuous in x
+    return 2.0 * ((1.0 - score.tau) * d.lower_partial_moment(x)
+                  - score.tau * d.upper_partial_moment(x))
+
+
+def _sign_boundary(pred, a: float, b: float) -> tuple[float, float]:
+    # (last true point, first false point) of a monotone predicate, 1e-13-scale apart
+    for _ in range(200):
+        if abs(b - a) <= 1e-13 * (1.0 + abs(a) + abs(b)):
+            break
+        mid = 0.5 * (a + b)
+        if pred(mid):
+            a = mid
+        else:
+            b = mid
+    return a, b
+
+
+def derivative_argmin(score, d, lo: float, hi: float) -> tuple[float, float]:
+    """Minimizer-set edges in [lo, hi] by bisecting one-sided derivative signs.
+
+    This was the argmin path for quantile scores with a strictly increasing
+    generator and the squared expectile score before the edges were read off
+    the quantile ladder and the expectile: the expected score is unimodal, so
+    "decreasing to the right" and "not increasing to the left" are monotone
+    predicates whose sign changes pin the two edges.
+    """
+    def decreasing(x: float) -> bool:
+        return _expected_derivative(score, d, x, "right") < 0.0
+
+    def not_increasing(x: float) -> bool:
+        return not _expected_derivative(score, d, x, "left") > 0.0
+
+    if not decreasing(lo):
+        left = lo
+    elif decreasing(hi):
+        left = hi
+    else:
+        left = _sign_boundary(decreasing, lo, hi)[1]
+    if not_increasing(hi):
+        right = hi
+    elif not not_increasing(lo):
+        right = lo
+    else:
+        right = _sign_boundary(not_increasing, lo, hi)[0]
+    return left, right
 
 
 _csv_names = itertools.count()

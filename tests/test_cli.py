@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import elicitrisk
@@ -40,7 +41,7 @@ class TestEval:
         out = capsys.readouterr().out.splitlines()
         assert code == 0
         assert out[0] == "-1.5"
-        assert json.loads(out[1])["tolerance"] == 1e-12
+        assert json.loads(out[1])["tolerance"] == 0.0
 
     def test_es_from_csv_matches_library(self, capsys, tmp_path):
         f = tmp_path / "obs.csv"
@@ -369,6 +370,13 @@ class TestFigure:
         assert dest.read_text() == streamed
         header, _ = self.parse(streamed)
         assert header == ["p", "uc_integrated", "es_integrated", "mq_0.5"]
+
+    def test_tiny_c(self, capsys):
+        # the smallest C whose measure levels stay normal doubles
+        assert run_cli(["figure", "--C", "2.3e-308"]) == 0
+        _, rows = self.parse(capsys.readouterr().out)
+        assert len(rows) == 512
+        assert np.isfinite(rows).all()
 
     def test_bad_arguments(self, capsys):
         for argv in (["figure", "--C", "0"],

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from elicitrisk import (
+    DEFAULT_GRID,
     ES,
     Empirical,
     ExpectileRisk,
     InfOverFamily,
     NegMean,
+    RiskFunctional,
     SpectralMeasure,
     SpectralRisk,
     Uniform,
@@ -28,6 +30,9 @@ from elicitrisk import (
     u_C,
     uc_measure,
 )
+from elicitrisk import elicit
+
+from helpers import bisection_member
 
 
 def delta(a):
@@ -138,6 +143,73 @@ class TestConvexLevelSetTest:
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             convex_level_set_test(NegMean(), search_budget=0)
+
+    @pytest.mark.parametrize("rf", [
+        ES(0.5), ES(0.1), VaR(0.3), VaR(0.9), NegMean(), ExpectileRisk(0.1),
+        ExpectileRisk(0.75), SpectralRisk(uc_measure(0.5)), SpectralRisk(mp_measure(0.4, 0.3)),
+        InfOverFamily((delta(0.3), delta(1.0)))], ids=repr)
+    def test_members_match_bisection(self, rf):
+        # the closed-form member exists exactly where the old bisection found one
+        tol = 1e-9
+        pts = sorted(float(p) for p in np.linspace(0.05, 0.95, 37))
+        members = elicit._hunt_members(rf, pts, tol)
+        for t in elicit._TARGETS:
+            for i, p in enumerate(pts):
+                m = members.get((t, i))
+                assert (m is None) == (bisection_member(rf, p, t, tol) is None), (t, p)
+                if m is not None:
+                    assert abs(rf.evaluate(m) - t) <= 0.01 * tol
+                    assert m.atoms()[0] == (0.0, p)
+
+
+class CountingNegMean(RiskFunctional):
+    """NegMean that records every mixture law, one of three atoms, it evaluates."""
+
+    def __init__(self):
+        self.mixtures = []
+
+    def evaluate(self, d):
+        if d.n_atoms == 3:
+            self.mixtures.append(tuple(d.atoms()))
+        return NegMean().evaluate(d)
+
+
+class TestHuntCoverage:
+    # 3 g (g - 1) / 2 candidates on the default grid
+    SPACE = 3 * len(DEFAULT_GRID) * (len(DEFAULT_GRID) - 1) // 2
+
+    def test_full_budget_tries_each_candidate_once(self):
+        rf = CountingNegMean()
+        assert convex_level_set_test(rf, search_budget=self.SPACE) is None
+        # three mixtures per candidate, none of them repeated
+        assert len(rf.mixtures) == 3 * self.SPACE == 3 * 513
+        assert len(set(rf.mixtures)) == len(rf.mixtures)
+        # a budget past the space adds nothing
+        more = CountingNegMean()
+        convex_level_set_test(more, search_budget=10000)
+        assert sorted(more.mixtures) == sorted(rf.mixtures)
+
+    def test_budget_caps_the_candidates(self):
+        rf = CountingNegMean()
+        convex_level_set_test(rf, search_budget=100)
+        assert len(rf.mixtures) == 300
+        assert len(set(rf.mixtures)) == 300
+
+    def test_seed_sets_the_order(self):
+        def order(seed):
+            rf = CountingNegMean()
+            convex_level_set_test(rf, search_budget=self.SPACE, seed=seed)
+            return rf.mixtures
+
+        assert order(3) == order(3)
+        assert order(3) != order(4)
+        assert sorted(order(3)) == sorted(order(4))
+
+    def test_space_on_a_larger_grid(self):
+        rf = CountingNegMean()
+        grid = np.linspace(0.05, 0.95, 37)
+        convex_level_set_test(rf, search_budget=10000, grid=grid)
+        assert len(set(rf.mixtures)) == len(rf.mixtures) == 3 * 1998
 
 
 class TestBoundCheck:

@@ -1,5 +1,7 @@
 """CSV readers: the numpy column path against the per-row parser as oracle."""
 
+import csv
+
 from hypothesis import example, given, settings
 
 from elicitrisk import ForecastSeries, empirical_from_csv
@@ -12,7 +14,7 @@ def outcome(read, path):
     """What a reader gives for a file: its result, or its error text."""
     try:
         return "ok", read(path)
-    except ValueError as exc:
+    except (ValueError, csv.Error) as exc:
         return "error", str(exc)
 
 
@@ -25,8 +27,17 @@ def panel_key(fs):
             fs.realization_vector().tobytes())
 
 
+# the csv module's field limit, 131 072 characters by default
+LIMIT = csv.field_size_limit()
+
+
 # numbers that numpy reads and Python's float does not, or the reverse; a
-# quoted comma that shifts numpy's columns; a duplicated header name
+# quoted comma that shifts numpy's columns; a duplicated header name; a field
+# at the csv module's limit, one past it in an unused column, and one past it
+# that ends a hundred characters into the reader's second 1 MiB chunk
+@example("y\n" + "1" * LIMIT + "\n")
+@example("note,y\n" + "x" * (LIMIT + 1) + ",1\n")
+@example("note,y\n" + "a,1\n" * ((2**20 - LIMIT) // 4 + 25) + "x" * (LIMIT + 1) + ",1\n")
 @example("y\n1.0\x1c\n")
 @example("y\n1_0\n")
 @example('a,y,b\n"1,2",5,3\n')
@@ -43,7 +54,9 @@ def test_sample_reader_matches_rows(csv_dir, text):
 
 
 # conflicting and signed-zero realizations, an empty label, a duplicate
-# cell, a missing cell
+# cell, a missing cell, method labels at and past the csv module's limit
+@example("method,period,forecast,realization\n" + "m" * LIMIT + ",1,0,1\n")
+@example("method,period,forecast,realization\n" + "m" * 200_000 + ",1,0,1\n")
 @example("method,period,forecast,realization\na,1,0,1\nb,1,0,2\n")
 @example("method,period,forecast,realization\na,1,0,-0.0\nb,1,0,0.0\n")
 @example("method,period,forecast,realization\na,1,0,1\n ,1,0,1\n")

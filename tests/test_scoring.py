@@ -24,7 +24,7 @@ from elicitrisk import (
     two_point,
 )
 
-from helpers import random_atomic
+from helpers import bisection_expectile, derivative_argmin, random_atomic, random_law_with_ties
 
 
 def uniform_midpoint_empirical(a, b, n=200_000):
@@ -274,6 +274,46 @@ class TestArgmin:
         gen = TabulatedGenerator([(-10.0, 10.0), (0.0, 0.0), (10.0, 10.0)])
         with pytest.raises(ValueError, match="grid_points"):
             argmin_expected_score(ExpectileScore(0.5, generator=gen), d, grid_points=2)
+
+    def test_edges_match_derivative_bisection(self):
+        rng = np.random.default_rng(17)
+        gen = TabulatedGenerator([(-3.0, -10.0), (0.0, 0.0), (2.0, 1.0), (5.0, 9.0)])
+        laws = [Uniform(-1.0, 2.0), Uniform(1e8, 1e8 + 3.0)]
+        for k in range(600):
+            d = random_law_with_ties(rng) if k % 2 else random_atomic(rng)
+            if k % 3:
+                d = d.scale(float(10.0 ** rng.uniform(-8.0, 8.0)))
+            laws.append(d.shift(float(rng.choice([0.0, 1e8, -1e8]))))
+        for d in laws:
+            lo, hi = d.support_min() - 0.5, d.support_max() + 0.5
+            # tied laws put equal weights on atoms, so levels k/n hit the ladder
+            for level in (0.25, 1.0 / 3.0, 0.5, float(rng.uniform(0.01, 0.99))):
+                for s in (QuantileScore(level), QuantileScore(level, gen), ExpectileScore(level)):
+                    if isinstance(d, Uniform) and s.generator is gen:
+                        continue
+                    r = argmin_expected_score(s, d)
+                    a, b = derivative_argmin(s, d, lo, hi)
+                    slack = 1e-12 * (1.0 + max(abs(lo), abs(hi)))
+                    assert abs(r.lo - a) <= slack and abs(r.hi - b) <= slack, (d, s)
+
+    def test_edges_clip_to_the_bracket(self):
+        d = Empirical([1.0, 2.0, 3.0])
+        r = argmin_expected_score(QuantileScore(1.0 / 3.0), d, bracket=(1.5, 4.0))
+        assert (r.lo, r.hi) == (1.5, 2.0)
+        r = argmin_expected_score(QuantileScore(0.9), d, bracket=(-1.0, 2.5))
+        assert (r.lo, r.hi) == (2.5, 2.5)
+        r = argmin_expected_score(ExpectileScore(0.5), d, bracket=(2.5, 9.0))
+        assert (r.lo, r.hi) == (2.5, 2.5)
+
+    def test_expectile_thin_tail(self):
+        # prefix-sum partial moments lose about 1e-12 of the support here; the
+        # expectile refines its root atom by atom
+        d = Empirical(np.random.default_rng(3).standard_t(3, 100_000))
+        tau = 1.0 - 1e-6
+        r = argmin_expected_score(ExpectileScore(tau), d)
+        scale = max(abs(d.support_min()), abs(d.support_max()))
+        assert r.lo == r.hi
+        assert abs(r.midpoint - bisection_expectile(d, tau)) <= 1e-12 * scale
 
     def test_frozen_interval(self):
         r = ArgminInterval(lo=0.0, hi=1.0, value=0.5)

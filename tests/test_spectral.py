@@ -68,6 +68,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             mp_measure(0.5, 0.0)
 
+    def test_mp_weights_at_tiny_c(self):
+        # 1 - w1 rounds to 0 here; the weight at 1 is still C / z
+        for C in (1e-17, 1e-300):
+            for p in (0.05, 0.3, 0.95):
+                (a1, w1), (a2, w2) = mp_measure(p, C).atoms
+                assert (a1, a2) == (p, 1.0)
+                assert w2 > 0.0
+                assert w1 + w2 == pytest.approx(1.0, abs=1e-15)
+
     def test_uc_measure_shape(self):
         m = uc_measure(0.4)
         assert m.atoms == ((1.0, 0.4),)
