@@ -21,8 +21,8 @@ import sys
 
 import numpy as np
 
-from .distributions import (Distribution, Empirical, FiniteAtomic, Uniform, _json_number,
-                            dirac, empirical_from_csv, two_point)
+from .distributions import (Distribution, Empirical, FiniteAtomic, Uniform, _check_tol,
+                            _json_number, dirac, empirical_from_csv, two_point)
 from .elicit import (bound_check, convex_level_set_test, diagnostic_report,
                      identify_C, spectral_bounds_check)
 from .risk import (ES, ExpectileRisk, InfOverFamily, NegMean, RiskFunctional,
@@ -102,11 +102,7 @@ def _functional_from_args(args) -> RiskFunctional:
     if t in ("var", "es", "expectile"):
         if args.level is None:
             raise ValueError(f"--type {t} needs --level")
-        if t == "var":
-            return VaR(alpha=args.level)
-        if t == "es":
-            return ES(alpha=args.level)
-        return ExpectileRisk(tau=args.level)
+        return {"var": VaR, "es": ES, "expectile": ExpectileRisk}[t](args.level)
     if args.level is not None:
         raise ValueError(f"--level does not apply to --type {t}")
     if t == "negmean":
@@ -194,6 +190,7 @@ def cmd_elicit(args) -> int:
     rf = _functional_from_args(args)
     if args.grid_size < 5:
         raise ValueError("--grid-size must be at least 5")
+    _check_tol(args.tol, "--tol")
     grid = tuple(np.linspace(0.05, 0.95, args.grid_size))
     ident = identify_C(rf, grid=grid)
     bounds = None

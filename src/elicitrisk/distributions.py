@@ -49,6 +49,14 @@ def _check_prob(p: float, name: str = "p") -> float:
     return p
 
 
+def _check_tol(tol: float, name: str = "tol") -> float:
+    # NaN fails the check; a comparison with NaN or inf as tolerance is vacuous
+    tol = float(tol)
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {tol!r}")
+    return tol
+
+
 def _json_number(x, what: str) -> float:
     """A number from parsed JSON; bool is an int subclass, and strings must not
     slip through ``float``."""
@@ -153,15 +161,16 @@ class FiniteAtomic(Distribution):
             raise ValueError("atom values must span a finite range, got "
                              f"[{float(values[0])!r}, {float(values[-1])!r}]")
         self._values = values
-        self._cum = cum
-        self._weights = w = cum.copy()
-        w[1:] -= cum[:-1]
+        # one block, filled in place: the allocator hands it to the next law
+        # of its size, where separate n-arrays would each fault pages in again
+        ladder = np.empty((3 if csum is None else 2, values.size))
+        ladder[:2] = cum
+        ladder[1, 1:] -= cum[:-1]
         if csum is None:
-            # in place: every n-array temporary is fresh memory the kernel must fault in
-            csum = values - values[0]
-            csum *= w
+            csum = np.subtract(values, values[0], out=ladder[2])
+            csum *= ladder[1]
             csum.cumsum(out=csum)
-        self._csum = csum
+        self._cum, self._weights, self._csum = ladder[0], ladder[1], csum
 
     @classmethod
     def _from_cum(cls, values: np.ndarray, cum: np.ndarray, csum=None) -> "FiniteAtomic":
@@ -255,14 +264,15 @@ class Empirical(FiniteAtomic):
         if not (math.isfinite(samples[0]) and math.isfinite(samples[-1])):
             raise ValueError("samples must be finite")
         # an atom ends wherever the next value differs; without ties the
-        # sorted sample is the atom array itself
+        # sorted sample is the atom array itself, and k / n fills one array
         last = np.empty(samples.size, dtype=bool)
         np.not_equal(samples[1:], samples[:-1], out=last[:-1])
         last[-1] = True
-        ends = np.flatnonzero(last)
-        values = samples if ends.size == samples.size else samples[ends]
-        ends += 1
-        self._set_ladder(values, ends / samples.size)
+        values, cum = samples, np.arange(1.0, samples.size + 1.0)
+        if not last.all():
+            values, cum = samples[last], cum[last]
+        cum /= samples.size
+        self._set_ladder(values, cum)
         self.samples = samples
 
     def __repr__(self):

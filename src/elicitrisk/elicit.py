@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, FiniteAtomic, mix, two_point
+from .distributions import Distribution, FiniteAtomic, _check_tol, mix, two_point
 from .risk import RiskFunctional, l_C, u_C
 from .spectral import SpectralMeasure, interval_mass, spectral_fn
 
@@ -98,6 +98,7 @@ def identify_C(rf: RiskFunctional, grid=None, tolerance: float = 1e-8) -> CIdent
     point was degenerate, the residual spread stays within ``tolerance`` and
     C_hat lands in (0, 1].
     """
+    tolerance = _check_tol(tolerance, "tolerance")
     if grid is None:
         grid = DEFAULT_GRID
     pts = _check_grid(grid, minimum=5)
@@ -176,6 +177,7 @@ def convex_level_set_test(rf: RiskFunctional, search_budget: int = 10000, seed: 
     """
     if search_budget < 1:
         raise ValueError("search_budget must be positive")
+    tol = _check_tol(tol)
     if grid is None:
         grid = DEFAULT_GRID
     pts = _check_grid(grid, minimum=2)
@@ -226,6 +228,7 @@ class BoundCheckReport:
 
 def bound_check(rf: RiskFunctional, C: float, test_set, tol: float = 1e-9) -> BoundCheckReport:
     """Check l_C <= rho <= u_C on every law in the test set."""
+    tol = _check_tol(tol)
     entries = []
     for d in test_set:
         lo = float(l_C(d, C))
@@ -292,6 +295,7 @@ def spectral_bounds_check(m: SpectralMeasure, C: float, grid=None,
     C = float(C)
     if not 0.0 < C <= 1.0:
         raise ValueError(f"C must lie in (0, 1], got {C!r}")
+    eq_tol = _check_tol(eq_tol, "eq_tol")
     if grid is None:
         grid = DEFAULT_GRID
     pts = _check_grid(grid, minimum=1)

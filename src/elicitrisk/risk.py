@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import Distribution, Empirical, FiniteAtomic, Uniform, _json_number
+from .distributions import (Distribution, Empirical, FiniteAtomic, Uniform, _check_tol,
+                            _json_number)
 from .spectral import (JSON_NORMALIZATION_TOL, SpectralMeasure, measure_from_json,
                        measure_to_json, mp_measure, nu, uc_measure)
 
@@ -72,11 +73,11 @@ def var(d: Distribution, alpha: float) -> float:
 def es(d: Distribution, alpha: float) -> float:
     """Expected shortfall: minus the mean of the quantile over (0, alpha].
 
-    Evaluated through the spectral route with a unit atom at alpha, which is
-    identical to -partial_quantile_integral(d, alpha) / alpha.
+    The partial quantile integral times 1 / alpha, the same arithmetic as
+    the spectral route with a unit atom at alpha, so the two agree bit for bit.
     """
     alpha = _check_open_unit(alpha, "alpha")
-    return -nu(SpectralMeasure(atoms=[(alpha, 1.0)]), d)
+    return -(1.0 / alpha) * d.partial_quantile_integral(alpha)
 
 
 @dataclass(frozen=True)
@@ -156,36 +157,24 @@ def l_C(d: Distribution, C: float) -> float:
     return -expectile(d, C / (C + 1.0)).mu
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+def min_nu_over_mp(d: Distribution, C: float) -> tuple[float, float]:
+    """Minimize p -> nu(two-atom measure at p, d) over (0, 1) in closed form.
 
-
-def min_nu_over_mp(d: Distribution, C: float, width_tol: float = 1e-10) -> tuple[float, float]:
-    """Golden-section minimization of p -> nu(two-atom measure at p, d) on (0, 1).
-
-    The objective is unimodal in p (it dips to the tau-expectile of d at the
-    CDF value of that expectile), so golden-section search converges without
-    derivatives.  Returns (argmin, min value).
+    f(p) = [(1 - C) PQI(p) + C E Y] / (p (1 - C) + C), with PQI the partial
+    quantile integral, is linear-fractional, hence monotone, between the
+    cumulative weights c_k of an atomic law: its infimum is the least f(c_k)
+    with 0 < c_k < 1, or the mean, its limit at both ends, where p = 1/2 is
+    returned.  On a uniform law the minimizer is sqrt(C) / (1 + sqrt(C)).
+    Returns (argmin, min value), the argmin inside (0, 1).
     """
     C = _check_c(C)
-
-    def f(p: float) -> float:
-        return nu(mp_measure(p, C), d)
-
-    a, b = 1e-9, 1.0 - 1e-9
-    c1 = b - _GOLDEN * (b - a)
-    c2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(c1), f(c2)
-    while b - a > width_tol:
-        if f1 <= f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - _GOLDEN * (b - a)
-            f1 = f(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + _GOLDEN * (b - a)
-            f2 = f(c2)
-    p = 0.5 * (a + b)
-    return p, f(p)
+    if isinstance(d, FiniteAtomic):
+        c = d._cum[d._cum < 1.0]
+        f = ((1.0 - C) * d._pqi(c) + C * d.mean()) / (c * (1.0 - C) + C)
+        p = float(c[np.argmin(f)]) if c.size and f.min() < d.mean() else 0.5
+    else:  # a uniform law; nu rejects any other
+        p = math.sqrt(C) / (1.0 + math.sqrt(C))
+    return p, nu(mp_measure(p, C), d)
 
 
 class RiskFunctional:
@@ -327,6 +316,7 @@ def coherence_check(rf: RiskFunctional, trials: int = 1000, seed: int = 0,
         raise ValueError("trials must be positive")
     if max_states < 2:
         raise ValueError("max_states must be at least 2")
+    tol = _check_tol(tol)
     report = CoherenceReport(trials=trials, max_states=max_states, tolerance=tol)
     counts = {"subadditivity": 0, "homogeneity": 0, "translation": 0, "monotonicity": 0}
 

@@ -13,18 +13,21 @@ Both are nonnegative, and the expected score under the outcome law is
 unimodal in the forecast with its minimizer set at the functional's value.
 Piecewise-linear generators are legal for expectiles but make the score
 piecewise constant in the forecast, so the minimizer interval can be wide.
+:func:`argmin_expected_score` is exact on every supported generator: closed
+forms for the strict ones, a breakpoint kernel for the piecewise-linear ones.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, FiniteAtomic, Uniform, _check_level, _read_columns
-from .risk import expectile
+from .distributions import Distribution, FiniteAtomic, Uniform, _read_columns
+from .risk import _check_open_unit, expectile
 
 __all__ = [
     "IdentityGenerator",
@@ -39,15 +42,13 @@ __all__ = [
     "compare",
 ]
 
-_ARGMIN_GRID = 4097
-
-
 class IdentityGenerator:
     """g(t) = t.  Strictly increasing; the quantile-score default."""
 
     is_nondecreasing = True
     is_strictly_increasing = True
     is_convex = True
+    is_strictly_convex = False
 
     def __call__(self, t):
         return np.asarray(t, dtype=float)
@@ -65,6 +66,7 @@ class SquaredGenerator:
     is_nondecreasing = False
     is_strictly_increasing = False
     is_convex = True
+    is_strictly_convex = True
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -83,43 +85,42 @@ class TabulatedGenerator:
     Outside the knot range the end segments are extended with their own
     slopes.  The derivative at a knot is one-sided: ``side="left"`` gives the
     slope of the segment ending there (a valid subgradient when convex),
-    ``side="right"`` the one starting there.
+    ``side="right"`` the one starting there.  ``knots`` holds the abscissae,
+    the only points where the slope may change.
     """
+
+    is_strictly_convex = False
 
     def __init__(self, knots):
         pts = sorted((float(x), float(v)) for x, v in knots)
         if len(pts) < 2:
             raise ValueError("need at least two knots")
-        x = np.array([p[0] for p in pts])
-        v = np.array([p[1] for p in pts])
+        x, v = np.array(pts).T
         if not np.all(np.isfinite(x)) or not np.all(np.isfinite(v)):
             raise ValueError("knots must be finite")
         if np.any(np.diff(x) <= 0.0):
             raise ValueError("knot abscissae must be strictly increasing")
-        self._x = x
+        x.flags.writeable = False
+        self.knots = x
         self._v = v
         self._slopes = np.diff(v) / np.diff(x)
         self.is_nondecreasing = bool(np.all(self._slopes >= 0.0))
         self.is_strictly_increasing = bool(np.all(self._slopes > 0.0))
         self.is_convex = bool(np.all(np.diff(self._slopes) >= -1e-12))
 
+    def _segment(self, t, side: str):
+        return np.clip(np.searchsorted(self.knots, t, side=side) - 1, 0, self._slopes.size - 1)
+
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        y = np.interp(t, self._x, self._v)
-        y = np.where(t < self._x[0],
-                     self._v[0] + self._slopes[0] * (t - self._x[0]), y)
-        y = np.where(t > self._x[-1],
-                     self._v[-1] + self._slopes[-1] * (t - self._x[-1]), y)
-        return y
+        i = self._segment(t, "right")
+        return self._v[i] + self._slopes[i] * (t - self.knots[i])
 
     def derivative(self, t, side: str = "left"):
-        t = np.asarray(t, dtype=float)
-        idx = np.clip(np.searchsorted(self._x, t, side=side) - 1,
-                      0, len(self._slopes) - 1)
-        return self._slopes[idx]
+        return self._slopes[self._segment(np.asarray(t, dtype=float), side)]
 
     def __repr__(self):
-        return f"TabulatedGenerator({list(zip(self._x.tolist(), self._v.tolist()))!r})"
+        return f"TabulatedGenerator({list(zip(self.knots.tolist(), self._v.tolist()))!r})"
 
 
 def _as_scalar_or_array(a):
@@ -135,10 +136,7 @@ class QuantileScore:
     """
 
     def __init__(self, alpha: float, generator=None):
-        alpha = _check_level(alpha)
-        if alpha == 1.0:
-            raise ValueError("alpha must lie strictly inside (0, 1)")
-        self.alpha = alpha
+        self.alpha = _check_open_unit(alpha, "alpha")
         self.generator = generator if generator is not None else IdentityGenerator()
         if not getattr(self.generator, "is_nondecreasing", False):
             raise ValueError("quantile scores need a nondecreasing generator")
@@ -162,19 +160,22 @@ class QuantileScore:
             out = np.where(x <= a, alpha * (mean - x),
                            np.where(x >= b, (1.0 - alpha) * (x - mean), mid))
             return _as_scalar_or_array(out)
-        raise NotImplementedError(
-            f"expected quantile score not implemented for {type(d).__name__} "
-            f"with {self.generator!r}")
+        raise NotImplementedError(f"expected quantile score not implemented for "
+                                  f"{type(d).__name__} with {self.generator!r}")
 
-    def _exact_edges(self, d: Distribution):
+    def _minimizer_edges(self, d: Distribution, lo: float, hi: float):
         # a strictly increasing g keeps the minimizers at the alpha-quantiles:
         # [q-, q+] on the ladder, a single point on a uniform law
         if not getattr(self.generator, "is_strictly_increasing", False):
-            return None
+            return _breakpoint_edges(self, d, lo, hi, constant=False)
         q = d.quantile(self.alpha)
         if isinstance(d, FiniteAtomic):
             return q, float(d._values[np.searchsorted(d._cum, self.alpha, side="right")])
         return q, q
+
+    def _line(self, gx, slope, u):
+        # (alpha - 1) (g(y) - g(x)) below x, alpha (g(y) - g(x)) above
+        return self.alpha - 1.0, self.alpha, gx, 0.0
 
     def __repr__(self):
         return f"QuantileScore(alpha={self.alpha!r}, generator={self.generator!r})"
@@ -188,10 +189,7 @@ class ExpectileScore:
     """
 
     def __init__(self, tau: float, generator=None):
-        tau = _check_level(tau)
-        if tau == 1.0:
-            raise ValueError("tau must lie strictly inside (0, 1)")
-        self.tau = tau
+        self.tau = _check_open_unit(tau, "tau")
         self.generator = generator if generator is not None else SquaredGenerator()
         if not getattr(self.generator, "is_convex", False):
             raise ValueError("expectile scores need a convex generator")
@@ -219,16 +217,19 @@ class ExpectileScore:
             mid = (1.0 - tau) * (x - a) ** 3 + tau * (b - x) ** 3
             out = np.where(x <= a, below, np.where(x >= b, above, mid)) / (3.0 * (b - a))
             return _as_scalar_or_array(out)
-        raise NotImplementedError(
-            f"expected expectile score not implemented for {type(d).__name__} "
-            f"with {self.generator!r}")
+        raise NotImplementedError(f"expected expectile score not implemented for "
+                                  f"{type(d).__name__} with {self.generator!r}")
 
-    def _exact_edges(self, d: Distribution):
-        # the squared generator's unique minimizer is the tau-expectile
-        if not isinstance(self.generator, SquaredGenerator):
-            return None
+    def _minimizer_edges(self, d: Distribution, lo: float, hi: float):
+        # a strictly convex g has the tau-expectile as its unique minimizer
+        if not getattr(self.generator, "is_strictly_convex", False):
+            return _breakpoint_edges(self, d, lo, hi, constant=True)
         mu = expectile(d, self.tau).mu
         return mu, mu
+
+    def _line(self, gx, slope, u):
+        # (1 - tau) and tau times g(y) less the tangent line g(x) + g'(x)(y - x)
+        return 1.0 - self.tau, self.tau, gx - slope * u, slope
 
     def __repr__(self):
         return f"ExpectileScore(tau={self.tau!r}, generator={self.generator!r})"
@@ -250,53 +251,67 @@ class ArgminInterval:
         return self.lo - slack <= x <= self.hi + slack
 
 
-def _argmin_by_sublevel(score, d: Distribution, lo: float, hi: float, grid_points: int):
-    # grid + zoom pins the minimum value; the minimizer set is then the
-    # sublevel interval just above it, edged by bisecting inside/outside
-    xs = np.linspace(lo, hi, grid_points)
-    f = np.asarray(score.expected_score(xs, d), dtype=float)
-    k = int(np.argmin(f))
-    zs = np.linspace(xs[max(k - 1, 0)], xs[min(k + 1, grid_points - 1)], grid_points)
-    fz = np.asarray(score.expected_score(zs, d), dtype=float)
-    kz = int(np.argmin(fz))
-    if fz[kz] <= f[k]:
-        fmin, xstar = float(fz[kz]), float(zs[kz])
-    else:
-        fmin, xstar = float(f[k]), float(xs[k])
+def _ladder_values(score, d: FiniteAtomic, x: np.ndarray) -> np.ndarray:
+    """Expected score at every x from prefix sums, centred on the first atom
+    y_0 like the law's own: both scores weigh g(y) - a - b (y - y_0), g
+    centred on g(y_0), by c_le over the atoms y <= x and c_gt over the rest,
+    with (c_le, c_gt, a, b) from the score's ``_line``."""
+    gen, y0 = score.generator, d._values[:1]
+    g_cum = np.cumsum(d._weights * (gen(d._values) - gen(y0)))
+    j = d._values.searchsorted(x, side="right")
+    w, g, y = (np.concatenate(([0.0], s))[j] for s in (d._cum, g_cum, d._csum))
+    c_le, c_gt, a, b = score._line(gen(x) - gen(y0), gen.derivative(x), x - y0)
+    below = g - a * w - b * y
+    above = g_cum[-1] - g - a * (1.0 - w) - b * (d._csum[-1] - y)
+    return c_le * below + c_gt * above
+
+
+def _breakpoint_edges(score, d: Distribution, lo: float, hi: float, constant: bool):
+    """Exact minimizer edges on [lo, hi] for a generator linear between its knots.
+
+    Between two breakpoints (atoms, knots, bracket ends) the expected quantile
+    score is linear and the expected expectile score ``constant``, as
+    g(x) + g'(x)(y - x) does not move with x inside a knot segment; so one
+    interior point per segment joins the expectile's candidates.  Prefix sums
+    pin the minimum; the minimizer set is the candidates within fmin + 1e-11
+    (1 + |fmin|), and by quasi-convexity each edge is a bisection over the
+    candidate index.  fmin and the O(log n) bisection values are summed atom
+    by atom.  An edge on an interior point extends to its segment's end.
+    """
+    knots = getattr(score.generator, "knots", None)
+    if knots is None or not isinstance(d, FiniteAtomic):
+        raise NotImplementedError(f"no exact argmin for {score!r} on {type(d).__name__}: it needs a"
+                                  " strictly increasing or strictly convex generator, or knots"
+                                  " and an atomic law")
+    b = np.unique(np.concatenate(([lo, hi], d._values, knots)))
+    b = b[(b >= lo) & (b <= hi)]
+    # with the interior points the breakpoints sit at even indices
+    x = np.append(np.column_stack((b[:-1], 0.5 * b[:-1] + 0.5 * b[1:])), b[-1]) if constant else b
+    k = int(np.argmin(_ladder_values(score, d, x)))
+    fmin = float(score.expected_score(x[k], d))
     level = fmin + 1e-11 * (1.0 + abs(fmin))
 
-    def inside(x: float) -> bool:
-        return float(score.expected_score(x, d)) <= level
+    def above(i: int) -> bool:
+        return float(score.expected_score(x[i], d)) > level
 
-    def edge(outer: float, inner: float) -> float:
-        a, b = outer, inner
-        for _ in range(200):
-            if abs(b - a) <= 1e-12 * (1.0 + abs(b)):
-                break
-            mid = 0.5 * (a + b)
-            if inside(mid):
-                b = mid
-            else:
-                a = mid
-        return b
-
-    left = lo if inside(lo) else edge(lo, xstar)
-    right = hi if inside(hi) else edge(hi, xstar)
-    return left, right
+    left = bisect.bisect_left(range(k), True, key=lambda i: not above(i))
+    right = k - 1 + bisect.bisect_left(range(k, x.size), True, key=above)
+    if constant:
+        left -= left % 2
+        right += right % 2
+    return float(x[left]), float(x[right])
 
 
-def argmin_expected_score(score, d: Distribution, grid_points: int = _ARGMIN_GRID,
-                          bracket=None) -> ArgminInterval:
-    """Locate the minimizer interval of x -> expected_score(x, d).
+def argmin_expected_score(score, d: Distribution, bracket=None) -> ArgminInterval:
+    """Locate the minimizer interval of x -> expected_score(x, d), exactly.
 
-    Two scores have their minimizers in closed form, clipped to the bracket:
-    a quantile score with a strictly increasing generator is minimized on
+    A quantile score with a strictly increasing generator is minimized on
     [q-(alpha), q+(alpha)], the smallest and largest alpha-quantile (read off
-    the atom ladder, a single point on a uniform law), and the squared
-    expectile score at the tau-expectile alone.  Otherwise a ``grid_points``
-    sweep over the bracket plus a zoom pins the minimum value and the
-    reported interval is its flat-to-tolerance sublevel set; piecewise-linear
-    generators genuinely produce wide intervals there.
+    the atom ladder, one point on a uniform law), an expectile score with a
+    strictly convex generator at the tau-expectile alone; both are clipped
+    to the bracket.  A generator exposing its ``knots``, linear between them,
+    takes an exact breakpoint kernel on an atomic law, whose interval can be
+    wide.  Any other generator raises ``NotImplementedError``.
     """
     if bracket is None:
         lo, hi = d.support_min() - 0.5, d.support_max() + 0.5
@@ -304,13 +319,7 @@ def argmin_expected_score(score, d: Distribution, grid_points: int = _ARGMIN_GRI
         lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
-    edges = score._exact_edges(d)
-    if edges is not None:
-        left, right = (min(max(e, lo), hi) for e in edges)
-    else:
-        if grid_points < 3:
-            raise ValueError("grid_points must be at least 3")
-        left, right = _argmin_by_sublevel(score, d, lo, hi, grid_points)
+    left, right = (min(max(e, lo), hi) for e in score._minimizer_edges(d, lo, hi))
     value = float(score.expected_score(0.5 * (left + right), d))
     return ArgminInterval(lo=left, hi=right, value=value)
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, FiniteAtomic, Uniform, _json_number
+from .distributions import Distribution, FiniteAtomic, Uniform, _check_tol, _json_number
 
 __all__ = [
     "UcDensity",
@@ -103,6 +103,7 @@ class SpectralMeasure:
     def __init__(self, atom_at_zero: float = 0.0, atoms=(), density: UcDensity | None = None,
                  tol: float = NORMALIZATION_TOL):
         atom_at_zero = float(atom_at_zero)
+        tol = _check_tol(tol)
         if not 0.0 <= atom_at_zero <= 1.0:
             raise ValueError(f"atom_at_zero must lie in [0, 1], got {atom_at_zero!r}")
         pairs = [(float(a), float(w)) for a, w in atoms]
@@ -165,10 +166,11 @@ def mp_measure(p: float, C: float) -> SpectralMeasure:
     if not 0.0 < C <= 1.0:
         raise ValueError(f"C must lie in (0, 1], got {C!r}")
     z = p * (1.0 - C) + C
-    w1 = p * (1.0 - C) / z
-    # 1 - w1 makes the two weights sum to exactly 1, but it is 0 once w1
-    # rounds to 1, for C below about 1e-16; C / z is then the weight at 1
-    atoms = [(1.0, (1.0 - w1) or C / z)]
+    # the smaller weight from its own formula keeps its relative accuracy,
+    # and the larger is 1 minus it, so that the two sum to exactly 1
+    top = C / z
+    w1 = 1.0 - top if top <= 0.5 else p * (1.0 - C) / z
+    atoms = [(1.0, top if top <= 0.5 else 1.0 - w1)]
     if w1 > 0.0:
         atoms.insert(0, (p, w1))
     return SpectralMeasure(atoms=atoms)
@@ -182,15 +184,6 @@ def uc_measure(C: float) -> SpectralMeasure:
     if C == 1.0:
         return SpectralMeasure(atoms=[(1.0, 1.0)])
     return SpectralMeasure(atoms=[(1.0, C)], density=UcDensity(C))
-
-
-def _density_spectral(density: UcDensity | None, u: float) -> float:
-    # contribution of the density to g_m(u): C/h(u)^2 - C with h = C + (1-C)u
-    if density is None or density.C == 1.0:
-        return 0.0
-    c = density.C
-    h = c + (1.0 - c) * u
-    return c / (h * h) - c
 
 
 def _density_g_integral(density: UcDensity | None, p1, p2):
@@ -210,7 +203,12 @@ def spectral_fn(m: SpectralMeasure, u: float) -> float:
         raise ValueError(f"u must lie in (0, 1], got {u!r}")
     idx = int(np.searchsorted(m._alphas, u, side="left"))
     atom_part = float(m._w_over_a[idx:].sum())
-    return atom_part + _density_spectral(m.density, u)
+    if m.density is None or m.density.C == 1.0:
+        return atom_part
+    # the density adds C / h(u)^2 - C with h = C + (1 - C) u
+    c = m.density.C
+    h = c + (1.0 - c) * u
+    return atom_part + (c / (h * h) - c)
 
 
 def interval_mass(m: SpectralMeasure, p1: float, p2: float) -> float:
@@ -222,20 +220,11 @@ def interval_mass(m: SpectralMeasure, p1: float, p2: float) -> float:
     p1, p2 = float(p1), float(p2)
     if not 0.0 <= p1 <= p2 <= 1.0:
         raise ValueError(f"need 0 <= p1 <= p2 <= 1, got ({p1!r}, {p2!r})")
-    out = _g_integral(m, p1, p2)
+    overlap = np.clip(np.minimum(m._alphas, p2) - p1, 0.0, None)
+    out = float(np.dot(m._w_over_a, overlap)) + _density_g_integral(m.density, p1, p2)
     if p1 == 0.0:
         out += m.atom_at_zero
     return out
-
-
-def _g_integral(m: SpectralMeasure, p1: float, p2: float) -> float:
-    # integral of g_m over (p1, p2], excluding any atom at zero
-    if m._alphas.size:
-        overlap = np.clip(np.minimum(m._alphas, p2) - p1, 0.0, None)
-        atom_part = float(np.dot(m._w_over_a, overlap))
-    else:
-        atom_part = 0.0
-    return atom_part + _density_g_integral(m.density, p1, p2)
 
 
 def _atom_part(m: SpectralMeasure, d: Distribution, route: str) -> float:

@@ -1,12 +1,17 @@
 """Shared randomized builders and oracles for the test suite."""
 
 import itertools
+import math
 
 import numpy as np
 from hypothesis import strategies as st
 
-from elicitrisk import (FiniteAtomic, QuantileScore, SpectralMeasure, mp_measure, two_point,
+from elicitrisk import (FiniteAtomic, QuantileScore, SpectralMeasure, mp_measure, nu, two_point,
                         uc_measure)
+
+
+# Tolerances no diagnostic may accept: NaN and inf make its comparisons vacuous
+BAD_TOLERANCES = (float("nan"), float("inf"), float("-inf"), 0.0, -1e-9)
 
 
 def random_atomic(rng, max_atoms=10, lo=-5.0, hi=5.0) -> FiniteAtomic:
@@ -213,6 +218,77 @@ def derivative_argmin(score, d, lo: float, hi: float) -> tuple[float, float]:
     else:
         right = _sign_boundary(not_increasing, lo, hi)[0]
     return left, right
+
+
+def sublevel_argmin(score, d, lo: float, hi: float, grid_points: int = 4097):
+    """Minimizer-set edges in [lo, hi] from a grid, a zoom and two bisections.
+
+    This was the argmin path for every generator without a closed form
+    before the breakpoint kernel: a ``grid_points`` sweep over the bracket
+    plus a zoom pins the minimum value, and the edges of the sublevel set
+    just above it, fmin + 1e-11 (1 + |fmin|), are bisected to 1e-12 (1 + |x|)
+    from the best point found.  It builds grid_points x n matrices.
+    """
+    xs = np.linspace(lo, hi, grid_points)
+    f = np.asarray(score.expected_score(xs, d), dtype=float)
+    k = int(np.argmin(f))
+    zs = np.linspace(xs[max(k - 1, 0)], xs[min(k + 1, grid_points - 1)], grid_points)
+    fz = np.asarray(score.expected_score(zs, d), dtype=float)
+    kz = int(np.argmin(fz))
+    if fz[kz] <= f[k]:
+        fmin, xstar = float(fz[kz]), float(zs[kz])
+    else:
+        fmin, xstar = float(f[k]), float(xs[k])
+    level = fmin + 1e-11 * (1.0 + abs(fmin))
+
+    def inside(x: float) -> bool:
+        return float(score.expected_score(x, d)) <= level
+
+    def edge(outer: float, inner: float) -> float:
+        a, b = outer, inner
+        for _ in range(200):
+            if abs(b - a) <= 1e-12 * (1.0 + abs(b)):
+                break
+            mid = 0.5 * (a + b)
+            if inside(mid):
+                b = mid
+            else:
+                a = mid
+        return b
+
+    left = lo if inside(lo) else edge(lo, xstar)
+    right = hi if inside(hi) else edge(hi, xstar)
+    return left, right
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_min_nu_over_mp(d, C: float, width_tol: float = 1e-10) -> tuple[float, float]:
+    """Golden-section minimization of p -> nu(mp_measure(p, C), d) on (0, 1).
+
+    This was ``min_nu_over_mp`` before the closed form: the objective is
+    unimodal in p, so the bracket [1e-9, 1 - 1e-9] narrows to ``width_tol``
+    without derivatives.  Returns (argmin, min value).
+    """
+    def f(p: float) -> float:
+        return nu(mp_measure(p, C), d)
+
+    a, b = 1e-9, 1.0 - 1e-9
+    c1 = b - _GOLDEN * (b - a)
+    c2 = a + _GOLDEN * (b - a)
+    f1, f2 = f(c1), f(c2)
+    while b - a > width_tol:
+        if f1 <= f2:
+            b, c2, f2 = c2, c1, f1
+            c1 = b - _GOLDEN * (b - a)
+            f1 = f(c1)
+        else:
+            a, c1, f1 = c1, c2, f2
+            c2 = a + _GOLDEN * (b - a)
+            f2 = f(c2)
+    p = 0.5 * (a + b)
+    return p, f(p)
 
 
 _csv_names = itertools.count()

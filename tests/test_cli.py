@@ -326,6 +326,16 @@ class TestElicit:
         assert run_cli(["elicit", "--type", "negmean", "--grid-size", "4"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9"])
+    def test_tolerance_validation(self, capsys, tol):
+        # uc(0.5) has a witness; --tol inf made it consistent, --tol nan hid it
+        measure = json.dumps(measure_to_json(uc_measure(0.5)))
+        assert run_cli(["elicit", "--type", "spectral", "--measure", measure,
+                        f"--tol={tol}"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --tol must be finite and positive, got {float(tol)!r}\n"
+
 
 class TestFigure:
     def parse(self, text):
@@ -377,6 +387,19 @@ class TestFigure:
         _, rows = self.parse(capsys.readouterr().out)
         assert len(rows) == 512
         assert np.isfinite(rows).all()
+
+    @pytest.mark.parametrize("C", [1e-10, 1e-14])
+    def test_small_c_keeps_relative_accuracy(self, capsys, C):
+        # at and above its level, a two-atom curve is C (1 - p) / z; p is
+        # printed to 12 digits, so 1 - p keeps about 11 where p <= 0.95
+        assert run_cli(["figure", "--C", repr(C)]) == 0
+        header, rows = self.parse(capsys.readouterr().out)
+        for col, q in ((3, 0.3), (4, 0.8)):
+            z = q * (1.0 - C) + C
+            checked = [r for r in rows if q <= r[0] <= 0.95]
+            assert checked[0][0] == q
+            for r in checked:
+                assert r[col] == pytest.approx(C * (1.0 - r[0]) / z, rel=1e-10, abs=0.0)
 
     def test_bad_arguments(self, capsys):
         for argv in (["figure", "--C", "0"],

@@ -32,7 +32,7 @@ from elicitrisk import (
 )
 from elicitrisk import elicit
 
-from helpers import bisection_member
+from helpers import BAD_TOLERANCES, bisection_member
 
 
 def delta(a):
@@ -292,6 +292,23 @@ class TestSpectralBoundsCheck:
     def test_single_point_grid(self):
         rep = spectral_bounds_check(delta(1.0), 0.5, grid=[0.5])
         assert len(rep.entries) == 1
+
+
+@pytest.mark.parametrize("bad", BAD_TOLERANCES)
+def test_tolerances_must_be_finite_and_positive(bad):
+    # with NaN or inf every diagnostic below passed, whatever it was given
+    with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+        identify_C(NegMean(), tolerance=bad)
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        convex_level_set_test(NegMean(), tol=bad)
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        bound_check(NegMean(), 0.5, [dirac(0.0)], tol=bad)
+    with pytest.raises(ValueError, match="eq_tol must be finite and positive"):
+        spectral_bounds_check(delta(1.0), 0.5, eq_tol=bad)
+    # validate needs every comparison true, so NaN, an infinity or a negative
+    # tol only fails it; 0 asks for exact equality and may pass
+    if bad != 0.0:
+        assert not convex_level_set_test(ES(0.5)).validate(ES(0.5), bad)
 
 
 class TestDiagnosticReport:

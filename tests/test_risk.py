@@ -34,7 +34,8 @@ from elicitrisk import (
     var,
 )
 
-from helpers import bisection_expectile, random_atomic, random_law_with_ties
+from helpers import (BAD_TOLERANCES, bisection_expectile, golden_min_nu_over_mp, random_atomic,
+                     random_law_with_ties)
 
 
 def delta(a):
@@ -79,6 +80,16 @@ class TestEs:
             for a in (0.1, 0.37, 0.9):
                 direct = -d.partial_quantile_integral(a) / a
                 assert math.isclose(es(d, a), direct, rel_tol=1e-14, abs_tol=1e-14)
+
+    def test_equals_the_spectral_route(self):
+        # 1 / alpha times the partial quantile integral is nu's own arithmetic
+        rng = np.random.default_rng(5)
+        laws = [random_atomic(rng) for _ in range(40)]
+        laws += [random_law_with_ties(rng) for _ in range(20)]
+        laws += [Uniform(*sorted(rng.uniform(-5.0, 5.0, 2))) for _ in range(20)]
+        for d in laws:
+            for a in (0.05, 1.0 / 3.0, float(rng.uniform(0.001, 0.999))):
+                assert es(d, a) == -nu(SpectralMeasure(atoms=[(a, 1.0)]), d)
 
     def test_dominates_var(self):
         rng = np.random.default_rng(4)
@@ -307,6 +318,56 @@ class TestMinNuOverMp:
         assert value == pytest.approx(sol.mu, abs=1e-8)
         assert p_opt == pytest.approx(d.cdf(sol.mu), abs=1e-6)
 
+    def test_never_below_the_golden_section(self, monkeypatch):
+        # the closed form reads the ladder alone; the expectile is not called
+        def no_expectile(*args):
+            raise AssertionError("min_nu_over_mp called expectile")
+        monkeypatch.setattr("elicitrisk.risk.expectile", no_expectile)
+        rng = np.random.default_rng(12)
+        laws = [random_atomic(rng) for _ in range(30)] + [random_law_with_ties(rng) for _ in range(30)]
+        for d in laws:
+            for C in (0.05, 0.5, 0.95):
+                p_opt, value = min_nu_over_mp(d, C)
+                p_gold, v_gold = golden_min_nu_over_mp(d, C)
+                assert 0.0 < p_opt < 1.0
+                assert value <= v_gold + 1e-15 * (1.0 + abs(v_gold))
+                assert v_gold - value <= 1e-8 * (1.0 + abs(value))
+                assert value == nu(mp_measure(p_opt, C), d)
+
+    def test_uniform_closed_form(self):
+        for a, b in ((0.0, 1.0), (-3.0, 2.0), (1e8, 1e8 + 5.0)):
+            for C in (1e-12, 0.1, 0.5, 0.9, 1.0):
+                p_opt, value = min_nu_over_mp(Uniform(a, b), C)
+                assert p_opt == math.sqrt(C) / (1.0 + math.sqrt(C))
+                assert value == nu(mp_measure(p_opt, C), Uniform(a, b))
+                if 0.1 <= C < 1.0:  # at C = 1 every p minimizes
+                    p_gold, v_gold = golden_min_nu_over_mp(Uniform(a, b), C)
+                    assert value <= v_gold + 1e-15 * (1.0 + abs(v_gold))
+                    # at 1e8 the objective's rounding hides p from the search
+                    if abs(a) < 1e3:
+                        assert abs(p_opt - p_gold) <= 1e-6
+
+    def test_degenerate_cases_stay_inside(self):
+        # a point mass, and C = 1, make every p a minimizer at the mean
+        for d, C in ((dirac(2.5), 0.3), (dirac(-1e8), 1e-12), (Empirical([0.0, 1.0, 4.0]), 1.0)):
+            p_opt, value = min_nu_over_mp(d, C)
+            assert p_opt == 0.5
+            assert value == pytest.approx(d.mean(), rel=1e-15)
+
+    def test_offsets_scales_and_extreme_c(self):
+        # the identity with the expectile at tau = C / (1 + C), to the
+        # rounding of the law's own magnitude
+        rng = np.random.default_rng(13)
+        for shift, lam in ((1e8, 1.0), (-1e8, 1.0), (0.0, 1e-8), (0.0, 1e8), (1e8, 1e4)):
+            for _ in range(20):
+                base = random_atomic(rng, max_atoms=20)
+                d = base.scale(lam).shift(shift)
+                magnitude = abs(shift) + lam * max(abs(base.support_min()), abs(base.support_max()))
+                for C in (1e-12, 0.3, 1.0 - 1e-12):
+                    _, value = min_nu_over_mp(d, C)
+                    mu = expectile(d, C / (C + 1.0)).mu
+                    assert abs(value - mu) <= 1e-12 * magnitude, (d, C)
+
     def test_family_dominates_uc(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
@@ -416,6 +477,10 @@ class TestCoherenceCheck:
             coherence_check(NegMean(), trials=0)
         with pytest.raises(ValueError):
             coherence_check(NegMean(), max_states=1)
+        # no comparison against a NaN or infinite tolerance records a violation
+        for bad in BAD_TOLERANCES:
+            with pytest.raises(ValueError, match="tol must be finite and positive"):
+                coherence_check(NegMean(), trials=1, tol=bad)
 
 
 class TestFunctionalJson:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from elicitrisk import (
     ArgminInterval,
     Empirical,
     ExpectileScore,
+    FiniteAtomic,
     ForecastSeries,
     IdentityGenerator,
     MethodScore,
@@ -24,7 +26,8 @@ from elicitrisk import (
     two_point,
 )
 
-from helpers import bisection_expectile, derivative_argmin, random_atomic, random_law_with_ties
+from helpers import (bisection_expectile, derivative_argmin, random_atomic, random_law_with_ties,
+                     sublevel_argmin)
 
 
 def uniform_midpoint_empirical(a, b, n=200_000):
@@ -208,6 +211,25 @@ class TestTabulatedGenerator:
         assert g.is_nondecreasing and g.is_strictly_increasing and g.is_convex
         flat = TabulatedGenerator([(0.0, 0.0), (1.0, 0.0), (2.0, 1.0)])
         assert flat.is_nondecreasing and not flat.is_strictly_increasing
+        assert list(flat.knots) == [0.0, 1.0, 2.0]
+        assert SquaredGenerator().is_strictly_convex
+        assert not IdentityGenerator().is_strictly_convex
+        assert not g.is_strictly_convex and not flat.is_strictly_convex
+
+
+class _Hinge:
+    """g(t) = max(t, 0): nondecreasing and convex, with neither strictness
+    flag and no knots attribute."""
+
+    is_nondecreasing = True
+    is_convex = True
+
+    def __call__(self, t):
+        return np.maximum(np.asarray(t, dtype=float), 0.0)
+
+    def derivative(self, t, side="left"):
+        t = np.asarray(t, dtype=float)
+        return (t > 0.0 if side == "left" else t >= 0.0).astype(float)
 
 
 class TestArgmin:
@@ -271,9 +293,13 @@ class TestArgmin:
         d = Empirical([1.0, 2.0])
         with pytest.raises(ValueError, match="bracket"):
             argmin_expected_score(QuantileScore(0.5), d, bracket=(2.0, 2.0))
+        # no closed form and no knots: nothing exact to run
+        for s in (QuantileScore(0.5, _Hinge()), ExpectileScore(0.5, generator=_Hinge())):
+            with pytest.raises(NotImplementedError, match="exact argmin"):
+                argmin_expected_score(s, d)
         gen = TabulatedGenerator([(-10.0, 10.0), (0.0, 0.0), (10.0, 10.0)])
-        with pytest.raises(ValueError, match="grid_points"):
-            argmin_expected_score(ExpectileScore(0.5, generator=gen), d, grid_points=2)
+        with pytest.raises(NotImplementedError):
+            argmin_expected_score(ExpectileScore(0.5, generator=gen), Uniform(0.0, 1.0))
 
     def test_edges_match_derivative_bisection(self):
         rng = np.random.default_rng(17)
@@ -322,6 +348,142 @@ class TestArgmin:
         assert r.contains(1.1, slack=0.2)
         with pytest.raises(dataclasses.FrozenInstanceError):
             r.lo = 2.0
+
+
+# the benchmark's convex knots, a second convex set, and two quantile
+# generators with flat stretches
+KNOTS = [(-6.0, 18.0), (-2.0, 2.0), (0.0, 0.0), (1.0, 0.5), (3.0, 4.5), (6.0, 18.0)]
+CONVEX = [(-4.0, 8.0), (-1.0, 0.5), (0.5, 0.0), (2.0, 1.0), (4.0, 6.0)]
+FLAT = [(-5.0, -5.0), (0.0, 0.0), (1.0, 0.0), (3.0, 2.0)]
+STEPS = [(-2.0, 0.0), (-1.0, 0.0), (1.0, 1.0), (2.0, 1.0), (3.0, 4.0)]
+
+
+def kernel_scores(level, c=0.0, s=1.0):
+    """The scores that take the breakpoint kernel, knots moved to c + s t."""
+    def gen(knots):
+        return TabulatedGenerator([(c + s * t, s * v) for t, v in knots])
+    return [ExpectileScore(level, generator=gen(KNOTS)), ExpectileScore(level, generator=gen(CONVEX)),
+            QuantileScore(level, gen(FLAT)), QuantileScore(level, gen(STEPS))]
+
+
+def brute_force_edges(score, d, lo, hi):
+    """Edges from the expected score summed atom by atom at every candidate.
+
+    The candidates are the breakpoints (atoms, knots, bracket ends) and, for
+    an expectile score, the midpoint of each segment between them; an edge
+    on a midpoint extends to its segment's end.
+    """
+    b = np.unique(np.concatenate(([lo, hi], d._values, score.generator.knots)))
+    b = b[(b >= lo) & (b <= hi)]
+    constant = isinstance(score, ExpectileScore)
+    if constant:
+        x = np.empty(2 * b.size - 1)
+        x[0::2] = b
+        x[1::2] = 0.5 * b[:-1] + 0.5 * b[1:]
+    else:
+        x = b
+    f = np.array([float(score.expected_score(t, d)) for t in x])
+    inside = np.flatnonzero(f <= f.min() + 1e-11 * (1.0 + abs(f.min())))
+    left, right = int(inside[0]), int(inside[-1])
+    if constant:
+        left -= left % 2
+        right += right % 2
+    return float(x[left]), float(x[right])
+
+
+def kernel_laws(rng, count):
+    for k in range(count):
+        if k % 3 == 0:
+            yield random_atomic(rng, lo=-8.0, hi=8.0)
+        elif k % 3 == 1:
+            yield random_law_with_ties(rng)
+        else:
+            yield Empirical(np.round(rng.standard_t(3, 60), 2))
+
+
+class TestBreakpointKernel:
+    def test_within_the_sublevel_oracle(self):
+        # the grid never does better: the new interval lies inside the
+        # oracle's edges up to its bisection width, and its value is no
+        # higher beyond rounding (both may sit on one flat stretch)
+        rng = np.random.default_rng(61)
+        for d in kernel_laws(rng, 60):
+            lo, hi = d.support_min() - 0.5, d.support_max() + 0.5
+            for level in (1.0 / 3.0, float(rng.uniform(0.01, 0.99))):
+                for s in kernel_scores(level):
+                    r = argmin_expected_score(s, d)
+                    a, b = sublevel_argmin(s, d, lo, hi)
+                    assert r.lo >= a - 1e-12 * (1.0 + abs(a)), (d, s)
+                    assert r.hi <= b + 1e-12 * (1.0 + abs(b)), (d, s)
+                    v = float(s.expected_score(0.5 * (a + b), d))
+                    assert r.value <= v + 1e-14 * (1.0 + abs(v)), (d, s)
+
+    def test_bit_for_bit_with_brute_force(self):
+        rng = np.random.default_rng(62)
+        for d in kernel_laws(rng, 150):
+            lo, hi = d.support_min() - 0.5, d.support_max() + 0.5
+            for level in (0.25, 0.5, float(rng.uniform(0.01, 0.99))):
+                for s in kernel_scores(level):
+                    r = argmin_expected_score(s, d)
+                    assert (r.lo, r.hi) == brute_force_edges(s, d, lo, hi), (d, s)
+                    assert r.value == s.expected_score(r.midpoint, d)
+
+    def test_kink_is_reported_at_the_atom(self):
+        # F jumps across 1/3 at -1.58, where g is strictly increasing; the
+        # old grid reported about [-1.5800003, -1.5799998] here
+        d = FiniteAtomic([-3.0, -1.58, 0.5, 2.0], [0.2, 0.3, 0.3, 0.2])
+        r = argmin_expected_score(QuantileScore(1.0 / 3.0, TabulatedGenerator(FLAT)), d)
+        assert (r.lo, r.hi) == (-1.58, -1.58)
+
+    def test_flat_stretch_ends_on_a_knot(self):
+        # an edge on a segment interior extends to the segment's end
+        d = Empirical([-1.0, 0.6, 2.0])
+        r = argmin_expected_score(ExpectileScore(0.5, generator=TabulatedGenerator(KNOTS)), d)
+        assert (r.lo, r.hi) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("c, s", [(0.0, 1e-8), (0.0, 1e-3), (0.0, 1e3), (0.0, 1e8),
+                                      (1e8, 1.0), (-1e8, 1.0), (1e8, 1e3), (-1e8, 1e8)])
+    def test_offsets_and_scales(self, c, s):
+        # law and knots moved to c + s y together: the values scale by s, so
+        # the edges are the images of the unmoved ones, up to the level's
+        # absolute part 1e-11, which widens the set at s < 1 and narrows it
+        # at s > 1.  They match brute force on the moved law, except at
+        # s = 1e8: g reaches 1e9 there, and a zero expected score can sum
+        # to 1e-9 or so, above the level 1e-11 of a zero minimum
+        rng = np.random.default_rng(63)
+        for d in kernel_laws(rng, 30):
+            lo, hi = d.support_min() - 0.5, d.support_max() + 0.5
+            moved = d.scale(s).shift(c)
+            bracket = (c + s * lo, c + s * hi)
+            for level in (0.25, float(rng.uniform(0.01, 0.99))):
+                for base, score in zip(kernel_scores(level), kernel_scores(level, c, s)):
+                    r0 = argmin_expected_score(base, d)
+                    r = argmin_expected_score(score, moved, bracket=bracket)
+                    image = (c + s * r0.lo, c + s * r0.hi)
+                    if s <= 1.0:
+                        assert r.lo <= image[0] and r.hi >= image[1], (d, score)
+                    if s >= 1.0:
+                        assert r.lo >= image[0] and r.hi <= image[1], (d, score)
+                    if s < 1e8:
+                        assert (r.lo, r.hi) == brute_force_edges(score, moved, *bracket), (d, score)
+
+    def test_no_candidates_by_atoms_matrix(self):
+        # a single-segment generator zeroes the expected score, so the whole
+        # bracket of a 1e5-atom law minimizes: 2e5 candidates, and a matrix
+        # of their values atom by atom would take 160 GB
+        d = Empirical(np.random.default_rng(64).standard_t(3, 100_000))
+        line = TabulatedGenerator([(0.0, 0.0), (1.0, 2.0)])
+        flat = TabulatedGenerator([(0.0, 0.0), (1.0, 0.0)])
+        for s in (ExpectileScore(0.3, generator=line), QuantileScore(0.3, flat)):
+            tracemalloc.start()
+            try:
+                r = argmin_expected_score(s, d)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (r.lo, r.hi) == (d.support_min() - 0.5, d.support_max() + 0.5)
+            assert r.value == 0.0
+            assert peak < 64e6
 
 
 class TestConsistency:

@@ -11,7 +11,7 @@ from elicitrisk import (FiniteAtomic, SpectralMeasure, UcDensity, Uniform, dirac
                         mp_measure, nu, nu_via_U, spectral_fn, two_point,
                         uc_measure)
 
-from helpers import overlap_nu, random_atomic, random_law_with_ties, random_measure
+from helpers import BAD_TOLERANCES, overlap_nu, random_atomic, random_law_with_ties, random_measure
 
 
 def delta(alpha: float) -> SpectralMeasure:
@@ -76,6 +76,19 @@ class TestConstruction:
                 assert (a1, a2) == (p, 1.0)
                 assert w2 > 0.0
                 assert w1 + w2 == pytest.approx(1.0, abs=1e-15)
+
+    def test_mp_weights_keep_relative_accuracy(self):
+        # the smaller weight is its own formula, the larger 1 minus it
+        rng = np.random.default_rng(22)
+        for _ in range(4000):
+            p = float(rng.uniform(0.001, 0.999))
+            C = float(10.0 ** rng.uniform(-17.0, 0.0))
+            z = p * (1.0 - C) + C
+            (a1, w1), (a2, w2) = mp_measure(p, C).atoms
+            assert (a1, a2) == (p, 1.0)
+            assert w1 + w2 == 1.0
+            assert abs(w1 - p * (1.0 - C) / z) <= 4.5e-16 * w1
+            assert abs(w2 - C / z) <= 4.5e-16 * w2
 
     def test_uc_measure_shape(self):
         m = uc_measure(0.4)
@@ -368,6 +381,14 @@ class TestJson:
     def test_accepts_string_input(self):
         m = measure_from_json('{"atoms": [[0.5, 0.5], [1.0, 0.5]]}')
         assert m.atoms == ((0.5, 0.5), (1.0, 0.5))
+
+    def test_normalization_tolerance_is_checked(self):
+        # a NaN tolerance accepted any total mass
+        for bad in BAD_TOLERANCES:
+            with pytest.raises(ValueError, match="tol must be finite and positive"):
+                SpectralMeasure(atoms=[(1.0, 2.0)], tol=bad)
+            with pytest.raises(ValueError, match="tol must be finite and positive"):
+                measure_from_json({"atoms": [[1.0, 1.0]]}, tol=bad)
 
     def test_normalization_gate_is_looser_than_constructor(self):
         spec = {"atoms": [[1.0, 1.0 + 5e-9]]}
