@@ -21,15 +21,15 @@ import sys
 
 import numpy as np
 
-from .distributions import (Distribution, Empirical, FiniteAtomic, Uniform, _check_tol,
-                            _json_number, dirac, empirical_from_csv, two_point)
+from .distributions import (Distribution, Empirical, FiniteAtomic, Uniform, _check_level,
+                            _check_open_unit, _check_tol, _json_number, dirac,
+                            empirical_from_csv, two_point)
 from .elicit import (bound_check, convex_level_set_test, diagnostic_report,
                      identify_C, spectral_bounds_check)
-from .risk import (ES, ExpectileRisk, InfOverFamily, NegMean, RiskFunctional,
-                   SpectralRisk, VaR, functional_from_json, functional_to_json)
+from .risk import (InfOverFamily, RiskFunctional, SpectralRisk, functional_from_json,
+                   functional_to_json)
 from .scoring import ExpectileScore, ForecastSeries, QuantileScore, compare
-from .spectral import (SpectralMeasure, interval_mass, measure_from_json,
-                       mp_measure, uc_measure)
+from .spectral import SpectralMeasure, interval_mass, mp_measure, uc_measure
 
 __all__ = ["main"]
 
@@ -92,7 +92,7 @@ def _dist_from_json(text: str) -> Distribution:
 
 
 def _functional_from_args(args) -> RiskFunctional:
-    if getattr(args, "spec", None) is not None:
+    if args.spec is not None:
         if args.type is not None or args.level is not None or args.measure is not None:
             raise ValueError("--spec replaces --type/--level/--measure")
         return functional_from_json(args.spec)
@@ -102,16 +102,11 @@ def _functional_from_args(args) -> RiskFunctional:
     if t in ("var", "es", "expectile"):
         if args.level is None:
             raise ValueError(f"--type {t} needs --level")
-        return {"var": VaR, "es": ES, "expectile": ExpectileRisk}[t](args.level)
-    if args.level is not None:
+    elif args.level is not None:
         raise ValueError(f"--level does not apply to --type {t}")
-    if t == "negmean":
-        return NegMean()
-    if t == "spectral":
-        if args.measure is None:
-            raise ValueError("--type spectral needs --measure")
-        return SpectralRisk(measure=measure_from_json(args.measure))
-    raise ValueError(f"unknown functional type {t!r}")
+    elif t == "spectral" and args.measure is None:
+        raise ValueError("--type spectral needs --measure")
+    return functional_from_json({"type": t, "level": args.level, "measure": args.measure})
 
 
 def _add_functional_flags(p: argparse.ArgumentParser):
@@ -209,18 +204,16 @@ def cmd_elicit(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    C = float(args.C)
-    if not 0.0 < C <= 1.0:
-        raise ValueError(f"--C must lie in (0, 1], got {C!r}")
+    C = _check_level(args.C, "--C")
     try:
         qs = [float(tok) for tok in args.p_list.split(",") if tok.strip()]
     except ValueError:
         raise ValueError(f"could not parse --p-list {args.p_list!r}") from None
-    if not qs or any(not 0.0 < q < 1.0 for q in qs):
+    if not qs:
         raise ValueError("--p-list needs comma-separated values in (0, 1)")
     uc = uc_measure(C)
     es_measure = SpectralMeasure(atoms=[(C, 1.0)])
-    mqs = [(q, mp_measure(q, C)) for q in qs]
+    mqs = [(q, mp_measure(_check_open_unit(q, "--p-list value"), C)) for q in qs]
     grid = np.linspace(0.0, 1.0, _FIGURE_POINTS)
     # each requested level replaces its nearest grid point, so the emitted
     # rows show the two-atom curves touching the lower envelope exactly

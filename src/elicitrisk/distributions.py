@@ -35,10 +35,11 @@ __all__ = [
 WEIGHT_TOL = 1e-12
 
 
-def _check_level(v: float) -> float:
+def _check_level(v: float, name: str = "quantile level") -> float:
+    # also the domain of the envelope constant C and of spectral arguments u
     v = float(v)
     if not 0.0 < v <= 1.0:
-        raise ValueError(f"quantile level must lie in (0, 1], got {v!r}")
+        raise ValueError(f"{name} must lie in (0, 1], got {v!r}")
     return v
 
 
@@ -47,6 +48,20 @@ def _check_prob(p: float, name: str = "p") -> float:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
     return p
+
+
+def _check_open_unit(x: float, name: str) -> float:
+    x = float(x)
+    if not 0.0 < x < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {x!r}")
+    return x
+
+
+def _check_point(x: float, finite: bool = True) -> float:
+    x = float(x)
+    if math.isnan(x) or (finite and math.isinf(x)):
+        raise ValueError(f"x must be {'finite' if finite else 'a number'}, got {x!r}")
+    return x
 
 
 def _check_tol(tol: float, name: str = "tol") -> float:
@@ -129,8 +144,6 @@ def _canonical_atoms(values, weights):
     merged = np.bincount(inverse, weights=weights, minlength=uniq.size)
     keep = merged > 0.0
     uniq, merged = uniq[keep], merged[keep]
-    if uniq.size == 0:
-        raise ValueError("all atoms have zero weight")
     cum = np.cumsum(merged)
     cum[-1] = 1.0  # pin the top so quantile(1.0) is always defined
     return uniq, cum
@@ -141,8 +154,8 @@ class FiniteAtomic(Distribution):
 
     Next to the cumulative weights c_i it keeps the prefix sums
     S_i = sum_{j <= i} w_j (x_j - x_0), centred on the first atom, so the
-    partial quantile integral and both partial moments cost one binary
-    search each.
+    partial quantile integral costs one binary search.  Both partial
+    moments are summed atom by atom over their own tail.
 
     Parameters
     ----------
@@ -188,7 +201,7 @@ class FiniteAtomic(Distribution):
         return int(self._values.size)
 
     def cdf(self, x: float) -> float:
-        idx = int(np.searchsorted(self._values, float(x), side="right"))
+        idx = int(np.searchsorted(self._values, _check_point(x, finite=False), side="right"))
         if idx == 0:
             return 0.0
         return float(self._cum[idx - 1])
@@ -214,24 +227,33 @@ class FiniteAtomic(Distribution):
     def support_max(self) -> float:
         return float(self._values[-1])
 
+    def _tails(self, x: float) -> tuple[float, float]:
+        # E(Y - x)^+ and E(x - Y)^+ summed atom by atom: a difference of prefix
+        # sums keeps only the absolute accuracy of the whole sum
+        v, w = self._values, self._weights
+        hi, lo = v.searchsorted(x, "right"), v.searchsorted(x, "left")
+        return float(np.dot(w[hi:], v[hi:] - x)), float(np.dot(w[:lo], x - v[:lo]))
+
     def upper_partial_moment(self, x: float) -> float:
-        # E(Y - x)^+ - E(x - Y)^+ = E Y - x
-        return max(self.lower_partial_moment(x) + self.mean() - float(x), 0.0)
+        return self._tails(_check_point(x))[0]
 
     def lower_partial_moment(self, x: float) -> float:
-        # atoms i' < i lie at or below x: c[i-1] (x - x_0) - S[i-1]
-        i = int(np.searchsorted(self._values, float(x), side="right"))
-        if i == 0:
-            return 0.0
-        return max(float(self._cum[i - 1]) * (float(x) - float(self._values[0]))
-                   - float(self._csum[i - 1]), 0.0)
+        return self._tails(_check_point(x))[1]
+
+    def _moved(self, values: np.ndarray, csum: np.ndarray) -> "FiniteAtomic":
+        # rounding can make neighbours equal: keep the last atom of each run,
+        # whose cumulative weight and prefix sum cover the whole run
+        last = np.append(values[1:] != values[:-1], True)
+        if last.all():
+            return FiniteAtomic._from_cum(values, self._cum, csum)
+        return FiniteAtomic._from_cum(values[last], self._cum[last], csum[last])
 
     def shift(self, c: float) -> "FiniteAtomic":
         # distances to the first atom do not move, so the prefix sums carry over;
         # an overflow leaves a range that _set_ladder rejects
         with np.errstate(over="ignore", invalid="ignore"):
             values = self._values + float(c)
-        return FiniteAtomic._from_cum(values, self._cum, self._csum)
+        return self._moved(values, self._csum)
 
     def scale(self, lam: float) -> "FiniteAtomic":
         lam = float(lam)
@@ -241,7 +263,7 @@ class FiniteAtomic(Distribution):
             return dirac(0.0)
         with np.errstate(over="ignore", invalid="ignore"):
             values, csum = self._values * lam, self._csum * lam
-        return FiniteAtomic._from_cum(values, self._cum, csum)
+        return self._moved(values, csum)
 
     def __repr__(self):
         pairs = ", ".join(f"({v:.6g}, {w:.6g})" for v, w in self.atoms()[:4])
@@ -317,7 +339,7 @@ class Uniform(Distribution):
         self.b = b
 
     def cdf(self, x: float) -> float:
-        x = float(x)
+        x = _check_point(x, finite=False)
         if x <= self.a:
             return 0.0
         if x >= self.b:
@@ -341,7 +363,7 @@ class Uniform(Distribution):
         return self.b
 
     def upper_partial_moment(self, x: float) -> float:
-        x = float(x)
+        x = _check_point(x)
         if x <= self.a:
             return self.mean() - x
         if x >= self.b:
@@ -349,7 +371,7 @@ class Uniform(Distribution):
         return (self.b - x) ** 2 / (2.0 * (self.b - self.a))
 
     def lower_partial_moment(self, x: float) -> float:
-        x = float(x)
+        x = _check_point(x)
         if x <= self.a:
             return 0.0
         if x >= self.b:

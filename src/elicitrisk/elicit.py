@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, FiniteAtomic, _check_tol, mix, two_point
+from .distributions import Distribution, FiniteAtomic, _check_level, _check_tol, mix, two_point
 from .risk import RiskFunctional, l_C, u_C
 from .spectral import SpectralMeasure, interval_mass, spectral_fn
 
@@ -292,9 +292,7 @@ def spectral_bounds_check(m: SpectralMeasure, C: float, grid=None,
     checked against g_m(p), and the integrated bound C(1-p)/Z against the
     mass of g_m over (p, 1].
     """
-    C = float(C)
-    if not 0.0 < C <= 1.0:
-        raise ValueError(f"C must lie in (0, 1], got {C!r}")
+    C = _check_level(C, "C")
     eq_tol = _check_tol(eq_tol, "eq_tol")
     if grid is None:
         grid = DEFAULT_GRID

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import (Distribution, Empirical, FiniteAtomic, Uniform, _check_tol,
-                            _json_number)
+from .distributions import (Distribution, Empirical, FiniteAtomic, Uniform, _check_level,
+                            _check_open_unit, _check_tol, _json_number)
 from .spectral import (JSON_NORMALIZATION_TOL, SpectralMeasure, measure_from_json,
                        measure_to_json, mp_measure, nu, uc_measure)
 
@@ -48,20 +48,6 @@ __all__ = [
     "functional_from_json",
     "functional_to_json",
 ]
-
-
-def _check_open_unit(x: float, name: str) -> float:
-    x = float(x)
-    if not 0.0 < x < 1.0:
-        raise ValueError(f"{name} must lie in (0, 1), got {x!r}")
-    return x
-
-
-def _check_c(C: float) -> float:
-    C = float(C)
-    if not 0.0 < C <= 1.0:
-        raise ValueError(f"C must lie in (0, 1], got {C!r}")
-    return C
 
 
 def var(d: Distribution, alpha: float) -> float:
@@ -92,7 +78,7 @@ class ExpectileSolution:
 def _expectile_atomic(d: FiniteAtomic, tau: float) -> float:
     # psi(x) = tau E(Y - x)^+ - (1 - tau) E(x - Y)^+ is decreasing and piecewise
     # linear, with slope -(tau + (1 - 2 tau) c_j) on segment j, (x_j, x_{j+1}).
-    x, w, cum = d._values, d._weights, d._cum
+    x, cum = d._values, d._cum
     if x.size == 1:
         return float(x[0])
     b = 1.0 - 2.0 * tau
@@ -100,14 +86,9 @@ def _expectile_atomic(d: FiniteAtomic, tau: float) -> float:
     psi = tau * d._csum[-1] + b * d._csum - (x - x[0]) * (tau + b * cum)
     k = min(max(int(np.searchsorted(-psi, 0.0)), 1), x.size - 1)
 
-    # ... but a prefix difference keeps only the absolute accuracy of the whole
-    # sum, too little in a thin tail, so the residuals at the segment's ends are
-    # summed atom by atom.  Rounding may have shifted the segment by one.
-    def resid(i: int) -> float:
-        return float(tau * np.dot(w[i + 1:], x[i + 1:] - x[i])
-                     - (1.0 - tau) * np.dot(w[:i], x[i] - x[:i]))
-
-    lo, hi = resid(k - 1), resid(k)
+    # ... but the residuals at its ends are summed atom by atom, which keeps
+    # them accurate in a thin tail.  Rounding may have shifted the segment by one.
+    lo, hi = (tau * up - (1.0 - tau) * down for up, down in map(d._tails, x[k - 1:k + 1]))
     if lo < 0.0:
         j, i, r = k - 2, k - 1, lo
     elif hi > 0.0:
@@ -143,7 +124,7 @@ def u_C(d: Distribution, C: float) -> float:
 
     C = 1 collapses to minus the mean.
     """
-    C = _check_c(C)
+    C = _check_level(C, "C")
     return -nu(uc_measure(C), d)
 
 
@@ -153,7 +134,7 @@ def l_C(d: Distribution, C: float) -> float:
     Cross-checkable as the infimum over p of minus the two-atom spectral
     family evaluated on d; see :func:`min_nu_over_mp`.
     """
-    C = _check_c(C)
+    C = _check_level(C, "C")
     return -expectile(d, C / (C + 1.0)).mu
 
 
@@ -167,7 +148,7 @@ def min_nu_over_mp(d: Distribution, C: float) -> tuple[float, float]:
     returned.  On a uniform law the minimizer is sqrt(C) / (1 + sqrt(C)).
     Returns (argmin, min value), the argmin inside (0, 1).
     """
-    C = _check_c(C)
+    C = _check_level(C, "C")
     if isinstance(d, FiniteAtomic):
         c = d._cum[d._cum < 1.0]
         f = ((1.0 - C) * d._pqi(c) + C * d.mean()) / (c * (1.0 - C) + C)

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import bisect
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, FiniteAtomic, Uniform, _read_columns
-from .risk import _check_open_unit, expectile
+from .distributions import Distribution, FiniteAtomic, Uniform, _check_open_unit, _read_columns
+from .risk import expectile
 
 __all__ = [
     "IdentityGenerator",
@@ -123,9 +124,17 @@ class TabulatedGenerator:
         return f"TabulatedGenerator({list(zip(self.knots.tolist(), self._v.tolist()))!r})"
 
 
-def _as_scalar_or_array(a):
-    a = np.asarray(a, dtype=float)
-    return float(a) if a.shape == () else a
+def _finite(method):
+    # finite inputs can overflow, as x * x does past 1.3e154: ValueError, not a warning
+    @functools.wraps(method)
+    def checked(*args):
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = np.asarray(method(*args), dtype=float)
+        a = float(a) if a.shape == () else a
+        if not (math.isfinite(a) if type(a) is float else np.isfinite(a).all()):
+            raise ValueError("the score is not a finite number")
+        return a
+    return checked
 
 
 class QuantileScore:
@@ -141,25 +150,28 @@ class QuantileScore:
         if not getattr(self.generator, "is_nondecreasing", False):
             raise ValueError("quantile scores need a nondecreasing generator")
 
-    def score(self, forecast, outcome):
+    def _score(self, forecast, outcome):
         x = np.asarray(forecast, dtype=float)
         y = np.asarray(outcome, dtype=float)
         ind = (x >= y).astype(float)
         g = self.generator
-        return _as_scalar_or_array((ind - self.alpha) * (g(x) - g(y)))
+        return (ind - self.alpha) * (g(x) - g(y))
 
+    score = _finite(_score)
+
+    @_finite
     def expected_score(self, forecast, d: Distribution):
         x = np.asarray(forecast, dtype=float)
         if isinstance(d, FiniteAtomic):
-            s = self.score(x[..., None], d._values)
-            return _as_scalar_or_array(s @ d._weights)
+            # a non-finite score term leaves the weighted sum non-finite
+            return self._score(x[..., None], d._values) @ d._weights
         if isinstance(d, Uniform) and isinstance(self.generator, IdentityGenerator):
             a, b, alpha = d.a, d.b, self.alpha
             mean = 0.5 * (a + b)
             mid = ((1.0 - alpha) * (x - a) ** 2 + alpha * (b - x) ** 2) / (2.0 * (b - a))
             out = np.where(x <= a, alpha * (mean - x),
                            np.where(x >= b, (1.0 - alpha) * (x - mean), mid))
-            return _as_scalar_or_array(out)
+            return out
         raise NotImplementedError(f"expected quantile score not implemented for "
                                   f"{type(d).__name__} with {self.generator!r}")
 
@@ -197,26 +209,28 @@ class ExpectileScore:
             # linear g zeroes the divergence term, leaving the score useless
             raise ValueError("the identity generator is only valid for quantile scores")
 
-    def score(self, forecast, outcome):
+    def _score(self, forecast, outcome):
         x = np.asarray(forecast, dtype=float)
         y = np.asarray(outcome, dtype=float)
         ind = (x >= y).astype(float)
         g = self.generator
         bregman = g(y) - g(x) - g.derivative(x) * (y - x)
-        return _as_scalar_or_array(np.abs(ind - self.tau) * bregman)
+        return np.abs(ind - self.tau) * bregman
 
+    score = _finite(_score)
+
+    @_finite
     def expected_score(self, forecast, d: Distribution):
         x = np.asarray(forecast, dtype=float)
         if isinstance(d, FiniteAtomic):
-            s = self.score(x[..., None], d._values)
-            return _as_scalar_or_array(s @ d._weights)
+            return self._score(x[..., None], d._values) @ d._weights
         if isinstance(d, Uniform) and isinstance(self.generator, SquaredGenerator):
             a, b, tau = d.a, d.b, self.tau
             below = tau * ((b - x) ** 3 - (a - x) ** 3)
             above = (1.0 - tau) * ((x - a) ** 3 - (x - b) ** 3)
             mid = (1.0 - tau) * (x - a) ** 3 + tau * (b - x) ** 3
             out = np.where(x <= a, below, np.where(x >= b, above, mid)) / (3.0 * (b - a))
-            return _as_scalar_or_array(out)
+            return out
         raise NotImplementedError(f"expected expectile score not implemented for "
                                   f"{type(d).__name__} with {self.generator!r}")
 
@@ -317,8 +331,8 @@ def argmin_expected_score(score, d: Distribution, bracket=None) -> ArgminInterva
         lo, hi = d.support_min() - 0.5, d.support_max() + 0.5
     else:
         lo, hi = float(bracket[0]), float(bracket[1])
-    if not lo < hi:
-        raise ValueError("bracket must satisfy lo < hi")
+    if not (lo < hi and math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"bracket must be finite with lo < hi, got [{lo!r}, {hi!r}]")
     left, right = (min(max(e, lo), hi) for e in score._minimizer_edges(d, lo, hi))
     value = float(score.expected_score(0.5 * (left + right), d))
     return ArgminInterval(lo=left, hi=right, value=value)
@@ -493,11 +507,10 @@ def compare(series: ForecastSeries, score) -> list[MethodScore]:
     y = series.realization_vector()
     totals = []
     for method, x in zip(series.methods, series.forecast_matrix):
-        # finite inputs can still overflow, as x * x does past 1.3e154
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.asarray(score.score(x, y), dtype=float)
-        if not np.isfinite(vals).all():
-            raise ValueError(f"method {method!r} has a score that is not a finite number")
+        try:
+            vals = score.score(x, y)
+        except ValueError:
+            raise ValueError(f"method {method!r} has a score that is not a finite number") from None
         totals.append((method, math.fsum(vals.tolist()) / y.size))
     totals.sort(key=lambda t: (t[1], t[0]))
     out: list[MethodScore] = []

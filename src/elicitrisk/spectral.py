@@ -39,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, FiniteAtomic, Uniform, _check_tol, _json_number
+from .distributions import (Distribution, FiniteAtomic, Uniform, _check_level,
+                            _check_open_unit, _check_prob, _check_tol, _json_number)
 
 __all__ = [
     "UcDensity",
@@ -70,10 +71,10 @@ class UcDensity:
 
     def __post_init__(self):
         # a subnormal C would overflow the 1 / C of the closed forms
-        if not (0.0 < float(self.C) <= 1.0 and math.isfinite(1.0 / float(self.C))):
-            raise ValueError(f"density parameter C must lie in (0, 1] with a finite 1 / C, "
-                             f"got {self.C!r}")
-        object.__setattr__(self, "C", float(self.C))
+        C = _check_level(self.C, "density parameter C")
+        if not math.isfinite(1.0 / C):
+            raise ValueError(f"density parameter C must have a finite 1 / C, got {C!r}")
+        object.__setattr__(self, "C", C)
 
     def mass(self) -> float:
         return 1.0 - self.C
@@ -102,10 +103,8 @@ class SpectralMeasure:
 
     def __init__(self, atom_at_zero: float = 0.0, atoms=(), density: UcDensity | None = None,
                  tol: float = NORMALIZATION_TOL):
-        atom_at_zero = float(atom_at_zero)
+        atom_at_zero = _check_prob(atom_at_zero, "atom_at_zero")
         tol = _check_tol(tol)
-        if not 0.0 <= atom_at_zero <= 1.0:
-            raise ValueError(f"atom_at_zero must lie in [0, 1], got {atom_at_zero!r}")
         pairs = [(float(a), float(w)) for a, w in atoms]
         # bounds that keep the total and every weight / level below overflow:
         # a normalized weight is at most 1 + tol, and 1 / level is finite
@@ -136,7 +135,7 @@ class SpectralMeasure:
         self._alphas = levels
         self._weights = weights
         # 1/alpha weighting, precomputed for the Fubini-style interval sums
-        self._w_over_a = weights / levels if levels.size else levels
+        self._w_over_a = weights / levels
 
     @property
     def atoms(self) -> tuple[tuple[float, float], ...]:
@@ -160,11 +159,7 @@ def mp_measure(p: float, C: float) -> SpectralMeasure:
     The weights are p(1-C)/Z at level p and C/Z at level 1, Z = p(1-C) + C.
     For C = 1 this degenerates to the point mass at 1.
     """
-    p, C = float(p), float(C)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {p!r}")
-    if not 0.0 < C <= 1.0:
-        raise ValueError(f"C must lie in (0, 1], got {C!r}")
+    p, C = _check_open_unit(p, "p"), _check_level(C, "C")
     z = p * (1.0 - C) + C
     # the smaller weight from its own formula keeps its relative accuracy,
     # and the larger is 1 minus it, so that the two sum to exactly 1
@@ -178,9 +173,7 @@ def mp_measure(p: float, C: float) -> SpectralMeasure:
 
 def uc_measure(C: float) -> SpectralMeasure:
     """Density f_C plus an atom of weight C at level 1 (point mass at 1 when C = 1)."""
-    C = float(C)
-    if not 0.0 < C <= 1.0:
-        raise ValueError(f"C must lie in (0, 1], got {C!r}")
+    C = _check_level(C, "C")
     if C == 1.0:
         return SpectralMeasure(atoms=[(1.0, 1.0)])
     return SpectralMeasure(atoms=[(1.0, C)], density=UcDensity(C))
@@ -198,9 +191,7 @@ def _density_g_integral(density: UcDensity | None, p1, p2):
 
 def spectral_fn(m: SpectralMeasure, u: float) -> float:
     """g_m(u): total 1/alpha-weighted mass of m on [u, 1], for u in (0, 1]."""
-    u = float(u)
-    if not 0.0 < u <= 1.0:
-        raise ValueError(f"u must lie in (0, 1], got {u!r}")
+    u = _check_level(u, "u")
     idx = int(np.searchsorted(m._alphas, u, side="left"))
     atom_part = float(m._w_over_a[idx:].sum())
     if m.density is None or m.density.C == 1.0:
@@ -232,10 +223,7 @@ def _atom_part(m: SpectralMeasure, d: Distribution, route: str) -> float:
     # the atom at zero; exact for both law types
     if not isinstance(d, (FiniteAtomic, Uniform)):
         raise TypeError(f"{route} is not defined for {type(d).__name__}")
-    out = m.atom_at_zero * d.support_min()
-    if m._alphas.size:
-        out += float(np.dot(m._w_over_a, d._pqi(m._alphas)))
-    return out
+    return m.atom_at_zero * d.support_min() + float(np.dot(m._w_over_a, d._pqi(m._alphas)))
 
 
 # Horner coefficients 1/m, m = 60 down to 3, of the series below

@@ -301,6 +301,13 @@ class TestArgmin:
         with pytest.raises(NotImplementedError):
             argmin_expected_score(ExpectileScore(0.5, generator=gen), Uniform(0.0, 1.0))
 
+    def test_bracket_must_be_finite(self):
+        score = ExpectileScore(0.3, TabulatedGenerator([(0.0, 0.0), (1.0, 0.0), (2.0, 3.0)]))
+        d = FiniteAtomic([0.5, 1.5, 2.5], [0.25, 0.5, 0.25])
+        for bracket in ((-math.inf, math.inf), (0.0, math.inf), (math.nan, 1.0)):
+            with pytest.raises(ValueError, match="bracket"):
+                argmin_expected_score(score, d, bracket=bracket)
+
     def test_edges_match_derivative_bisection(self):
         rng = np.random.default_rng(17)
         gen = TabulatedGenerator([(-3.0, -10.0), (0.0, 0.0), (2.0, 1.0), (5.0, 9.0)])
@@ -578,6 +585,24 @@ class TestForecastSeries:
             f.write_text(body)
             with pytest.raises(ValueError, match=msg):
                 ForecastSeries.from_csv(f)
+
+
+class TestOverflow:
+    """Finite inputs whose score overflows raise ValueError, not a numpy warning."""
+
+    def test_scores(self):
+        d = FiniteAtomic([-1e200, 0.0], [0.5, 0.5])
+        for call in (lambda: ExpectileScore(0.5).score(1e200, -1e200),
+                     lambda: QuantileScore(0.5).score(1.7e308, -1.7e308),
+                     lambda: ExpectileScore(0.5).expected_score(1e200, d),
+                     lambda: QuantileScore(0.5).expected_score(1.7e308, Uniform(-1.7e308, 0.0))):
+            with pytest.raises(ValueError, match="not a finite number"):
+                call()
+
+    def test_compare_names_the_method(self):
+        fs = ForecastSeries.from_arrays({"big": [1e200, 0.0], "small": [0.0, 1.0]}, [0.0, 0.0])
+        with pytest.raises(ValueError, match="method 'big' has a score that is not a finite number"):
+            compare(fs, ExpectileScore(0.5))
 
 
 class TestCompare:
