@@ -14,7 +14,8 @@ unimodal in the forecast with its minimizer set at the functional's value.
 Piecewise-linear generators are legal for expectiles but make the score
 piecewise constant in the forecast, so the minimizer interval can be wide.
 :func:`argmin_expected_score` is exact on every supported generator: closed
-forms for the strict ones, a breakpoint kernel for the piecewise-linear ones.
+forms for the strict ones, a breakpoint kernel for the piecewise-linear ones
+that evaluates the generator once per solve.
 """
 
 from __future__ import annotations
@@ -99,15 +100,20 @@ class TabulatedGenerator:
         x, v = np.array(pts).T
         if not np.all(np.isfinite(x)) or not np.all(np.isfinite(v)):
             raise ValueError("knots must be finite")
-        if np.any(np.diff(x) <= 0.0):
+        if np.any(x[1:] <= x[:-1]):
             raise ValueError("knot abscissae must be strictly increasing")
+        with np.errstate(over="ignore", invalid="ignore"):
+            dx = np.diff(x)
+            self._slopes = np.diff(v) / dx
+            # a slope step past the largest double is +-inf, which compares right
+            self.is_convex = bool(np.all(np.diff(self._slopes) >= -1e-12))
+        if not (np.isfinite(dx).all() and np.isfinite(self._slopes).all()):
+            raise ValueError("knot spacings and slopes must be finite")
         x.flags.writeable = False
         self.knots = x
         self._v = v
-        self._slopes = np.diff(v) / np.diff(x)
         self.is_nondecreasing = bool(np.all(self._slopes >= 0.0))
         self.is_strictly_increasing = bool(np.all(self._slopes > 0.0))
-        self.is_convex = bool(np.all(np.diff(self._slopes) >= -1e-12))
 
     def _segment(self, t, side: str):
         return np.clip(np.searchsorted(self.knots, t, side=side) - 1, 0, self._slopes.size - 1)
@@ -153,9 +159,11 @@ class QuantileScore:
     def _score(self, forecast, outcome):
         x = np.asarray(forecast, dtype=float)
         y = np.asarray(outcome, dtype=float)
-        ind = (x >= y).astype(float)
-        g = self.generator
-        return (ind - self.alpha) * (g(x) - g(y))
+        return self._terms(x, y, self.generator(x), self.generator(y), None)
+
+    def _terms(self, x, y, gx, gy, sx):
+        # the score from g(x) and g(y); the slope sx is not needed
+        return ((x >= y) - self.alpha) * (gx - gy)
 
     score = _finite(_score)
 
@@ -212,10 +220,12 @@ class ExpectileScore:
     def _score(self, forecast, outcome):
         x = np.asarray(forecast, dtype=float)
         y = np.asarray(outcome, dtype=float)
-        ind = (x >= y).astype(float)
         g = self.generator
-        bregman = g(y) - g(x) - g.derivative(x) * (y - x)
-        return np.abs(ind - self.tau) * bregman
+        return self._terms(x, y, g(x), g(y), g.derivative(x))
+
+    def _terms(self, x, y, gx, gy, sx):
+        # the score from g(x), g(y) and the slope sx = g'(x): a Bregman divergence
+        return np.abs((x >= y) - self.tau) * (gy - gx - sx * (y - x))
 
     score = _finite(_score)
 
@@ -265,16 +275,16 @@ class ArgminInterval:
         return self.lo - slack <= x <= self.hi + slack
 
 
-def _ladder_values(score, d: FiniteAtomic, x: np.ndarray) -> np.ndarray:
+def _ladder_values(score, d: FiniteAtomic, x, gx, gy, sx) -> np.ndarray:
     """Expected score at every x from prefix sums, centred on the first atom
     y_0 like the law's own: both scores weigh g(y) - a - b (y - y_0), g
     centred on g(y_0), by c_le over the atoms y <= x and c_gt over the rest,
-    with (c_le, c_gt, a, b) from the score's ``_line``."""
-    gen, y0 = score.generator, d._values[:1]
-    g_cum = np.cumsum(d._weights * (gen(d._values) - gen(y0)))
+    with (c_le, c_gt, a, b) from the score's ``_line``, given g at x and at
+    the atoms (gx, gy) and g' at x (sx)."""
+    g_cum = np.cumsum(d._weights * (gy - gy[:1]))
     j = d._values.searchsorted(x, side="right")
     w, g, y = (np.concatenate(([0.0], s))[j] for s in (d._cum, g_cum, d._csum))
-    c_le, c_gt, a, b = score._line(gen(x) - gen(y0), gen.derivative(x), x - y0)
+    c_le, c_gt, a, b = score._line(gx - gy[:1], sx, x - d._values[:1])
     below = g - a * w - b * y
     above = g_cum[-1] - g - a * (1.0 - w) - b * (d._csum[-1] - y)
     return c_le * below + c_gt * above
@@ -290,7 +300,9 @@ def _breakpoint_edges(score, d: Distribution, lo: float, hi: float, constant: bo
     pin the minimum; the minimizer set is the candidates within fmin + 1e-11
     (1 + |fmin|), and by quasi-convexity each edge is a bisection over the
     candidate index.  fmin and the O(log n) bisection values are summed atom
-    by atom.  An edge on an interior point extends to its segment's end.
+    by atom.  Both passes read g on the atoms and g, g' on the candidates,
+    evaluated once per solve.  An edge on an interior point extends to its
+    segment's end.
     """
     knots = getattr(score.generator, "knots", None)
     if knots is None or not isinstance(d, FiniteAtomic):
@@ -301,15 +313,16 @@ def _breakpoint_edges(score, d: Distribution, lo: float, hi: float, constant: bo
     b = b[(b >= lo) & (b <= hi)]
     # with the interior points the breakpoints sit at even indices
     x = np.append(np.column_stack((b[:-1], 0.5 * b[:-1] + 0.5 * b[1:])), b[-1]) if constant else b
-    k = int(np.argmin(_ladder_values(score, d, x)))
-    fmin = float(score.expected_score(x[k], d))
+    gen, y = score.generator, d._values
+    # a value that overflows ends in f's ValueError, not in a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        gx, gy, sx = gen(x), gen(y), gen.derivative(x)
+        k = int(np.argmin(_ladder_values(score, d, x, gx, gy, sx)))
+    f = _finite(lambda i: score._terms(x[i], y, gx[i], gy, sx[i]) @ d._weights)
+    fmin = f(k)
     level = fmin + 1e-11 * (1.0 + abs(fmin))
-
-    def above(i: int) -> bool:
-        return float(score.expected_score(x[i], d)) > level
-
-    left = bisect.bisect_left(range(k), True, key=lambda i: not above(i))
-    right = k - 1 + bisect.bisect_left(range(k, x.size), True, key=above)
+    left = bisect.bisect_left(range(k), True, key=lambda i: f(i) <= level)
+    right = k - 1 + bisect.bisect_left(range(k, x.size), True, key=lambda i: f(i) > level)
     if constant:
         left -= left % 2
         right += right % 2

@@ -1,6 +1,12 @@
 import sys
 
 import pytest
+from hypothesis import settings
+
+# every run draws the same examples, so a failure reproduces and a pass does
+# not rest on luck; a test's own settings keep their max_examples
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="module")

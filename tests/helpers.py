@@ -1,5 +1,6 @@
 """Shared randomized builders and oracles for the test suite."""
 
+import bisect
 import itertools
 import math
 
@@ -259,6 +260,43 @@ def sublevel_argmin(score, d, lo: float, hi: float, grid_points: int = 4097):
     left = lo if inside(lo) else edge(lo, xstar)
     right = hi if inside(hi) else edge(hi, xstar)
     return left, right
+
+
+def stepwise_breakpoint_edges(score, d: FiniteAtomic, lo: float, hi: float):
+    """Minimizer-set edges in [lo, hi] from the breakpoint kernel, step by step.
+
+    This was the breakpoint kernel before it evaluated the generator once
+    per solve: the same candidates, prefix-sum pass, level and bisections,
+    but fmin and every bisection value come from ``score.expected_score``,
+    which evaluates the generator on every atom again.  The prefix-sum pass
+    runs under ``np.errstate``, so an overflow there ends, as in the kernel,
+    in the ``ValueError`` of the first exact sum that is not finite.
+    """
+    gen, y = score.generator, d._values
+    constant = not isinstance(score, QuantileScore)
+    b = np.unique(np.concatenate(([lo, hi], y, gen.knots)))
+    b = b[(b >= lo) & (b <= hi)]
+    x = np.append(np.column_stack((b[:-1], 0.5 * b[:-1] + 0.5 * b[1:])), b[-1]) if constant else b
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_cum = np.cumsum(d._weights * (gen(y) - gen(y[:1])))
+        j = y.searchsorted(x, side="right")
+        w, g, c = (np.concatenate(([0.0], s))[j] for s in (d._cum, g_cum, d._csum))
+        c_le, c_gt, a, s = score._line(gen(x) - gen(y[:1]), gen.derivative(x), x - y[:1])
+        ladder = (c_le * (g - a * w - s * c)
+                  + c_gt * (g_cum[-1] - g - a * (1.0 - w) - s * (d._csum[-1] - c)))
+    k = int(np.argmin(ladder))
+    fmin = float(score.expected_score(x[k], d))
+    level = fmin + 1e-11 * (1.0 + abs(fmin))
+
+    def above(i: int) -> bool:
+        return float(score.expected_score(x[i], d)) > level
+
+    left = bisect.bisect_left(range(k), True, key=lambda i: not above(i))
+    right = k - 1 + bisect.bisect_left(range(k, x.size), True, key=above)
+    if constant:
+        left -= left % 2
+        right += right % 2
+    return float(x[left]), float(x[right])
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from elicitrisk import (
 )
 
 from helpers import (bisection_expectile, derivative_argmin, random_atomic, random_law_with_ties,
-                     sublevel_argmin)
+                     stepwise_breakpoint_edges, sublevel_argmin)
 
 
 def uniform_midpoint_empirical(a, b, n=200_000):
@@ -190,6 +191,11 @@ class TestTabulatedGenerator:
             TabulatedGenerator([(0.0, 0.0), (0.0, 1.0)])
         with pytest.raises(ValueError, match="finite"):
             TabulatedGenerator([(0.0, 0.0), (1.0, float("inf"))])
+        # finite knots whose spacing or slope overflows
+        for knots in ([(-1e308, 0.0), (1e308, 1.0)], [(0.0, -1e308), (1.0, 1e308)],
+                      [(0.0, 0.0), (1e-300, 1e10)]):
+            with pytest.raises(ValueError, match="spacings and slopes must be finite"):
+                TabulatedGenerator(knots)
 
     def test_interpolation_and_extension(self):
         g = TabulatedGenerator([(0.0, 0.0), (1.0, 1.0), (2.0, 3.0)])
@@ -215,6 +221,9 @@ class TestTabulatedGenerator:
         assert SquaredGenerator().is_strictly_convex
         assert not IdentityGenerator().is_strictly_convex
         assert not g.is_strictly_convex and not flat.is_strictly_convex
+        # slope steps of +-2e308 overflow a double, without a warning
+        assert TabulatedGenerator([(0.0, 0.0), (1.0, -1e308), (2.0, 0.0)]).is_convex
+        assert not TabulatedGenerator([(0.0, 0.0), (1.0, 1e308), (2.0, 0.0)]).is_convex
 
 
 class _Hinge:
@@ -408,6 +417,35 @@ def kernel_laws(rng, count):
             yield Empirical(np.round(rng.standard_t(3, 60), 2))
 
 
+class CountingGenerator(TabulatedGenerator):
+    """A tabulated generator that counts its evaluations, value or slope."""
+
+    calls = 0
+
+    def __call__(self, t):
+        self.calls += 1
+        return super().__call__(t)
+
+    def derivative(self, t, side="left"):
+        self.calls += 1
+        return super().derivative(t, side)
+
+
+def result_or_error(call):
+    """The call's result, or the message of the ValueError it raised."""
+    try:
+        return call()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# finite knots and atoms whose generator values overflow
+OVERFLOWING = [ExpectileScore(0.3, generator=TabulatedGenerator([(-1.0, 1.0), (0.0, 0.0),
+                                                                 (1.0, 1e300)])),
+               QuantileScore(0.3, TabulatedGenerator([(-1.0, 0.0), (0.0, 0.0), (1.0, 1e300)]))]
+OVERFLOWING_LAW = FiniteAtomic([-1e10, 0.5, 1e10], [0.2, 0.3, 0.5])
+
+
 class TestBreakpointKernel:
     def test_within_the_sublevel_oracle(self):
         # the grid never does better: the new interval lies inside the
@@ -473,6 +511,63 @@ class TestBreakpointKernel:
                         assert r.lo >= image[0] and r.hi <= image[1], (d, score)
                     if s < 1e8:
                         assert (r.lo, r.hi) == brute_force_edges(score, moved, *bracket), (d, score)
+
+    def test_matches_the_stepwise_solve(self):
+        # bit for bit with the kernel as it was when every exact sum called
+        # expected_score: edges and value, or the same ValueError; this
+        # covers s = 1e8, where brute force may disagree with both
+        rng = np.random.default_rng(65)
+        moves = [(0.0, 1.0), (1e8, 1.0), (-1e8, 1.0), (0.0, 1e-8), (0.0, 1e8), (-1e8, 1e8)]
+        solves = 0
+        for n, d in enumerate(kernel_laws(rng, 90)):
+            lo, hi = d.support_min() - 0.5, d.support_max() + 0.5
+            a, b = np.sort(rng.uniform(lo - 1.0, hi + 1.0, 2))
+            for c, s in moves:
+                moved = d.scale(s).shift(c)
+                # the default bracket, or one that may cut the support
+                bracket = None if n % 2 else (c + s * a, c + s * (b + 0.1))
+                ends = bracket or (moved.support_min() - 0.5, moved.support_max() + 0.5)
+                for score in kernel_scores(float(rng.uniform(0.01, 0.99)), c, s):
+                    r = argmin_expected_score(score, moved, bracket=bracket)
+                    left, right = stepwise_breakpoint_edges(score, moved, *ends)
+                    value = float(score.expected_score(0.5 * (left + right), moved))
+                    assert (r.lo, r.hi, r.value) == (left, right, value), (moved, score, bracket)
+                    solves += 1
+        d = OVERFLOWING_LAW
+        for score in OVERFLOWING:
+            lo, hi = d.support_min() - 0.5, d.support_max() + 0.5
+            expected = result_or_error(lambda: stepwise_breakpoint_edges(score, d, lo, hi))
+            got = result_or_error(lambda: argmin_expected_score(score, d))
+            assert got == expected == "ValueError: the score is not a finite number"
+        assert solves >= 2000
+
+    @pytest.mark.parametrize("score", OVERFLOWING)
+    def test_overflow_is_one_value_error(self, score):
+        # the prefix-sum pass used to print overflow and invalid warnings first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not a finite number"):
+                argmin_expected_score(score, OVERFLOWING_LAW)
+
+    def test_generator_is_evaluated_once_per_solve(self):
+        # g on the atoms and g, g' on the candidates, whatever the size of
+        # the law: the stepwise solve evaluated g on every atom again at each
+        # of its O(log n) exact sums.  The solve's calls are the argmin's
+        # less those of the value at the midpoint
+        rng = np.random.default_rng(66)
+        for knots, make in ((KNOTS, lambda g: ExpectileScore(0.3, generator=g)),
+                            (FLAT, lambda g: QuantileScore(0.3, g))):
+            counts = []
+            for n in (100, 10_000):
+                d = Empirical(rng.standard_t(3, n))
+                g = CountingGenerator(knots)
+                score = make(g)
+                r = argmin_expected_score(score, d)
+                total, g.calls = g.calls, 0
+                score.expected_score(r.midpoint, d)
+                counts.append((total - g.calls, total))
+            assert counts[0] == counts[1], (knots, counts)
+            assert counts[0][0] <= 5, (knots, counts)
 
     def test_no_candidates_by_atoms_matrix(self):
         # a single-segment generator zeroes the expected score, so the whole
