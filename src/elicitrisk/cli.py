@@ -211,20 +211,23 @@ def cmd_figure(args) -> int:
         raise ValueError(f"could not parse --p-list {args.p_list!r}") from None
     if not qs:
         raise ValueError("--p-list needs comma-separated values in (0, 1)")
-    uc = uc_measure(C)
-    es_measure = SpectralMeasure(atoms=[(C, 1.0)])
-    mqs = [(q, mp_measure(_check_open_unit(q, "--p-list value"), C)) for q in qs]
+    measures = [uc_measure(C), SpectralMeasure(atoms=[(C, 1.0)])]
+    measures += [mp_measure(_check_open_unit(q, "--p-list value"), C) for q in qs]
+    levels = list(dict.fromkeys(qs))
+    if len(levels) > _FIGURE_POINTS:
+        raise ValueError(f"--p-list has {len(levels)} distinct levels, more than the "
+                         f"{_FIGURE_POINTS} rows")
     grid = np.linspace(0.0, 1.0, _FIGURE_POINTS)
-    # each requested level replaces its nearest grid point, so the emitted
-    # rows show the two-atom curves touching the lower envelope exactly
-    for q in qs:
-        grid[int(np.argmin(np.abs(grid - q)))] = q
+    # each distinct level replaces its nearest grid point not yet taken, so the
+    # rows show every two-atom curve touching the lower envelope exactly
+    taken = np.zeros(_FIGURE_POINTS, dtype=bool)
+    for q in levels:
+        i = int(np.argmin(np.where(taken, np.inf, np.abs(grid - q))))
+        grid[i], taken[i] = q, True
     grid.sort()
-    lines = ["p,uc_integrated,es_integrated," + ",".join(f"mq_{q:g}" for q, _ in mqs)]
-    for p in grid:
-        row = [p, interval_mass(uc, p, 1.0), interval_mass(es_measure, p, 1.0)]
-        row += [interval_mass(m, p, 1.0) for _, m in mqs]
-        lines.append(",".join(_fmt(x) for x in row))
+    columns = [grid] + [interval_mass(m, grid, 1.0) for m in measures]
+    lines = ["p,uc_integrated,es_integrated," + ",".join(f"mq_{q:g}" for q in qs)]
+    lines += [",".join(map(_fmt, row)) for row in zip(*(c.tolist() for c in columns))]
     text = "\n".join(lines) + "\n"
     if args.out == "-":
         sys.stdout.write(text)

@@ -36,7 +36,7 @@ WEIGHT_TOL = 1e-12
 
 
 def _check_level(v: float, name: str = "quantile level") -> float:
-    # also the domain of the envelope constant C and of spectral arguments u
+    # also the domain of the envelope constant C and of the levels spectral_fn checks
     v = float(v)
     if not 0.0 < v <= 1.0:
         raise ValueError(f"{name} must lie in (0, 1], got {v!r}")

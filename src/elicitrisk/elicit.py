@@ -296,28 +296,14 @@ def spectral_bounds_check(m: SpectralMeasure, C: float, grid=None,
     eq_tol = _check_tol(eq_tol, "eq_tol")
     if grid is None:
         grid = DEFAULT_GRID
-    pts = _check_grid(grid, minimum=1)
-    entries = []
-    for p in pts:
-        z = C * (1.0 - p) + p
-        g = float(spectral_fn(m, p))
-        g_lo = C / z
-        g_hi = 1.0 / z
-        integ = float(interval_mass(m, p, 1.0))
-        env = C * (1.0 - p) / z
-        lower_margin = g - g_lo
-        upper_margin = g_hi - g
-        integrated_margin = integ - env
-        entries.append(SpectralBoundsEntry(
-            p=p, spectral_value=g, pointwise_lower=g_lo, pointwise_upper=g_hi,
-            integrated=integ, integrated_lower=env,
-            lower_margin=lower_margin, upper_margin=upper_margin,
-            integrated_margin=integrated_margin,
-            equals_lower=bool(abs(lower_margin) <= eq_tol),
-            equals_upper=bool(abs(upper_margin) <= eq_tol),
-            equals_integrated=bool(abs(integrated_margin) <= eq_tol),
-            violated=bool(lower_margin < -eq_tol or upper_margin < -eq_tol
-                          or integrated_margin < -eq_tol)))
+    p = np.array(_check_grid(grid, minimum=1))
+    z = C * (1.0 - p) + p
+    g, g_lo, g_hi = spectral_fn(m, p), C / z, 1.0 / z
+    integ, env = interval_mass(m, p, 1.0), C * (1.0 - p) / z
+    margins = (g - g_lo, g_hi - g, integ - env)
+    columns = (p, g, g_lo, g_hi, integ, env, *margins,
+               *(np.abs(x) <= eq_tol for x in margins), np.min(margins, axis=0) < -eq_tol)
+    entries = [SpectralBoundsEntry(*row) for row in zip(*(c.tolist() for c in columns))]
     return SpectralBoundsReport(C=C, equality_tol=eq_tol, entries=entries)
 
 

@@ -44,6 +44,22 @@ __all__ = [
     "compare",
 ]
 
+class _NotFinite(ValueError):
+    """A generator value past the largest double."""
+
+
+def _generator_value(method):
+    # numpy raises at an overflow, where it would warn and return inf
+    @functools.wraps(method)
+    def checked(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return method(*args, **kwargs)
+        except FloatingPointError:
+            raise _NotFinite("the generator value is not a finite number") from None
+    return checked
+
+
 class IdentityGenerator:
     """g(t) = t.  Strictly increasing; the quantile-score default."""
 
@@ -70,10 +86,12 @@ class SquaredGenerator:
     is_convex = True
     is_strictly_convex = True
 
+    @_generator_value
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         return t * t
 
+    @_generator_value
     def derivative(self, t, side: str = "left"):
         return 2.0 * np.asarray(t, dtype=float)
 
@@ -118,11 +136,13 @@ class TabulatedGenerator:
     def _segment(self, t, side: str):
         return np.clip(np.searchsorted(self.knots, t, side=side) - 1, 0, self._slopes.size - 1)
 
+    @_generator_value
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         i = self._segment(t, "right")
         return self._v[i] + self._slopes[i] * (t - self.knots[i])
 
+    @_generator_value
     def derivative(self, t, side: str = "left"):
         return self._slopes[self._segment(np.asarray(t, dtype=float), side)]
 
@@ -131,11 +151,15 @@ class TabulatedGenerator:
 
 
 def _finite(method):
-    # finite inputs can overflow, as x * x does past 1.3e154: ValueError, not a warning
+    # finite inputs can overflow, as x * x does past 1.3e154: ValueError, not a
+    # warning; so can a generator value, which raises _NotFinite
     @functools.wraps(method)
     def checked(*args):
-        with np.errstate(over="ignore", invalid="ignore"):
-            a = np.asarray(method(*args), dtype=float)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                a = np.asarray(method(*args), dtype=float)
+        except _NotFinite:
+            a = np.asarray(math.nan)
         a = float(a) if a.shape == () else a
         if not (math.isfinite(a) if type(a) is float else np.isfinite(a).all()):
             raise ValueError("the score is not a finite number")
@@ -314,9 +338,12 @@ def _breakpoint_edges(score, d: Distribution, lo: float, hi: float, constant: bo
     # with the interior points the breakpoints sit at even indices
     x = np.append(np.column_stack((b[:-1], 0.5 * b[:-1] + 0.5 * b[1:])), b[-1]) if constant else b
     gen, y = score.generator, d._values
-    # a value that overflows ends in f's ValueError, not in a warning
+    # an overflow, of a generator value or a sum, ends in the score's ValueError
     with np.errstate(over="ignore", invalid="ignore"):
-        gx, gy, sx = gen(x), gen(y), gen.derivative(x)
+        try:
+            gx, gy, sx = gen(x), gen(y), gen.derivative(x)
+        except _NotFinite:
+            raise ValueError("the score is not a finite number") from None
         k = int(np.argmin(_ladder_values(score, d, x, gx, gy, sx)))
     f = _finite(lambda i: score._terms(x[i], y, gx[i], gy, sx[i]) @ d._weights)
     fmin = f(k)

@@ -189,33 +189,46 @@ def _density_g_integral(density: UcDensity | None, p1, p2):
     return c / (1.0 - c) * (1.0 / h1 - 1.0 / h2) - c * (p2 - p1)
 
 
-def spectral_fn(m: SpectralMeasure, u: float) -> float:
-    """g_m(u): total 1/alpha-weighted mass of m on [u, 1], for u in (0, 1]."""
-    u = _check_level(u, "u")
-    idx = int(np.searchsorted(m._alphas, u, side="left"))
-    atom_part = float(m._w_over_a[idx:].sum())
-    if m.density is None or m.density.C == 1.0:
-        return atom_part
-    # the density adds C / h(u)^2 - C with h = C + (1 - C) u
-    c = m.density.C
-    h = c + (1.0 - c) * u
-    return atom_part + (c / (h * h) - c)
+def spectral_fn(m: SpectralMeasure, u):
+    """g_m(u): total 1/alpha-weighted mass of m on [u, 1], for u in (0, 1].
+
+    ``u`` may be an array of levels, giving an array of its shape; a scalar
+    gives a float.
+    """
+    u = np.asarray(u, dtype=float)
+    bad = ~((0.0 < u) & (u <= 1.0))
+    if bad.any():
+        raise ValueError(f"u must lie in (0, 1], got {u[bad][0].item()!r}")
+    # the atoms' part looks up their tail sums, zero past the last atom
+    out = np.append(np.cumsum(m._w_over_a[::-1])[::-1], 0.0)[np.searchsorted(m._alphas, u)]
+    if m.density is not None and m.density.C != 1.0:
+        # the density adds C / h(u)^2 - C with h = C + (1 - C) u >= C; C / h / h
+        # does not underflow at a tiny C as h^2 would
+        c = m.density.C
+        h = c + (1.0 - c) * u
+        out = out + (c / h / h - c)
+    return out if out.ndim else float(out)
 
 
-def interval_mass(m: SpectralMeasure, p1: float, p2: float) -> float:
+def interval_mass(m: SpectralMeasure, p1, p2):
     """Integral of g_m over (p1, p2], plus the atom at zero when p1 == 0.
 
     Equals the 1/alpha-weighted overlap sum over the measure: each atom
     (alpha, w) with alpha >= p1 contributes w * (min(alpha, p2) - p1)^+ / alpha.
+    ``p1`` and ``p2`` may be arrays of levels, giving an array of their
+    broadcast shape; scalars give a float.
     """
-    p1, p2 = float(p1), float(p2)
-    if not 0.0 <= p1 <= p2 <= 1.0:
-        raise ValueError(f"need 0 <= p1 <= p2 <= 1, got ({p1!r}, {p2!r})")
-    overlap = np.clip(np.minimum(m._alphas, p2) - p1, 0.0, None)
-    out = float(np.dot(m._w_over_a, overlap)) + _density_g_integral(m.density, p1, p2)
-    if p1 == 0.0:
-        out += m.atom_at_zero
-    return out
+    p1, p2 = np.broadcast_arrays(np.asarray(p1, dtype=float), np.asarray(p2, dtype=float))
+    bad = ~((0.0 <= p1) & (p1 <= p2) & (p2 <= 1.0))
+    if bad.any():
+        raise ValueError(f"need 0 <= p1 <= p2 <= 1, got ({p1[bad][0].item()!r}, "
+                         f"{p2[bad][0].item()!r})")
+    overlap = np.clip(np.minimum(m._alphas, p2[..., None]) - p1[..., None], 0.0, None)
+    # the dot product a scalar level takes, once per level: a matrix-vector
+    # product would sum in another order
+    out = (np.vecdot(overlap, m._w_over_a) + _density_g_integral(m.density, p1, p2)
+           + np.where(p1 == 0.0, m.atom_at_zero, 0.0))
+    return out if out.ndim else float(out)
 
 
 def _atom_part(m: SpectralMeasure, d: Distribution, route: str) -> float:
@@ -285,9 +298,10 @@ def nu_via_U(m: SpectralMeasure, d: Distribution) -> float:
     h_cum = c + (1.0 - c) * cum
     # (A + x*a)/a * f_C(a) = (A + x*a) * 2C(1-C)/h(a)^3, so each piece reduces to
     # the closed-form integrals i0 of 2C(1-C)/h^3 and i1 of a * 2C(1-C)/h^3.
-    i0 = c * (1.0 / h_prev**2 - 1.0 / h_cum**2)
-    i1 = (2.0 * c / (1.0 - c)) * ((-1.0 / h_cum + c / (2.0 * h_cum**2))
-                                  - (-1.0 / h_prev + c / (2.0 * h_prev**2)))
+    # C/h^2 as C/h/h, which does not underflow at a tiny C (h >= C) as h^2 does
+    q_prev, q_cum = c / h_prev / h_prev, c / h_cum / h_cum
+    i0 = q_prev - q_cum
+    i1 = (2.0 * c / (1.0 - c)) * ((-1.0 / h_cum + 0.5 * q_cum) - (-1.0 / h_prev + 0.5 * q_prev))
     a_coef = csum_prev - (d._values - d._values[0]) * prev
     val = float(np.dot(a_coef, i0) + np.dot(d._values, i1))
     return out + val

@@ -7,8 +7,10 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from elicitrisk import (FiniteAtomic, QuantileScore, SpectralMeasure, mp_measure, nu, two_point,
-                        uc_measure)
+from elicitrisk import (FiniteAtomic, QuantileScore, SpectralMeasure, interval_mass, mp_measure,
+                        nu, spectral_fn, two_point, uc_measure)
+from elicitrisk.cli import _fmt
+from elicitrisk.spectral import _density_g_integral
 
 
 # Tolerances no diagnostic may accept: NaN and inf make its comparisons vacuous
@@ -273,15 +275,19 @@ def stepwise_breakpoint_edges(score, d: FiniteAtomic, lo: float, hi: float):
     in the ``ValueError`` of the first exact sum that is not finite.
     """
     gen, y = score.generator, d._values
+    # the generator's values unchecked, as the kernel read them then: an
+    # overflow is inf, and only the exact sums raise
+    value, slope = gen.__call__.__wrapped__, gen.derivative.__wrapped__
     constant = not isinstance(score, QuantileScore)
     b = np.unique(np.concatenate(([lo, hi], y, gen.knots)))
     b = b[(b >= lo) & (b <= hi)]
     x = np.append(np.column_stack((b[:-1], 0.5 * b[:-1] + 0.5 * b[1:])), b[-1]) if constant else b
     with np.errstate(over="ignore", invalid="ignore"):
-        g_cum = np.cumsum(d._weights * (gen(y) - gen(y[:1])))
+        g_cum = np.cumsum(d._weights * (value(gen, y) - value(gen, y[:1])))
         j = y.searchsorted(x, side="right")
         w, g, c = (np.concatenate(([0.0], s))[j] for s in (d._cum, g_cum, d._csum))
-        c_le, c_gt, a, s = score._line(gen(x) - gen(y[:1]), gen.derivative(x), x - y[:1])
+        c_le, c_gt, a, s = score._line(value(gen, x) - value(gen, y[:1]), slope(gen, x),
+                                       x - y[:1])
         ladder = (c_le * (g - a * w - s * c)
                   + c_gt * (g_cum[-1] - g - a * (1.0 - w) - s * (d._csum[-1] - c)))
     k = int(np.argmin(ladder))
@@ -327,6 +333,50 @@ def golden_min_nu_over_mp(d, C: float, width_tol: float = 1e-10) -> tuple[float,
             f2 = f(c2)
     p = 0.5 * (a + b)
     return p, f(p)
+
+
+def pointwise_interval_mass(m: SpectralMeasure, p1: float, p2: float) -> float:
+    """interval_mass as it was, one pair of levels per call: the atoms'
+    overlaps dotted with their weights, the density's closed form, and the
+    atom at zero when p1 == 0."""
+    overlap = np.clip(np.minimum(m._alphas, p2) - p1, 0.0, None)
+    out = float(np.dot(m._w_over_a, overlap)) + _density_g_integral(m.density, p1, p2)
+    return out + m.atom_at_zero if p1 == 0.0 else out
+
+
+def figure_text_oracle(C: float, qs) -> str:
+    """The figure verb's CSV as it was built before its columns were arrays:
+    each level replaced its nearest grid point, and each of the 512 rows
+    made one scalar interval_mass call per curve."""
+    uc = uc_measure(C)
+    es_measure = SpectralMeasure(atoms=[(C, 1.0)])
+    mqs = [(q, mp_measure(q, C)) for q in qs]
+    grid = np.linspace(0.0, 1.0, 512)
+    for q in qs:
+        grid[int(np.argmin(np.abs(grid - q)))] = q
+    grid.sort()
+    lines = ["p,uc_integrated,es_integrated," + ",".join(f"mq_{q:g}" for q, _ in mqs)]
+    for p in grid.tolist():
+        row = [p, pointwise_interval_mass(uc, p, 1.0), pointwise_interval_mass(es_measure, p, 1.0)]
+        row += [pointwise_interval_mass(m, p, 1.0) for _, m in mqs]
+        lines.append(",".join(_fmt(x) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def pointwise_bounds_entries(m: SpectralMeasure, C: float, grid, eq_tol: float) -> list:
+    """spectral_bounds_check's entries as it built them, one level at a time
+    with scalar spectral_fn and interval_mass calls, as field tuples."""
+    entries = []
+    for p in sorted(float(p) for p in grid):
+        z = C * (1.0 - p) + p
+        g = spectral_fn(m, p)
+        integ = interval_mass(m, p, 1.0)
+        env = C * (1.0 - p) / z
+        lower, upper, integrated = g - C / z, 1.0 / z - g, integ - env
+        entries.append((p, g, C / z, 1.0 / z, integ, env, lower, upper, integrated,
+                        abs(lower) <= eq_tol, abs(upper) <= eq_tol, abs(integrated) <= eq_tol,
+                        lower < -eq_tol or upper < -eq_tol or integrated < -eq_tol))
+    return entries
 
 
 _csv_names = itertools.count()

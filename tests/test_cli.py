@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import elicitrisk
-from elicitrisk import Empirical, es, measure_to_json, uc_measure
-from elicitrisk.cli import main
+from elicitrisk import Empirical, es, interval_mass, measure_to_json, uc_measure
+from elicitrisk.cli import _fmt, main
+from helpers import figure_text_oracle
 
 
 def run_cli(argv):
@@ -400,6 +401,51 @@ class TestFigure:
             assert checked[0][0] == q
             for r in checked:
                 assert r[col] == pytest.approx(C * (1.0 - r[0]) / z, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("C", [1e-10, 0.2, 0.437, 0.9, 0.999999, 1.0])
+    @pytest.mark.parametrize("qs", [(0.3, 0.8), (0.1, 0.25, 0.4, 0.55, 0.7, 0.85)])
+    def test_matches_the_row_by_row_oracle(self, capsys, C, qs):
+        assert run_cli(["figure", "--C", repr(C), "--p-list", ",".join(map(str, qs))]) == 0
+        assert capsys.readouterr().out == figure_text_oracle(C, qs)
+
+    def test_one_interval_mass_call_per_column(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(m, p1, p2):
+            calls.append(np.shape(p1))
+            return interval_mass(m, p1, p2)
+
+        monkeypatch.setattr(elicitrisk.cli, "interval_mass", counting)
+        for p_list, columns in (("0.3,0.8", 4), ("0.1,0.25,0.4,0.55,0.7,0.85", 8)):
+            calls.clear()
+            assert run_cli(["figure", "--C", "0.5", "--p-list", p_list]) == 0
+            capsys.readouterr()
+            assert calls == [(512,)] * columns
+
+    def test_close_levels_each_get_a_row(self, capsys):
+        # both levels are nearest to one grid point; the second takes the
+        # next nearest one, and each curve still touches at its own level
+        C = 0.5
+        assert run_cli(["figure", "--C", str(C), "--p-list", "0.3001,0.3002,0.3001"]) == 0
+        header, rows = self.parse(capsys.readouterr().out)
+        assert header[3:] == ["mq_0.3001", "mq_0.3002", "mq_0.3001"]
+        p = [r[0] for r in rows]
+        assert len(rows) == 512 and p == sorted(p)
+        assert p.count(0.3001) == 1 and p.count(0.3002) == 1
+        for col, q in ((3, 0.3001), (4, 0.3002), (5, 0.3001)):
+            touches = [r[0] for r in rows if 0.0 < r[0] < 1.0 and abs(r[col] - r[1]) <= 1e-10]
+            assert touches == [q]
+
+    def test_as_many_levels_as_rows(self, capsys):
+        levels = ",".join(repr(q) for q in np.linspace(0.001, 0.999, 512).tolist())
+        assert run_cli(["figure", "--C", "0.5", "--p-list", levels]) == 0
+        _, rows = self.parse(capsys.readouterr().out)
+        assert [r[0] for r in rows] == [float(_fmt(q)) for q in np.linspace(0.001, 0.999, 512)]
+        levels += ",0.9995"
+        assert run_cli(["figure", "--C", "0.5", "--p-list", levels]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --p-list has 513 distinct levels, more than the 512 rows\n"
 
     def test_bad_arguments(self, capsys):
         for argv in (["figure", "--C", "0"],

@@ -32,7 +32,7 @@ from elicitrisk import (
 )
 from elicitrisk import elicit
 
-from helpers import BAD_TOLERANCES, bisection_member
+from helpers import BAD_TOLERANCES, bisection_member, pointwise_bounds_entries, random_measure
 
 
 def delta(a):
@@ -292,6 +292,25 @@ class TestSpectralBoundsCheck:
     def test_single_point_grid(self):
         rep = spectral_bounds_check(delta(1.0), 0.5, grid=[0.5])
         assert len(rep.entries) == 1
+
+    def test_matches_the_pointwise_oracle(self):
+        # the flags as the per-level loop set them, and its margins within
+        # 1e-15: each column is now one array call
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            m = random_measure(rng)
+            C = float(rng.choice([rng.uniform(0.05, 1.0), 1.0, 1e-10]))
+            grids = [NINE_GRID, np.linspace(0.05, 0.95, 19).tolist(),
+                     rng.uniform(0.01, 0.99, 7).tolist(),
+                     [a for a, _ in m.atoms if a < 1.0] or [0.5]]
+            grid = grids[int(rng.integers(len(grids)))]
+            eq_tol = float(rng.choice([1e-10, 1e-3]))
+            rep = spectral_bounds_check(m, C, grid, eq_tol)
+            got = [dataclasses.astuple(e) for e in rep.entries]
+            want = pointwise_bounds_entries(m, C, grid, eq_tol)
+            assert [e[9:] for e in got] == [e[9:] for e in want]
+            np.testing.assert_allclose([e[:9] for e in got], [e[:9] for e in want],
+                                       rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("bad", BAD_TOLERANCES)

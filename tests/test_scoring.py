@@ -694,6 +694,20 @@ class TestOverflow:
             with pytest.raises(ValueError, match="not a finite number"):
                 call()
 
+    def test_generators(self):
+        # they warned and returned inf; a score still names itself
+        tab = TabulatedGenerator([(0.0, 0.0), (1.0, 2.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: SquaredGenerator()(1.7e308), lambda: tab(1.7e308),
+                         lambda: SquaredGenerator().derivative(1e308),
+                         lambda: SquaredGenerator()([1.0, 2e154])):
+                with pytest.raises(ValueError, match="the generator value is not a finite number"):
+                    call()
+            assert SquaredGenerator().derivative(8e307) == 1.6e308
+            with pytest.raises(ValueError, match="the score is not a finite number"):
+                ExpectileScore(0.5, generator=tab).score(1.7e308, 0.0)
+
     def test_compare_names_the_method(self):
         fs = ForecastSeries.from_arrays({"big": [1e200, 0.0], "small": [0.0, 1.0]}, [0.0, 0.0])
         with pytest.raises(ValueError, match="method 'big' has a score that is not a finite number"):

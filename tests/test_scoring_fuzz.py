@@ -12,8 +12,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elicitrisk import (ArgminInterval, ExpectileScore, FiniteAtomic, QuantileScore,
-                        TabulatedGenerator, Uniform, argmin_expected_score)
+from elicitrisk import (ArgminInterval, ExpectileScore, FiniteAtomic, IdentityGenerator,
+                        QuantileScore, SquaredGenerator, TabulatedGenerator, Uniform,
+                        argmin_expected_score)
 
 VALUES = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e300, 1e300),
                    st.sampled_from([-1e300, -1e10, 0.0, 1e10, 1e300]))
@@ -79,6 +80,16 @@ def assert_finite(result):
 
 
 KINDS = st.sampled_from([QuantileScore, ExpectileScore])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(knots=generators(), t=POINTS, side=st.sampled_from(["left", "right"]))
+def test_generator(knots, t, side):
+    for g in (IdentityGenerator(), SquaredGenerator(),
+              outcome(lambda: knots and TabulatedGenerator(knots))):
+        if g:
+            assert_finite(outcome(lambda: g(t)))
+            assert_finite(outcome(lambda: g.derivative(t, side=side)))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

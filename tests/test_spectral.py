@@ -186,6 +186,72 @@ class TestIntervalMass:
             interval_mass(delta(0.5), 0.7, 0.2)
 
 
+class TestArrayLevels:
+    """Both profiles take arrays of levels: each entry is the scalar call's
+    result, exactly where the measure has at most two atoms."""
+
+    def measures(self, rng):
+        for _ in range(40):
+            yield random_measure(rng)
+        for n in (3, 9, 40):
+            w = rng.dirichlet(np.ones(n + 1))
+            levels = rng.uniform(1e-3, 1.0, n).tolist()
+            yield SpectralMeasure(atom_at_zero=float(w[-1]), atoms=zip(levels, w[:-1].tolist()))
+            yield SpectralMeasure(atoms=zip(levels, (0.4 * w[:-1] / w[:-1].sum()).tolist()),
+                                  density=UcDensity(0.4))
+
+    @staticmethod
+    def assert_elementwise(m, got, want):
+        if len(m.atoms) <= 2:
+            assert np.array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+    def test_entries_are_the_scalar_results(self):
+        rng = np.random.default_rng(24)
+        for m in self.measures(rng):
+            atoms = [a for a, _ in m.atoms]
+            levels = np.concatenate((rng.uniform(0.0, 1.0, 50), atoms, [0.0, 1.0]))
+            ends = np.maximum(levels, rng.uniform(0.0, 1.0, levels.size))
+            ends[::4] = 1.0
+            got = interval_mass(m, levels, ends)
+            assert got.shape == levels.shape
+            self.assert_elementwise(m, got, [interval_mass(m, a, b)
+                                             for a, b in zip(levels.tolist(), ends.tolist())])
+            u = levels[levels > 0.0]
+            self.assert_elementwise(m, spectral_fn(m, u), [spectral_fn(m, x) for x in u.tolist()])
+
+    def test_broadcasting_and_return_types(self):
+        m = mp_measure(0.3, 0.6)
+        p1 = np.array([[0.0], [0.2], [0.5]])
+        p2 = np.array([0.5, 0.9, 1.0])
+        got = interval_mass(m, p1, p2)
+        assert got.shape == (3, 3)
+        assert got[2, 0] == 0.0
+        for i, j in np.ndindex(3, 3):
+            assert got[i, j] == interval_mass(m, float(p1[i, 0]), float(p2[j]))
+        assert spectral_fn(m, p1[1:]).shape == (2, 1)
+        assert spectral_fn(m, [[0.2, 0.4]]).shape == (1, 2)
+        assert interval_mass(m, [], 1.0).shape == (0,)
+        for value in (interval_mass(m, 0.2, 1.0), interval_mass(m, np.float64(0.2), np.array(1.0)),
+                      spectral_fn(m, 0.2), spectral_fn(m, np.array(0.2))):
+            assert type(value) is float
+
+    def test_validation_names_the_first_bad_level(self):
+        m = delta(0.5)
+        cases = [(lambda: spectral_fn(m, [0.5, 0.0, 2.0]), "u must lie in (0, 1], got 0.0"),
+                 (lambda: spectral_fn(m, [[0.5], [math.nan]]), "u must lie in (0, 1], got nan"),
+                 (lambda: interval_mass(m, [0.1, 0.7], [0.5, 0.2]),
+                  "need 0 <= p1 <= p2 <= 1, got (0.7, 0.2)"),
+                 (lambda: interval_mass(m, [0.1, -1e-300], 1.0),
+                  "need 0 <= p1 <= p2 <= 1, got (-1e-300, 1.0)"),
+                 (lambda: interval_mass(m, 0.7, 0.2), "need 0 <= p1 <= p2 <= 1, got (0.7, 0.2)")]
+        for call, message in cases:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+
+
 class TestNu:
     def test_point_mass_law(self):
         rng = np.random.default_rng(24)
