@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 import warnings
 from abc import ABC, abstractmethod
 
@@ -43,6 +44,15 @@ def _check_level(v: float, name: str = "quantile level") -> float:
     return v
 
 
+def _check_normal_level(a: float, name: str) -> float:
+    # a level that divides: 1 / a and w / a stay finite down to the smallest normal double
+    a = float(a)
+    if not sys.float_info.min <= a <= 1.0:
+        raise ValueError(f"{name} must lie in (0, 1], no lower than "
+                         f"{sys.float_info.min!r}, got {a!r}")
+    return a
+
+
 def _check_prob(p: float, name: str = "p") -> float:
     p = float(p)
     if not 0.0 <= p <= 1.0:
@@ -70,6 +80,12 @@ def _check_tol(tol: float, name: str = "tol") -> float:
     if not 0.0 < tol < math.inf:
         raise ValueError(f"{name} must be finite and positive, got {tol!r}")
     return tol
+
+
+def _finite_moment(m: float, x: float) -> float:
+    if not math.isfinite(m):
+        raise ValueError(f"the partial moment at x = {x!r} is past the largest double")
+    return float(m)
 
 
 def _json_number(x, what: str) -> float:
@@ -177,8 +193,9 @@ class FiniteAtomic(Distribution):
         # one block, filled in place: the allocator hands it to the next law
         # of its size, where separate n-arrays would each fault pages in again
         ladder = np.empty((3 if csum is None else 2, values.size))
-        ladder[:2] = cum
-        ladder[1, 1:] -= cum[:-1]
+        ladder[0] = cum
+        ladder[1, 0] = cum[0]
+        np.subtract(cum[1:], cum[:-1], out=ladder[1, 1:])
         if csum is None:
             csum = np.subtract(values, values[0], out=ladder[2])
             csum *= ladder[1]
@@ -232,13 +249,14 @@ class FiniteAtomic(Distribution):
         # sums keeps only the absolute accuracy of the whole sum
         v, w = self._values, self._weights
         hi, lo = v.searchsorted(x, "right"), v.searchsorted(x, "left")
-        return float(np.dot(w[hi:], v[hi:] - x)), float(np.dot(w[:lo], x - v[:lo]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.dot(w[hi:], v[hi:] - x), np.dot(w[:lo], x - v[:lo])
 
     def upper_partial_moment(self, x: float) -> float:
-        return self._tails(_check_point(x))[0]
+        return _finite_moment(self._tails(_check_point(x))[0], x)
 
     def lower_partial_moment(self, x: float) -> float:
-        return self._tails(_check_point(x))[1]
+        return _finite_moment(self._tails(_check_point(x))[1], x)
 
     def _moved(self, values: np.ndarray, csum: np.ndarray) -> "FiniteAtomic":
         # rounding can make neighbours equal: keep the last atom of each run,
@@ -287,11 +305,10 @@ class Empirical(FiniteAtomic):
             raise ValueError("samples must be finite")
         # an atom ends wherever the next value differs; without ties the
         # sorted sample is the atom array itself, and k / n fills one array
-        last = np.empty(samples.size, dtype=bool)
-        np.not_equal(samples[1:], samples[:-1], out=last[:-1])
-        last[-1] = True
         values, cum = samples, np.arange(1.0, samples.size + 1.0)
-        if not last.all():
+        tie = samples[1:] == samples[:-1]
+        if tie.any():
+            last = np.append(~tie, True)
             values, cum = samples[last], cum[last]
         cum /= samples.size
         self._set_ladder(values, cum)
@@ -365,18 +382,19 @@ class Uniform(Distribution):
     def upper_partial_moment(self, x: float) -> float:
         x = _check_point(x)
         if x <= self.a:
-            return self.mean() - x
+            return _finite_moment(self.mean() - x, x)
         if x >= self.b:
             return 0.0
-        return (self.b - x) ** 2 / (2.0 * (self.b - self.a))
+        # a ratio at most 1 first: the square of b - x may overflow
+        return (self.b - x) * ((self.b - x) / (self.b - self.a) / 2.0)
 
     def lower_partial_moment(self, x: float) -> float:
         x = _check_point(x)
         if x <= self.a:
             return 0.0
         if x >= self.b:
-            return x - self.mean()
-        return (x - self.a) ** 2 / (2.0 * (self.b - self.a))
+            return _finite_moment(x - self.mean(), x)
+        return (x - self.a) * ((x - self.a) / (self.b - self.a) / 2.0)
 
     def shift(self, c: float) -> "Uniform":
         return Uniform(self.a + float(c), self.b + float(c))
@@ -397,14 +415,22 @@ def mix(d0: Distribution, d1: Distribution, p: float) -> FiniteAtomic:
     """Mixture p * d0 + (1 - p) * d1 of two atomic laws.
 
     Continuous laws are rejected: mixtures are only needed on the atomic side
-    of the diagnostics, where they stay exact.
+    of the diagnostics, where they stay exact.  Both ladders are canonical and
+    are merged: a shared value sums its weights, and p = 0 or 1 drops a law.
     """
     p = _check_prob(p)
     if not isinstance(d0, FiniteAtomic) or not isinstance(d1, FiniteAtomic):
         raise ValueError("mix is defined for atomic laws only")
     values = np.concatenate((d0._values, d1._values))
-    weights = np.concatenate((p * d0._weights, (1.0 - p) * d1._weights))
-    return FiniteAtomic(values, weights)
+    order = values.argsort(kind="stable")  # a run of equal values: d0's atom, then d1's
+    values = values[order]
+    start = np.flatnonzero(np.append(True, values[1:] != values[:-1]))
+    weights = np.concatenate((p * d0._weights, (1.0 - p) * d1._weights))[order]
+    weights = np.add.reduceat(weights, start)
+    keep = weights > 0.0
+    cum = np.cumsum(weights[keep])
+    cum[-1] = 1.0
+    return FiniteAtomic._from_cum(values[start][keep], cum)
 
 
 # Characters on which numpy's parse and the csv module's could differ: the

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import (Distribution, Empirical, FiniteAtomic, Uniform, _check_level,
-                            _check_open_unit, _check_tol, _json_number)
+                            _check_normal_level, _check_open_unit, _check_tol, _json_number)
 from .spectral import (JSON_NORMALIZATION_TOL, SpectralMeasure, measure_from_json,
                        measure_to_json, mp_measure, nu, uc_measure)
 
@@ -59,10 +59,10 @@ def var(d: Distribution, alpha: float) -> float:
 def es(d: Distribution, alpha: float) -> float:
     """Expected shortfall: minus the mean of the quantile over (0, alpha].
 
-    The partial quantile integral times 1 / alpha, the same arithmetic as
-    the spectral route with a unit atom at alpha, so the two agree bit for bit.
+    The partial quantile integral times 1 / alpha, the same arithmetic as the
+    spectral route with a unit atom at alpha (and its bound on alpha), bit for bit.
     """
-    alpha = _check_open_unit(alpha, "alpha")
+    alpha = _check_normal_level(_check_open_unit(alpha, "alpha"), "alpha")
     return -(1.0 / alpha) * d.partial_quantile_integral(alpha)
 
 
@@ -75,20 +75,21 @@ class ExpectileSolution:
     p_star: float
 
 
-def _expectile_atomic(d: FiniteAtomic, tau: float) -> float:
+def _expectile_atomic(d: FiniteAtomic, tau: float) -> ExpectileSolution:
     # psi(x) = tau E(Y - x)^+ - (1 - tau) E(x - Y)^+ is decreasing and piecewise
-    # linear, with slope -(tau + (1 - 2 tau) c_j) on segment j, (x_j, x_{j+1}).
-    x, cum = d._values, d._cum
+    # linear, with slope -(tau + (1 - 2 tau) c_j) on segment j, [x_j, x_{j+1}).
+    x, w, cum = d._values, d._weights, d._cum
     if x.size == 1:
-        return float(x[0])
+        return ExpectileSolution(mu=float(x[0]), tau=tau, p_star=float(cum[0]))
     b = 1.0 - 2.0 * tau
     # psi at every atom from the prefix sums locates the sign change ...
     psi = tau * d._csum[-1] + b * d._csum - (x - x[0]) * (tau + b * cum)
     k = min(max(int(np.searchsorted(-psi, 0.0)), 1), x.size - 1)
 
-    # ... but the residuals at its ends are summed atom by atom, which keeps
-    # them accurate in a thin tail.  Rounding may have shifted the segment by one.
-    lo, hi = (tau * up - (1.0 - tau) * down for up, down in map(d._tails, x[k - 1:k + 1]))
+    # ... but the residuals at its ends, atoms k - 1 and k, are summed atom by atom,
+    # accurate in a thin tail.  Rounding may have shifted the segment by one.
+    lo, hi = (tau * float(np.dot(w[i + 1:], x[i + 1:] - x[i]))
+              - (1.0 - tau) * float(np.dot(w[:i], x[i] - x[:i])) for i in (k - 1, k))
     if lo < 0.0:
         j, i, r = k - 2, k - 1, lo
     elif hi > 0.0:
@@ -96,7 +97,9 @@ def _expectile_atomic(d: FiniteAtomic, tau: float) -> float:
     else:  # anchor at the end nearer the root, exact when the root is an atom
         j, i, r = (k - 1, k - 1, lo) if lo < -hi else (k - 1, k, hi)
     mu = float(x[i]) + r / (tau + b * float(cum[j]))
-    return min(max(mu, float(x[j])), float(x[j + 1]))
+    # F is c_j on the segment and c_{j+1} at its top end
+    return ExpectileSolution(mu=min(max(mu, float(x[j])), float(x[j + 1])), tau=tau,
+                             p_star=float(cum[j + (mu >= x[j + 1])]))
 
 
 def expectile(d: Distribution, tau: float) -> ExpectileSolution:
@@ -105,17 +108,17 @@ def expectile(d: Distribution, tau: float) -> ExpectileSolution:
     On an atomic law the equation is piecewise linear between atoms: the
     sign change is located among the atoms by binary search over the prefix
     sums and one linear equation is solved on that segment (Newey & Powell
-    1987).  On a uniform law on [a, b] it is quadratic, with root
+    1987); ``p_star`` = F(mu) is read off the ladder at that segment.  On a
+    uniform law on [a, b] it is quadratic, with root
     (sqrt(tau) b + sqrt(1 - tau) a) / (sqrt(tau) + sqrt(1 - tau)).
     """
     tau = _check_open_unit(tau, "tau")
     if isinstance(d, FiniteAtomic):
-        mu = _expectile_atomic(d, tau)
-    elif isinstance(d, Uniform):
-        st, sc = math.sqrt(tau), math.sqrt(1.0 - tau)
-        mu = (st * d.b + sc * d.a) / (st + sc)
-    else:
+        return _expectile_atomic(d, tau)
+    if not isinstance(d, Uniform):
         raise TypeError(f"expectile is not defined for {type(d).__name__}")
+    st, sc = math.sqrt(tau), math.sqrt(1.0 - tau)
+    mu = (st * d.b + sc * d.a) / (st + sc)
     return ExpectileSolution(mu=mu, tau=tau, p_star=d.cdf(mu))
 
 
@@ -185,7 +188,7 @@ class ES(RiskFunctional):
     alpha: float
 
     def __post_init__(self):
-        _check_open_unit(self.alpha, "alpha")
+        _check_normal_level(_check_open_unit(self.alpha, "alpha"), "alpha")
 
     def evaluate(self, d: Distribution) -> float:
         return es(d, self.alpha)

@@ -34,12 +34,11 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (Distribution, FiniteAtomic, Uniform, _check_level,
+from .distributions import (Distribution, FiniteAtomic, Uniform, _check_level, _check_normal_level,
                             _check_open_unit, _check_prob, _check_tol, _json_number)
 
 __all__ = [
@@ -80,9 +79,14 @@ class UcDensity:
         return 1.0 - self.C
 
     def __call__(self, v):
-        c = self.C
-        h = c + (1.0 - c) * np.asarray(v, dtype=float)
-        return 2.0 * c * (1.0 - c) * np.asarray(v, dtype=float) / h**3
+        c, v = self.C, np.asarray(v, dtype=float)
+        bad = ~((0.0 <= v) & (v <= 1.0))
+        if bad.any():
+            raise ValueError(f"v must lie in [0, 1], got {v[bad][0].item()!r}")
+        h = c + (1.0 - c) * v
+        # two ratios that sum to 1: at most 1 / (2C), finite for every C; h^3 underflows
+        out = 2.0 * (c / h) * ((1.0 - c) * v / h) / h
+        return out if out.ndim else float(out)
 
 
 class SpectralMeasure:
@@ -107,12 +111,9 @@ class SpectralMeasure:
         tol = _check_tol(tol)
         pairs = [(float(a), float(w)) for a, w in atoms]
         # bounds that keep the total and every weight / level below overflow:
-        # a normalized weight is at most 1 + tol, and 1 / level is finite
-        # down to the smallest normal double
+        # a normalized weight is at most 1 + tol
         for a, w in pairs:
-            if not sys.float_info.min <= a <= 1.0:
-                raise ValueError(f"atom level must lie in (0, 1], no lower than "
-                                 f"{sys.float_info.min!r}, got {a!r}")
+            _check_normal_level(a, "atom level")
             if not 0.0 < w <= 1.0 + tol:
                 raise ValueError(f"atom weight must lie in (0, 1], got {w!r}")
         if density is not None and not isinstance(density, UcDensity):

@@ -7,8 +7,8 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from elicitrisk import (FiniteAtomic, QuantileScore, SpectralMeasure, interval_mass, mp_measure,
-                        nu, spectral_fn, two_point, uc_measure)
+from elicitrisk import (Empirical, FiniteAtomic, QuantileScore, SpectralMeasure, dirac,
+                        interval_mass, mp_measure, nu, spectral_fn, two_point, uc_measure)
 from elicitrisk.cli import _fmt
 from elicitrisk.spectral import _density_g_integral
 
@@ -69,6 +69,35 @@ def random_law_with_ties(rng, max_atoms=12) -> FiniteAtomic:
     return FiniteAtomic(values, weights)
 
 
+def random_law_pair(rng) -> tuple[FiniteAtomic, FiniteAtomic]:
+    """Two canonical laws of 1 to 50 atoms drawn from one pool of values, so
+    they share atoms, at a scale of 1e-8 to 1e8 and an offset of 0 or +-1e8.
+
+    The laws come from every constructor: weights summing to one, a sample
+    with ties, a two-point law, a point mass, and shifted or scaled copies.
+    """
+    scale, offset = 10.0 ** rng.uniform(-8.0, 8.0), float(rng.choice([0.0, 1e8, -1e8]))
+    pool = offset + scale * rng.standard_normal(int(rng.integers(1, 61)))
+
+    def law():
+        n = int(rng.integers(1, 51))
+        values = rng.choice(pool, n)
+        kind = int(rng.integers(0, 5))
+        if kind == 0:
+            return FiniteAtomic(values, rng.dirichlet(np.ones(n)))
+        if kind == 1:
+            return Empirical(values)
+        if kind == 2:
+            lo, hi = sorted(rng.choice(pool, 2))
+            return two_point(lo, hi, float(rng.uniform()))
+        if kind == 3:
+            return dirac(float(values[0]))
+        base = FiniteAtomic(values - offset, rng.dirichlet(np.ones(n)))
+        return base.shift(offset) if rng.random() < 0.5 else base.scale(2.0 ** -3).shift(offset)
+
+    return law(), law()
+
+
 def bisection_expectile(d, tau: float) -> float:
     """Expectile by bisection of the asymmetric first-moment residual.
 
@@ -103,6 +132,53 @@ def bisection_expectile(d, tau: float) -> float:
     mu = 0.5 * (lo + hi)
     assert abs(psi(mu)) <= 1e-10 * (1.0 + abs(mu)), "bisection did not converge"
     return mu
+
+
+def canonicalising_mix(d0: FiniteAtomic, d1: FiniteAtomic, p: float) -> FiniteAtomic:
+    """p * d0 + (1 - p) * d1 built from the concatenated atoms.
+
+    This was ``mix`` before it merged the two ladders: the constructor sorts
+    the atoms with ``np.unique``, sums the weights of equal values with
+    ``np.bincount`` and validates them again.
+    """
+    return FiniteAtomic(np.concatenate((d0._values, d1._values)),
+                        np.concatenate((p * d0._weights, (1.0 - p) * d1._weights)))
+
+
+def _searched_tails(d: FiniteAtomic, x: float) -> tuple[float, float]:
+    # E(Y - x)^+ and E(x - Y)^+ over the atoms strictly above and below x,
+    # with the tail bounds found by binary search
+    v, w = d._values, d._weights
+    hi, lo = v.searchsorted(x, "right"), v.searchsorted(x, "left")
+    return float(np.dot(w[hi:], v[hi:] - x)), float(np.dot(w[:lo], x - v[:lo]))
+
+
+def searched_tails_expectile(d: FiniteAtomic, tau: float) -> tuple[float, float]:
+    """(mu, p_star) of the tau-expectile as the library computed them before
+    the segment's ends were read off the ladder: each end residual takes its
+    tail bounds from a binary search, and p_star is ``d.cdf(mu)``."""
+    x, cum = d._values, d._cum
+    if x.size == 1:
+        return float(x[0]), d.cdf(float(x[0]))
+    b = 1.0 - 2.0 * tau
+    psi = tau * d._csum[-1] + b * d._csum - (x - x[0]) * (tau + b * cum)
+    k = min(max(int(np.searchsorted(-psi, 0.0)), 1), x.size - 1)
+    lo, hi = (tau * up - (1.0 - tau) * down
+              for up, down in (_searched_tails(d, v) for v in x[k - 1:k + 1]))
+    if lo < 0.0:
+        j, i, r = k - 2, k - 1, lo
+    elif hi > 0.0:
+        j, i, r = k, k, hi
+    else:
+        j, i, r = (k - 1, k - 1, lo) if lo < -hi else (k - 1, k, hi)
+    mu = float(x[i]) + r / (tau + b * float(cum[j]))
+    mu = min(max(mu, float(x[j])), float(x[j + 1]))
+    return mu, d.cdf(mu)
+
+
+def ladder_bytes(d: FiniteAtomic) -> tuple[bytes, ...]:
+    """The bits of every array of an atomic law's ladder."""
+    return tuple(a.tobytes() for a in (d._values, d._cum, d._weights, d._csum))
 
 
 def overlap_nu(m: SpectralMeasure, d: FiniteAtomic) -> float:

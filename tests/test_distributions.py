@@ -1,6 +1,7 @@
 """Distribution layer: fixed values plus the quantile-machinery properties."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from elicitrisk import (Empirical, FiniteAtomic, Uniform, dirac,
                         empirical_from_csv, mix, two_point)
 
-from helpers import random_atomic, tail_sum_gap
+from helpers import canonicalising_mix, ladder_bytes, random_atomic, random_law_pair, tail_sum_gap
 
 
 class TestCdf:
@@ -210,6 +211,30 @@ class TestMix:
         with pytest.raises(ValueError):
             mix(Uniform(0.0, 1.0), dirac(0.0), 0.5)
 
+    def test_rejects_a_bad_weight(self):
+        for p in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError, match="p must lie in"):
+                mix(dirac(0.0), dirac(1.0), p)
+
+    def test_rejects_a_range_past_the_largest_double(self):
+        with pytest.raises(ValueError, match="finite range"):
+            mix(dirac(-1e308), dirac(1e308), 0.5)
+
+    def test_merged_ladder_equals_the_canonicalising_build(self):
+        # shared atoms, p = 0 and 1, a p whose weights underflow, offsets of
+        # +-1e8 and scales from 1e-8 to 1e8: every ladder array, bit for bit
+        rng = np.random.default_rng(50)
+        for _ in range(400):
+            d0, d1 = random_law_pair(rng)
+            for p in (0.0, 1.0, 0.25, 0.5, 0.75, float(rng.uniform()), 5e-324):
+                merged = mix(d0, d1, p)
+                assert ladder_bytes(merged) == ladder_bytes(canonicalising_mix(d0, d1, p))
+                assert merged._cum[-1] == 1.0
+
+    def test_shared_atoms_sum_their_weights(self):
+        m = mix(FiniteAtomic([0.0, 1.0, 2.0], [0.25, 0.5, 0.25]), two_point(1.0, 3.0, 0.5), 0.5)
+        assert m.atoms() == [(0.0, 0.125), (1.0, 0.5), (2.0, 0.125), (3.0, 0.25)]
+
 
 class TestUniformMoments:
     def test_partial_moments_closed_form(self):
@@ -225,6 +250,27 @@ class TestUniformMoments:
         d = FiniteAtomic([0.0, 2.0], [0.5, 0.5])
         assert d.upper_partial_moment(1.0) == 0.5
         assert d.lower_partial_moment(1.0) == 0.5
+
+    def test_a_square_past_the_largest_double(self):
+        # (b - x)^2 overflows, the moment itself does not; exact rationals as reference
+        def exact(a, b, x, upper):
+            a, b, x = Fraction(a), Fraction(b), Fraction(x)
+            return float(((b - x) if upper else (x - a)) ** 2 / (2 * (b - a)))
+
+        assert Uniform(0.3, 2.6e299).upper_partial_moment(1.0) == pytest.approx(
+            exact(0.3, 2.6e299, 1.0, True), rel=1e-15)
+        assert Uniform(-1e300, 2e299).lower_partial_moment(1e299) == pytest.approx(
+            exact(-1e300, 2e299, 1e299, False), rel=1e-15)
+
+    def test_a_moment_past_the_largest_double_is_an_error(self):
+        d = FiniteAtomic([-2e299, 0.9, 1.7e308], [0.1, 0.2, 0.7])
+        with pytest.raises(ValueError, match="largest double"):
+            d.upper_partial_moment(-1.7e308)
+        assert d.lower_partial_moment(-1.7e308) == 0.0
+        with pytest.raises(ValueError, match="largest double"):
+            Uniform(1e308, 1.5e308).upper_partial_moment(-1e308)
+        with pytest.raises(ValueError, match="largest double"):
+            Uniform(-1.5e308, -1e308).lower_partial_moment(1e308)
 
 
 class TestPrefixSums:

@@ -30,7 +30,7 @@ from elicitrisk import (
     u_C,
     uc_measure,
 )
-from elicitrisk import elicit
+from elicitrisk import distributions, elicit
 
 from helpers import BAD_TOLERANCES, bisection_member, pointwise_bounds_entries, random_measure
 
@@ -160,6 +160,18 @@ class TestConvexLevelSetTest:
                 if m is not None:
                     assert abs(rf.evaluate(m) - t) <= 0.01 * tol
                     assert m.atoms()[0] == (0.0, p)
+
+
+def test_hunt_never_canonicalises(monkeypatch):
+    # members are two-point laws and mixtures merge canonical ladders: no law
+    # in the hunt goes through the sorting constructor
+    def refuse(*args):
+        raise AssertionError("the hunt canonicalised a law")
+
+    monkeypatch.setattr(distributions, "_canonical_atoms", refuse)
+    for rf in (NegMean(), ExpectileRisk(0.25), ES(0.5), VaR(0.3),
+               SpectralRisk(uc_measure(0.5))):
+        convex_level_set_test(rf)
 
 
 class CountingNegMean(RiskFunctional):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -34,8 +35,10 @@ from elicitrisk import (
     var,
 )
 
+from elicitrisk import distributions
+
 from helpers import (BAD_TOLERANCES, bisection_expectile, golden_min_nu_over_mp, random_atomic,
-                     random_law_with_ties)
+                     random_law_pair, random_law_with_ties, searched_tails_expectile)
 
 
 def delta(a):
@@ -68,6 +71,19 @@ class TestVar:
 class TestEs:
     def test_uniform_half(self):
         assert es(Uniform(0.0, 1.0), 0.5) == pytest.approx(-0.25, abs=1e-15)
+
+    def test_rejects_a_subnormal_level(self):
+        # 1 / alpha overflows below the smallest normal double, as for a
+        # spectral atom's level, and the result was nan or -inf
+        d = two_point(0.245464, 1.0, 0.307886)
+        for alpha in (5e-324, 1e-310):
+            with pytest.raises(ValueError, match="alpha must lie in .* no lower than"):
+                es(d, alpha)
+            with pytest.raises(ValueError, match="alpha must lie in .* no lower than"):
+                ES(alpha)
+        alpha = sys.float_info.min
+        assert es(d, alpha) == ES(alpha).evaluate(d) == -nu(delta(alpha), d)
+        assert es(d, alpha) == pytest.approx(-0.245464, rel=1e-15)
 
     def test_two_point_below_split(self):
         # the whole lower tail sits on the first atom
@@ -158,6 +174,37 @@ class TestExpectile:
 
 
 _TAUS = (1e-6, 0.05, 0.3, 0.5, 0.7, 0.95, 1.0 - 1e-6)
+
+
+class TestExpectileOffTheLadder:
+    """The segment's end residuals and p_star read off the ladder equal the
+    binary-searched tails and ``cdf`` they replaced, bit for bit."""
+
+    @staticmethod
+    def laws(seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(150):
+            yield from random_law_pair(rng)
+            # samples with ties, at the same scales and offsets
+            scale, offset = 10.0 ** rng.uniform(-8.0, 8.0), float(rng.choice([0.0, 1e8, -1e8]))
+            yield Empirical(offset + scale * rng.integers(-5, 6, int(rng.integers(1, 51))))
+
+    def test_bit_identical_to_the_searched_tails(self):
+        for d in self.laws(60):
+            for tau in (*_TAUS, 0.25, 1.0 / 3.0):
+                sol = expectile(d, tau)
+                ref = searched_tails_expectile(d, tau)
+                assert np.array([sol.mu, sol.p_star]).tobytes() == np.array(ref).tobytes(), (d, tau)
+
+    def test_atomic_laws_need_neither_cdf_nor_tail_search(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the atomic expectile called a ladder search")
+
+        monkeypatch.setattr(distributions.FiniteAtomic, "cdf", refuse)
+        monkeypatch.setattr(distributions.FiniteAtomic, "_tails", refuse)
+        for d in (*self.laws(61), dirac(2.5), two_point(0.0, 1.0, 0.3)):
+            for tau in (0.05, 0.5, 0.95):
+                expectile(d, tau)
 
 
 def _magnitude(d) -> float:

@@ -108,6 +108,22 @@ class TestConstruction:
         with pytest.raises(ValueError, match="finite 1 / C"):
             UcDensity(5e-324)
 
+    def test_uc_density_at_a_tiny_C(self):
+        # h^3 underflowed: nan at 0 and at C = 1e-300; the peak 1 / (3.375 C)
+        # at v = C / 2 stays finite down to the smallest admissible C
+        f = UcDensity(1e-300)
+        assert f(0.0) == 0.0
+        assert f(1e-300) == pytest.approx(2.5e299, rel=1e-15)
+        C = 5.56268464626801e-309
+        assert UcDensity(C)(C / 2.0) == pytest.approx(1.0 / (3.375 * C), rel=1e-15)
+        assert np.array_equal(f(np.array([0.0, 1.0])), [0.0, 2e-300])
+
+    def test_uc_density_domain(self):
+        f = UcDensity(0.5)
+        for bad in (-1.0, -5e-324, 1.0000000000000002, math.nan, math.inf, [0.5, -0.0, 2.0]):
+            with pytest.raises(ValueError, match="v must lie in"):
+                f(bad)
+
 
 class TestSpectralFn:
     def test_point_mass_at_one_is_flat(self):
