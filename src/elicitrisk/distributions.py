@@ -157,10 +157,11 @@ def _canonical_atoms(values, weights):
     if abs(total - 1.0) > WEIGHT_TOL:
         raise ValueError(f"atom weights must sum to 1 within {WEIGHT_TOL}, got {total!r}")
     uniq, inverse = np.unique(values, return_inverse=True)
-    merged = np.bincount(inverse, weights=weights, minlength=uniq.size)
-    keep = merged > 0.0
-    uniq, merged = uniq[keep], merged[keep]
-    cum = np.cumsum(merged)
+    cum = np.cumsum(np.bincount(inverse, weights=weights, minlength=uniq.size))
+    # an atom whose weight vanishes in the sum, a zero weight among them, leaves
+    # the cumulative weight where its predecessor's was: drop it
+    rise = cum != np.append(0.0, cum[:-1])
+    uniq, cum = uniq[rise], cum[rise]
     cum[-1] = 1.0  # pin the top so quantile(1.0) is always defined
     return uniq, cum
 
@@ -201,6 +202,7 @@ class FiniteAtomic(Distribution):
             csum *= ladder[1]
             csum.cumsum(out=csum)
         self._cum, self._weights, self._csum = ladder[0], ladder[1], csum
+        self._one = None
 
     @classmethod
     def _from_cum(cls, values: np.ndarray, cum: np.ndarray, csum=None) -> "FiniteAtomic":
@@ -223,17 +225,19 @@ class FiniteAtomic(Distribution):
             return 0.0
         return float(self._cum[idx - 1])
 
+    def _stack(self) -> "_Stack":
+        # the law as a stack of one row, made once: its offset is 0, so its
+        # search key is cum itself
+        if self._one is None:
+            self._one = _Stack(self._values[None], self._cum[None], self._weights[None],
+                               self._csum[None], np.array([self._values.size]), self._cum)
+        return self._one
+
     def quantile(self, v: float) -> float:
-        v = _check_level(v)
-        idx = int(np.searchsorted(self._cum, v, side="left"))
-        return float(self._values[idx])
+        return float(self._values[self._stack()._reach(_check_level(v))[0][0, 0]])
 
     def _pqi(self, p):
-        # level p lies on atom k, (c[k-1], c[k]]: take the integral up to c[k],
-        # x_0 c[k] + S[k], less x_k (c[k] - p)
-        k = self._cum.searchsorted(p)
-        x0 = self._values[0]
-        return x0 * p + self._csum[k] - (self._values[k] - x0) * (self._cum[k] - p)
+        return self._stack().pqi(p)[0]
 
     def partial_quantile_integral(self, p: float) -> float:
         return float(self._pqi(_check_prob(p)))
@@ -421,16 +425,97 @@ def mix(d0: Distribution, d1: Distribution, p: float) -> FiniteAtomic:
     p = _check_prob(p)
     if not isinstance(d0, FiniteAtomic) or not isinstance(d1, FiniteAtomic):
         raise ValueError("mix is defined for atomic laws only")
-    values = np.concatenate((d0._values, d1._values))
-    order = values.argsort(kind="stable")  # a run of equal values: d0's atom, then d1's
-    values = values[order]
-    start = np.flatnonzero(np.append(True, values[1:] != values[:-1]))
-    weights = np.concatenate((p * d0._weights, (1.0 - p) * d1._weights))[order]
-    weights = np.add.reduceat(weights, start)
-    keep = weights > 0.0
-    cum = np.cumsum(weights[keep])
-    cum[-1] = 1.0
-    return FiniteAtomic._from_cum(values[start][keep], cum)
+    return _Stack.mixed(d0._values[None], d0._weights[None], d1._values[None],
+                        d1._weights[None], np.array([p])).laws()[0]
+
+
+class _Stack:
+    """K atomic laws as (K, n) arrays of values, cumulative weights, weights
+    and prefix sums centred on each row's first atom; a law is one row.
+
+    Row r holds ``atoms[r]`` atoms, then zero weight at its last value with
+    cumulative weight 1 and its last prefix sum, so a sum along a row adds
+    only exact zeros to the law's own.  A search runs once over the
+    flattened rows, row r offset by ``off`` = 2 r.
+    """
+
+    def __init__(self, values, cum, weights, csum, atoms, key=None):
+        self.values, self.cum, self.weights, self.csum = values, cum, weights, csum
+        self.atoms, rows = atoms, np.arange(len(cum))
+        self.off, self.start = 2.0 * rows[:, None], cum.shape[1] * rows
+        self.key = (cum + self.off).ravel() if key is None else key
+
+    @classmethod
+    def _from_sorted(cls, values, cum):
+        # rows sorted by value with running cumulative weights: drop an entry whose
+        # cumulative weight is its predecessor's (0 before the first), pin the top
+        keep = cum != np.concatenate((np.zeros((len(cum), 1)), cum[:, :-1]), axis=1)
+        atoms = keep.sum(axis=1)
+        order = np.argsort(~keep, axis=1, kind="stable")[:, :atoms.max()]
+        values, cum = np.take_along_axis(values, order, 1), np.take_along_axis(cum, order, 1)
+        top = np.arange(cum.shape[1]) >= atoms[:, None] - 1
+        cum[top] = 1.0
+        values = np.where(top, np.take_along_axis(values, atoms[:, None] - 1, 1), values)
+        weights = np.diff(cum, axis=1, prepend=0.0)
+        with np.errstate(over="ignore", invalid="ignore"):  # a law rejects such a range
+            csum = np.cumsum((values - values[:, :1]) * weights, axis=1)
+        return cls(values, cum, weights, csum, atoms)
+
+    @classmethod
+    def of(cls, laws) -> "_Stack":
+        """Atomic laws as the rows of one stack."""
+        n = max(d.n_atoms for d in laws)
+        values, cum = np.empty((len(laws), n)), np.ones((len(laws), n))
+        for x, c, d in zip(values, cum, laws):
+            x[:], x[:d.n_atoms], c[:d.n_atoms] = d._values[-1], d._values, d._cum
+        return cls._from_sorted(values, cum)
+
+    @classmethod
+    def empirical(cls, samples) -> "_Stack":
+        """Each row of equally likely samples, as ``Empirical`` builds its law."""
+        s = np.sort(samples, axis=1)
+        # k / n on the last of each run of ties, carried over the next run's others
+        last = np.append(s[:, 1:] != s[:, :-1], np.ones((len(s), 1), dtype=bool), axis=1)
+        cum = np.where(last, np.arange(1.0, s.shape[1] + 1.0) / s.shape[1], 0.0)
+        return cls._from_sorted(s, np.maximum.accumulate(cum, axis=1))
+
+    @classmethod
+    def mixed(cls, v0, w0, v1, w1, p) -> "_Stack":
+        """Rows p d0 + (1 - p) d1 from the values and weights of two sets of
+        rows and one p per row, as ``mix`` merges two ladders."""
+        values = np.concatenate((v0, v1), axis=1)
+        order = values.argsort(axis=1, kind="stable")  # a run of equal values: d0's, then d1's
+        values = np.take_along_axis(values, order, 1)
+        weights = np.concatenate((p[:, None] * w0, (1.0 - p[:, None]) * w1), axis=1)
+        start = np.flatnonzero(np.concatenate(
+            (np.ones((len(values), 1), dtype=bool), values[:, 1:] != values[:, :-1]), axis=1))
+        # each run's weights summed in order onto its first entry, zero elsewhere
+        run = np.zeros(values.size)
+        run[start] = np.add.reduceat(np.take_along_axis(weights, order, 1).ravel(), start)
+        return cls._from_sorted(values, np.cumsum(run.reshape(values.shape), axis=1))
+
+    def laws(self) -> list:
+        return [FiniteAtomic._from_cum(x[:m], c[:m], s[:m])
+                for x, c, s, m in zip(self.values, self.cum, self.csum, self.atoms)]
+
+    def _reach(self, q):
+        # flat index of each row's first atom whose cumulative weight reaches a
+        # level q <= 1, and that weight; the offset may round q onto weights of
+        # its own row just below it, never past the row's top: step over those
+        f = self.key.searchsorted(q + self.off)
+        while np.count_nonzero(low := (c := self.cum.ravel()[f]) < q):
+            f = f + low
+        return f, c
+
+    def pqi(self, p):
+        """Each row's integral of the quantile over (0, p], at levels p in
+        [0, 1] shared by the rows: an array of shape (K,) + p.shape."""
+        # level p lies on atom k, (c[k-1], c[k]]: take the integral up to c[k],
+        # x_0 c[k] + S[k], less x_k (c[k] - p)
+        p = np.asarray(p, dtype=float)
+        (f, c), x0, q = self._reach(p.reshape(1, -1)), self.values[:, :1], p.reshape(1, -1)
+        out = x0 * q + self.csum.ravel()[f] - (self.values.ravel()[f] - x0) * (c - q)
+        return out.reshape(len(self.cum), *p.shape)
 
 
 # Characters on which numpy's parse and the csv module's could differ: the

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, FiniteAtomic, _check_level, _check_tol, mix, two_point
+from .distributions import (Distribution, FiniteAtomic, _check_level, _check_tol, _Stack, mix,
+                            two_point)
 from .risk import RiskFunctional, l_C, u_C
 from .spectral import SpectralMeasure, interval_mass, spectral_fn
 
@@ -104,8 +105,7 @@ def identify_C(rf: RiskFunctional, grid=None, tolerance: float = 1e-8) -> CIdent
     pts = _check_grid(grid, minimum=5)
     estimates: list[tuple[float, float]] = []
     degenerate: list[tuple[float, float]] = []
-    for p in pts:
-        r = rf.evaluate(two_point(0.0, 1.0, p))
+    for p, r in zip(pts, _evaluate_each(rf, [two_point(0.0, 1.0, p) for p in pts])):
         if r > -1.0:
             c_p = -p * r / ((1.0 - p) * (1.0 + r))
             estimates.append((p, c_p))
@@ -140,20 +140,24 @@ class ConvexityWitness:
                 and abs(vm - self.target) > 10.0 * tol)
 
 
+def _evaluate_each(rf: RiskFunctional, laws: list) -> list:
+    # rf on every atomic law as floats, from one stack and one call of its kernel
+    return rf._evaluate_stack(_Stack.of(laws)).tolist() if laws else []
+
+
 def _hunt_members(rf: RiskFunctional, pts: list[float], tol: float) -> dict:
     """The hunt's members {(t, i): law}, as :func:`convex_level_set_test` states."""
-    members = {}
-    for i, p in enumerate(pts):
-        r_p = rf.evaluate(two_point(0.0, 1.0, p))
+    laws = {}
+    for i, (p, r_p) in enumerate(zip(pts, _evaluate_each(rf, [two_point(0.0, 1.0, p)
+                                                              for p in pts]))):
         if not r_p < 0.0:
             continue
         for t in _TARGETS:
             x2 = t / r_p
             if math.isfinite(x2):
-                m = two_point(0.0, x2, p)
-                if abs(rf.evaluate(m) - t) <= tol:
-                    members[(t, i)] = m
-    return members
+                laws[(t, i)] = two_point(0.0, x2, p)
+    return {key: m for (key, m), v in zip(laws.items(), _evaluate_each(rf, list(laws.values())))
+            if abs(v - key[0]) <= tol}
 
 
 def convex_level_set_test(rf: RiskFunctional, search_budget: int = 10000, seed: int = 0,
@@ -171,8 +175,10 @@ def convex_level_set_test(rf: RiskFunctional, search_budget: int = 10000, seed: 
     symmetric, so the ordered pair (j, i) would add nothing.  They are tried
     in the order of a permutation seeded by ``seed``, at most
     ``search_budget`` of them, and each is evaluated at three interior
-    mixtures.  The first witness whose recomputation passes
-    :meth:`ConvexityWitness.validate` is returned; ``None`` means only that
+    mixtures.  The mixtures of all candidates tried form one stack, a
+    (3 K, 3) ladder that the functional evaluates in one call; then, in the
+    order tried, the first witness whose recomputation passes
+    :meth:`ConvexityWitness.validate` is returned.  ``None`` means only that
     no violation was found among the candidates tried.
     """
     if search_budget < 1:
@@ -182,19 +188,24 @@ def convex_level_set_test(rf: RiskFunctional, search_budget: int = 10000, seed: 
         grid = DEFAULT_GRID
     pts = _check_grid(grid, minimum=2)
     members = _hunt_members(rf, pts, tol)
+    row = {key: r for r, key in enumerate(members)}
     space = [(t, i, j) for t in _TARGETS for i, j in itertools.combinations(range(len(pts)), 2)]
-    for k in np.random.default_rng(seed).permutation(len(space))[:search_budget]:
-        t, i, j = space[k]
-        m0, m1 = members.get((t, i)), members.get((t, j))
-        if m0 is None or m1 is None:
-            continue
-        for w in _MIX_WEIGHTS:
-            v = rf.evaluate(mix(m0, m1, w))
-            if abs(v - t) > 10.0 * tol:
-                witness = ConvexityWitness(p0=m0, p1=m1, mix_weight=w,
-                                           target=t, value_at_mixture=v)
-                if witness.validate(rf, tol):
-                    return witness
+    tried = [(row[(t, i)], row[(t, j)], t) for t, i, j in
+             (space[k] for k in np.random.default_rng(seed).permutation(len(space))[:search_budget])
+             if (t, i) in row and (t, j) in row]
+    if not tried:
+        return None
+    laws = list(members.values())
+    s = _Stack.of(laws)
+    i0, i1, t = (np.repeat(c, len(_MIX_WEIGHTS)) for c in zip(*tried))
+    w = np.tile(_MIX_WEIGHTS, len(tried))
+    values = rf._evaluate_stack(_Stack.mixed(s.values[i0], s.weights[i0],
+                                             s.values[i1], s.weights[i1], w))
+    for r in np.flatnonzero(np.abs(values - t) > 10.0 * tol):
+        witness = ConvexityWitness(p0=laws[i0[r]], p1=laws[i1[r]], mix_weight=float(w[r]),
+                                   target=float(t[r]), value_at_mixture=float(values[r]))
+        if witness.validate(rf, tol):
+            return witness
     return None
 
 

@@ -240,6 +240,17 @@ def _atom_part(m: SpectralMeasure, d: Distribution, route: str) -> float:
     return m.atom_at_zero * d.support_min() + float(np.dot(m._w_over_a, d._pqi(m._alphas)))
 
 
+def _nu_rows(m: SpectralMeasure, s) -> np.ndarray:
+    """nu(m, .) of every row of a stack of atomic laws, as an array."""
+    out = m.atom_at_zero * s.values[:, 0] + np.vecdot(s.pqi(m._alphas), m._w_over_a)
+    if m.density is None or m.density.C == 1.0:
+        return out
+    # the quantile is x_i on (c[i-1], c[i]]; a row's padding spans no level
+    prev = np.zeros_like(s.cum)
+    prev[:, 1:] = s.cum[:, :-1]
+    return out + np.vecdot(s.values, _density_g_integral(m.density, prev, s.cum))
+
+
 # Horner coefficients 1/m, m = 60 down to 3, of the series below
 _E_SERIES = 1.0 / np.arange(60.0, 2.0, -1.0)
 
@@ -267,13 +278,12 @@ def nu(m: SpectralMeasure, d: Distribution) -> float:
     interval (c[i-1], c[i]], so the density part is a finite sum of interval
     masses.  For the uniform law the density part has a closed form.
     """
+    if isinstance(d, FiniteAtomic):
+        return float(_nu_rows(m, d._stack())[0])
     out = _atom_part(m, d, "nu")
     if m.density is None or m.density.C == 1.0:
         return out
-    if isinstance(d, Uniform):
-        return out + _uniform_density_part(d, m.density.C)
-    prev = np.concatenate(([0.0], d._cum[:-1]))
-    return out + float(np.dot(d._values, _density_g_integral(m.density, prev, d._cum)))
+    return out + _uniform_density_part(d, m.density.C)
 
 
 def nu_via_U(m: SpectralMeasure, d: Distribution) -> float:

@@ -7,9 +7,13 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from elicitrisk import (Empirical, FiniteAtomic, QuantileScore, SpectralMeasure, dirac,
-                        interval_mass, mp_measure, nu, spectral_fn, two_point, uc_measure)
+from elicitrisk import (CoherenceReport, CoherenceViolation, ConvexityWitness, Empirical,
+                        FiniteAtomic, QuantileScore, SpectralMeasure, dirac, interval_mass, mix,
+                        mp_measure, nu, spectral_fn, two_point, uc_measure)
 from elicitrisk.cli import _fmt
+from elicitrisk.distributions import _check_tol
+from elicitrisk.elicit import _MIX_WEIGHTS, _TARGETS, DEFAULT_GRID, _check_grid, _hunt_members
+from elicitrisk.risk import _LAMBDAS, _SHIFTS
 from elicitrisk.spectral import _density_g_integral
 
 
@@ -174,6 +178,125 @@ def searched_tails_expectile(d: FiniteAtomic, tau: float) -> tuple[float, float]
     mu = float(x[i]) + r / (tau + b * float(cum[j]))
     mu = min(max(mu, float(x[j])), float(x[j + 1]))
     return mu, d.cdf(mu)
+
+
+def searched_pqi(d: FiniteAtomic, p):
+    """Partial quantile integral at p, as a law computed it on its own before
+    the ladder kernels read stacks: one binary search of the cumulative
+    weights, then x_0 c[k] + S[k] less x_k (c[k] - p)."""
+    k = d._cum.searchsorted(p)
+    x0 = d._values[0]
+    return x0 * p + d._csum[k] - (d._values[k] - x0) * (d._cum[k] - p)
+
+
+def searched_quantile(d: FiniteAtomic, v: float) -> float:
+    """The quantile at v from one binary search of the cumulative weights."""
+    return float(d._values[int(np.searchsorted(d._cum, v, side="left"))])
+
+
+def per_law_nu(m: SpectralMeasure, d: FiniteAtomic) -> float:
+    """nu(m, d) on one atomic law, as computed before the stacked kernel: the
+    atoms read searched partial quantile integrals, and the density part is
+    one dot product over the atoms."""
+    out = m.atom_at_zero * d.support_min() + float(np.dot(m._w_over_a, searched_pqi(d, m._alphas)))
+    if m.density is None or m.density.C == 1.0:
+        return out
+    prev = np.concatenate(([0.0], d._cum[:-1]))
+    return out + float(np.dot(d._values, _density_g_integral(m.density, prev, d._cum)))
+
+
+def atomic_expectile(d: FiniteAtomic, tau: float) -> tuple[float, float]:
+    """(mu, p_star) of the tau-expectile of one atomic law, as computed before
+    the stacked kernel: the sign change of psi from one binary search of
+    the prefix sums, the residuals at the segment's ends over slices of the
+    law's own arrays, and p_star read off the ladder."""
+    x, w, cum = d._values, d._weights, d._cum
+    if x.size == 1:
+        return float(x[0]), float(cum[0])
+    b = 1.0 - 2.0 * tau
+    psi = tau * d._csum[-1] + b * d._csum - (x - x[0]) * (tau + b * cum)
+    k = min(max(int(np.searchsorted(-psi, 0.0)), 1), x.size - 1)
+    lo, hi = (tau * float(np.dot(w[i + 1:], x[i + 1:] - x[i]))
+              - (1.0 - tau) * float(np.dot(w[:i], x[i] - x[:i])) for i in (k - 1, k))
+    if lo < 0.0:
+        j, i, r = k - 2, k - 1, lo
+    elif hi > 0.0:
+        j, i, r = k, k, hi
+    else:
+        j, i, r = (k - 1, k - 1, lo) if lo < -hi else (k - 1, k, hi)
+    mu = float(x[i]) + r / (tau + b * float(cum[j]))
+    return min(max(mu, float(x[j])), float(x[j + 1])), float(cum[j + (mu >= x[j + 1])])
+
+
+def per_trial_coherence_check(rf, trials=1000, seed=0, max_states=8, tol=1e-9):
+    """coherence_check as it ran before the stacks: every trial builds its
+    eleven laws with ``Empirical`` and evaluates them one at a time."""
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    if max_states < 2:
+        raise ValueError("max_states must be at least 2")
+    tol = _check_tol(tol)
+    report = CoherenceReport(trials=trials, max_states=max_states, tolerance=tol)
+    counts = {"subadditivity": 0, "homogeneity": 0, "translation": 0, "monotonicity": 0}
+
+    def record(axiom, trial, sx, sy, param, lhs, rhs):
+        report.violations.append(CoherenceViolation(
+            axiom=axiom, trial=trial, states_x=tuple(sx),
+            states_y=None if sy is None else tuple(sy), param=param, lhs=lhs, rhs=rhs))
+
+    for k in range(trials):
+        rng = np.random.default_rng((seed, k))
+        n = int(rng.integers(2, max_states + 1))
+        x = rng.uniform(-10.0, 10.0, n)
+        y = rng.uniform(-10.0, 10.0, n)
+        rx = rf.evaluate(Empirical(x))
+        ry = rf.evaluate(Empirical(y))
+        counts["subadditivity"] += 1
+        rxy = rf.evaluate(Empirical(x + y))
+        if rxy > rx + ry + tol:
+            record("subadditivity", k, x, y, None, rxy, rx + ry)
+        for lam in _LAMBDAS:
+            counts["homogeneity"] += 1
+            r = rf.evaluate(Empirical(lam * x))
+            if abs(r - lam * rx) > tol:
+                record("homogeneity", k, x, None, lam, r, lam * rx)
+        for a in _SHIFTS:
+            counts["translation"] += 1
+            r = rf.evaluate(Empirical(x + a))
+            if abs(r - (rx - a)) > tol:
+                record("translation", k, x, None, a, r, rx - a)
+        counts["monotonicity"] += 1
+        z = x - rng.uniform(0.0, 5.0, n)
+        rz = rf.evaluate(Empirical(z))
+        if rx > rz + tol:
+            record("monotonicity", k, x, z, None, rx, rz)
+    report.checks = counts
+    return report
+
+
+def per_law_hunt(rf, search_budget=10000, seed=0, tol=1e-9, grid=None):
+    """convex_level_set_test as it ran before the stacks: each candidate's
+    three mixtures are built with ``mix`` and evaluated one at a time, and
+    the hunt stops at the first witness that validates."""
+    if search_budget < 1:
+        raise ValueError("search_budget must be positive")
+    tol = _check_tol(tol)
+    pts = _check_grid(DEFAULT_GRID if grid is None else grid, minimum=2)
+    members = _hunt_members(rf, pts, tol)
+    space = [(t, i, j) for t in _TARGETS for i, j in itertools.combinations(range(len(pts)), 2)]
+    for k in np.random.default_rng(seed).permutation(len(space))[:search_budget]:
+        t, i, j = space[k]
+        m0, m1 = members.get((t, i)), members.get((t, j))
+        if m0 is None or m1 is None:
+            continue
+        for w in _MIX_WEIGHTS:
+            v = rf.evaluate(mix(m0, m1, w))
+            if abs(v - t) > 10.0 * tol:
+                witness = ConvexityWitness(p0=m0, p1=m1, mix_weight=w,
+                                           target=t, value_at_mixture=v)
+                if witness.validate(rf, tol):
+                    return witness
+    return None
 
 
 def ladder_bytes(d: FiniteAtomic) -> tuple[bytes, ...]:

@@ -44,6 +44,14 @@ class TestEval:
         assert out[0] == "-1.5"
         assert json.loads(out[1])["tolerance"] == 0.0
 
+    def test_an_atom_of_vanishing_weight_is_not_counted(self, capsys):
+        code = run_cli(["eval", "--type", "es", "--level", "0.3", "--dist",
+                        '{"type":"atomic","atoms":[[0,0.5],[1,1e-17],[2,0.5]]}'])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert out[0] == "0"
+        assert json.loads(out[1])["n"] == 2
+
     def test_es_from_csv_matches_library(self, capsys, tmp_path):
         f = tmp_path / "obs.csv"
         f.write_text("y\n-1.5\n2.0\n0.5\n3.5\n")

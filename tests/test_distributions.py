@@ -129,6 +129,19 @@ class TestConstruction:
         d = FiniteAtomic([0.0, 1.0], [0.0, 1.0])
         assert d.atoms() == [(1.0, 1.0)]
 
+    def test_vanishing_weights_are_dropped(self):
+        # 0.5 + 1e-17 is 0.5: the middle atom adds nothing to the cumulative weight
+        d = FiniteAtomic([0.0, 1.0, 2.0], [0.5, 1e-17, 0.5])
+        assert d.atoms() == [(0.0, 0.5), (2.0, 0.5)]
+        assert d.n_atoms == 2
+        # at the top, the pinned atom before a vanishing one stays
+        top = FiniteAtomic([0.0, 1.0, 2.0], [0.25, 0.75, 1e-17])
+        assert top.atoms() == [(0.0, 0.25), (1.0, 0.75)]
+        m = mix(two_point(0.0, 1.0, 0.5), two_point(2.0, 3.0, 0.5), 5e-324)
+        assert m.atoms() == [(2.0, 0.5), (3.0, 0.5)]
+        for law in (d, top, m):
+            assert np.all(law._weights > 0.0)
+
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             FiniteAtomic([0.0, 1.0], [0.4, 0.7])

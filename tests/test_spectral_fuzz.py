@@ -20,7 +20,7 @@ from elicitrisk import (FiniteAtomic, SpectralMeasure, UcDensity, Uniform, inter
                         measure_from_json, mp_measure, nu, nu_via_U, spectral_fn, uc_measure)
 
 EDGES = [0.0, -0.0, 1.0, 5e-324, 1e-310, sys.float_info.min, 1e-300, 1e-200, 1e-160, 1e-16,
-         0.5, 1.0 - 1e-16, 1.0 + 1e-16, -1e-300, 2.0, math.nan, math.inf, -math.inf]
+         0.5, 1.0 - 1e-16, np.nextafter(1.0, 2.0), -1e-300, 2.0, math.nan, math.inf, -math.inf]
 # a level or a parameter: on an edge, inside [0, 1], or anywhere
 NUMBERS = st.one_of(st.sampled_from(EDGES), st.floats(0.0, 1.0), st.floats())
 LEVELS = st.one_of(NUMBERS, st.lists(NUMBERS, max_size=5),

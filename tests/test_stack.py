@@ -1,0 +1,242 @@
+"""Stacks of atomic laws: every kernel against the per-law computation it replaced.
+
+A stack holds K laws as one (K, n) ladder; a law is the stack of one row.
+Each test compares bits, not values within a tolerance: the stacked
+kernels sum the same terms in the same order as the per-law code did.
+"""
+
+import math
+import struct
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from elicitrisk import (ES, Empirical, ExpectileRisk, FiniteAtomic, InfOverFamily, NegMean,
+                        RiskFunctional, SpectralMeasure, SpectralRisk, VaR, coherence_check,
+                        convex_level_set_test, dirac, es, expectile, mix, mp_measure, nu,
+                        two_point, uc_measure, var)
+from elicitrisk.distributions import _Stack
+
+from helpers import (atomic_expectile, ladder_bytes, per_law_hunt, per_law_nu,
+                     per_trial_coherence_check, random_law_pair, random_law_with_ties,
+                     random_measure, searched_pqi, searched_quantile)
+
+
+def bits(x) -> bytes:
+    return struct.pack("d", float(x))
+
+
+def delta(a):
+    return SpectralMeasure(atoms=[(a, 1.0)])
+
+
+# the library benchmark's coherence cases (its probe runs ES and the 0.25-expectile)
+LIBRARY_CASES = [(ES(0.3), 8), (ExpectileRisk(0.25), 8), (ExpectileRisk(0.75), 8),
+                 (VaR(0.1), 16), (SpectralRisk(uc_measure(0.5)), 8)]
+BUILT_INS = [ES(0.3), ES(0.05), VaR(0.1), VaR(0.5), ExpectileRisk(0.25), ExpectileRisk(0.75),
+             NegMean(), SpectralRisk(uc_measure(0.5)), SpectralRisk(mp_measure(0.4, 0.3)),
+             InfOverFamily((delta(0.3), mp_measure(0.2, 0.7), uc_measure(0.6)))]
+
+
+def report_fields(rep):
+    return (rep.trials, rep.max_states, bits(rep.tolerance), rep.checks,
+            [(v.axiom, v.trial, [bits(s) for s in v.states_x],
+              None if v.states_y is None else [bits(s) for s in v.states_y],
+              v.param, bits(v.lhs), bits(v.rhs)) for v in rep.violations])
+
+
+def witness_fields(w):
+    if w is None:
+        return None
+    return (w.p0.atoms(), w.p1.atoms(), w.mix_weight, w.target, bits(w.value_at_mixture))
+
+
+@pytest.mark.parametrize("rf", [rf for rf, _ in LIBRARY_CASES] + [NegMean(), BUILT_INS[-1]],
+                         ids=repr)
+def test_coherence_reports_equal_the_per_trial_oracle(rf):
+    for max_states in (*range(2, 17), 20):
+        for seed in (0, 11):
+            new = coherence_check(rf, trials=25, seed=seed, max_states=max_states)
+            old = per_trial_coherence_check(rf, trials=25, seed=seed, max_states=max_states)
+            assert report_fields(new) == report_fields(old), (max_states, seed)
+
+
+@pytest.mark.parametrize("rf, max_states, trials", [
+    (rf, states, 400) for rf, states in LIBRARY_CASES], ids=repr)
+def test_library_coherence_cases_equal_the_oracle(rf, max_states, trials):
+    # the sizes the benchmark runs, violations included
+    new = coherence_check(rf, trials=trials, seed=1201, max_states=max_states)
+    assert report_fields(new) == report_fields(
+        per_trial_coherence_check(rf, trials=trials, seed=1201, max_states=max_states))
+
+
+HUNTED = [ES(0.5), ES(0.1), VaR(0.3), ExpectileRisk(0.1), ExpectileRisk(0.25), NegMean(),
+          SpectralRisk(uc_measure(0.5)), InfOverFamily((delta(0.3), delta(1.0)))]
+
+
+@pytest.mark.parametrize("rf", HUNTED, ids=repr)
+@pytest.mark.parametrize("points", [19, 37])
+def test_hunt_returns_the_per_law_witness(rf, points):
+    grid = np.linspace(0.05, 0.95, points)
+    for seed, budget in ((0, 10000), (5, 10000), (2, 40)):
+        new = convex_level_set_test(rf, search_budget=budget, seed=seed, grid=grid)
+        old = per_law_hunt(rf, search_budget=budget, seed=seed, grid=grid)
+        assert witness_fields(new) == witness_fields(old), (seed, budget)
+
+
+def test_a_few_witnesses_are_found():
+    # the identity above is not vacuous
+    found = [convex_level_set_test(rf) is not None for rf in HUNTED]
+    assert found == [True, False, False, False, False, False, True, True]
+
+
+class TailMean(RiskFunctional):
+    """ES(0.5) defined by evaluate alone, so it has no stacked kernel."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def evaluate(self, d):
+        self.calls += 1
+        return es(d, 0.5)
+
+
+def test_a_functional_without_a_kernel_takes_the_per_law_route():
+    rf = TailMean()
+    w = convex_level_set_test(rf)
+    assert witness_fields(w) == witness_fields(per_law_hunt(ES(0.5)))
+    assert w.validate(rf, 1e-9)
+    assert rf.calls > 3 * 19  # members, every mixture and the witness's check
+    rep = coherence_check(rf, trials=30, seed=4, max_states=6)
+    assert report_fields(rep) == report_fields(
+        per_trial_coherence_check(ES(0.5), trials=30, seed=4, max_states=6))
+
+
+def test_coherence_memory_grows_with_trials_times_states():
+    coherence_check(ES(0.3), trials=2, max_states=16)
+    tracemalloc.start()
+    try:
+        coherence_check(ES(0.3), trials=1000, max_states=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 1.7 MB: one state-count group's stack at a time, plus the draws
+    assert peak < 4 * 2**20, peak
+
+
+def law_sizes():
+    rng = np.random.default_rng(71)
+    for n in (1, 2, 3, 15, 16, 17, 100, 1000, 100_000):
+        yield Empirical(rng.standard_t(3, n))
+    for _ in range(20):
+        yield random_law_with_ties(rng, 40)
+    yield Empirical(np.round(rng.standard_normal(5000), 2))  # many ties
+    yield dirac(-0.0)
+
+
+def test_one_row_kernels_equal_the_per_law_oracles():
+    measures = [uc_measure(0.3), uc_measure(0.9), mp_measure(0.25, 0.5),
+                SpectralMeasure(atom_at_zero=0.2, atoms=[(0.1, 0.3), (0.7, 0.5)]),
+                SpectralMeasure(atoms=zip(np.linspace(0.001, 1.0, 400).tolist(), [1 / 400] * 400))]
+    levels = [1e-300, 0.001, 0.025, 0.1, 0.3, 0.5, 0.75, 0.999]
+    for d in law_sizes():
+        for a in levels:
+            assert bits(var(d, a)) == bits(-searched_quantile(d, a))
+            assert bits(es(d, a)) == bits(-(1.0 / a) * searched_pqi(d, a))
+            assert bits(d.partial_quantile_integral(a)) == bits(searched_pqi(d, a))
+            sol = expectile(d, a)
+            assert (bits(sol.mu), bits(sol.p_star)) == tuple(map(bits, atomic_expectile(d, a)))
+        assert bits(d.mean()) == bits(searched_pqi(d, 1.0))
+        assert np.array_equal(d._pqi(d._cum), searched_pqi(d, d._cum))
+        for m in measures:
+            assert bits(nu(m, d)) == bits(per_law_nu(m, d))
+
+
+def test_nu_on_a_large_law_builds_no_levels_by_atoms_array():
+    d = Empirical(np.random.default_rng(3).standard_t(3, 100_000))
+    m = SpectralMeasure(atoms=zip(np.linspace(0.001, 1.0, 400).tolist(), [1 / 400] * 400))
+    nu(m, d)
+    tracemalloc.start()
+    try:
+        nu(m, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak  # 400 x 1e5 doubles would be 305 MB
+
+
+def random_laws(rng, k, max_atoms=15):
+    laws = []
+    for _ in range(k):
+        kind = int(rng.integers(0, 3))
+        if kind == 0:
+            laws.append(random_law_with_ties(rng, max_atoms))
+        elif kind == 1:
+            laws.append(Empirical(rng.uniform(-10.0, 10.0, int(rng.integers(1, max_atoms + 1)))))
+        else:
+            laws.append(two_point(0.0, float(rng.uniform(0.0, 5.0)), float(rng.uniform())))
+    return laws
+
+
+@pytest.mark.parametrize("rf", BUILT_INS, ids=repr)
+def test_stacked_rows_equal_evaluate(rf):
+    # rows of 1 to 15 atoms padded to the longest: the padding adds exact zeros
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        laws = random_laws(rng, int(rng.integers(1, 40)))
+        got = rf._evaluate_stack(_Stack.of(laws))
+        assert [bits(v) for v in got] == [bits(rf.evaluate(d)) for d in laws]
+
+
+def test_stack_rows_hold_each_laws_ladder():
+    rng = np.random.default_rng(8)
+    laws = random_laws(rng, 60)
+    s = _Stack.of(laws)
+    assert s.atoms.tolist() == [d.n_atoms for d in laws]
+    assert [ladder_bytes(d) for d in s.laws()] == [ladder_bytes(d) for d in laws]
+    # the padding: zero weight at the last value, the top cumulative weight and prefix sum
+    for row, d in enumerate(laws):
+        n = d.n_atoms
+        assert (s.values[row, n:] == d._values[-1]).all() and (s.weights[row, n:] == 0.0).all()
+        assert (s.cum[row, n - 1:] == 1.0).all() and (s.csum[row, n:] == d._csum[-1]).all()
+
+
+def test_empirical_rows_equal_empirical_laws():
+    rng = np.random.default_rng(9)
+    x = rng.uniform(-10.0, 10.0, (30, 6))
+    rows = np.concatenate((x, 0.0 * x, np.round(x), np.full((2, 6), -0.0), 0.0 * -x))
+    s = _Stack.empirical(rows)
+    assert [ladder_bytes(d) for d in s.laws()] == [ladder_bytes(Empirical(r)) for r in rows]
+
+
+def test_mixed_rows_equal_mix():
+    rng = np.random.default_rng(10)
+    pairs = [random_law_pair(rng) for _ in range(60)]
+    p = np.array([0.0, 1.0, 0.25, 0.5, 5e-324, 0.75] * 10)
+    s0, s1 = _Stack.of([a for a, _ in pairs]), _Stack.of([b for _, b in pairs])
+    s = _Stack.mixed(s0.values, s0.weights, s1.values, s1.weights, p)
+    assert [ladder_bytes(d) for d in s.laws()] == [
+        ladder_bytes(mix(a, b, w)) for (a, b), w in zip(pairs, p)]
+
+
+def test_search_steps_over_levels_the_offset_rounds_onto():
+    # row 3 is offset by 6: 0.3 and its neighbour below round to one key there
+    below = math.nextafter(0.3, 0.0)
+    laws = [FiniteAtomic([0.0, 1.0], [below, 1.0 - below])] * 4
+    s = _Stack.of(laws)
+    assert 6.0 + below == 6.0 + 0.3
+    assert (VaR(0.3)._evaluate_stack(s) == -1.0).all()
+    assert [bits(v) for v in s.pqi(0.3)] == [bits(searched_pqi(d, 0.3)) for d in laws]
+    assert [bits(v) for v in ES(0.3)._evaluate_stack(s)] == [bits(ES(0.3).evaluate(d))
+                                                              for d in laws]
+
+
+def test_random_measures_on_stacks():
+    rng = np.random.default_rng(12)
+    laws = random_laws(rng, 30)
+    s = _Stack.of(laws)
+    for _ in range(30):
+        m = random_measure(rng)
+        got = SpectralRisk(m)._evaluate_stack(s)
+        assert [bits(v) for v in got] == [bits(-per_law_nu(m, d)) for d in laws]
