@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import sys
 import warnings
 from abc import ABC, abstractmethod
@@ -157,9 +158,9 @@ def _canonical_atoms(values, weights):
     if abs(total - 1.0) > WEIGHT_TOL:
         raise ValueError(f"atom weights must sum to 1 within {WEIGHT_TOL}, got {total!r}")
     uniq, inverse = np.unique(values, return_inverse=True)
-    cum = np.cumsum(np.bincount(inverse, weights=weights, minlength=uniq.size))
-    # an atom whose weight vanishes in the sum, a zero weight among them, leaves
-    # the cumulative weight where its predecessor's was: drop it
+    cum = np.minimum(np.cumsum(np.bincount(inverse, weights=weights, minlength=uniq.size)), 1.0)
+    # clipped at 1, no weight is negative; an atom whose weight vanishes in the sum, a
+    # zero weight among them, leaves the cumulative weight where its predecessor's was: drop it
     rise = cum != np.append(0.0, cum[:-1])
     uniq, cum = uniq[rise], cum[rise]
     cum[-1] = 1.0  # pin the top so quantile(1.0) is always defined
@@ -447,11 +448,12 @@ class _Stack:
 
     @classmethod
     def _from_sorted(cls, values, cum):
-        # rows sorted by value with running cumulative weights: drop an entry whose
-        # cumulative weight is its predecessor's (0 before the first), pin the top
+        # rows sorted by value with running cumulative weights: clip them at 1, drop an
+        # entry whose cumulative weight is its predecessor's (0 before the first), pin the top
+        cum = np.minimum(cum, 1.0)
         keep = cum != np.concatenate((np.zeros((len(cum), 1)), cum[:, :-1]), axis=1)
         atoms = keep.sum(axis=1)
-        order = np.argsort(~keep, axis=1, kind="stable")[:, :atoms.max()]
+        order = np.argsort(~keep, axis=1, kind="stable")[:, :atoms.max(initial=1)]
         values, cum = np.take_along_axis(values, order, 1), np.take_along_axis(cum, order, 1)
         top = np.arange(cum.shape[1]) >= atoms[:, None] - 1
         cum[top] = 1.0
@@ -463,12 +465,19 @@ class _Stack:
 
     @classmethod
     def of(cls, laws) -> "_Stack":
-        """Atomic laws as the rows of one stack."""
-        n = max(d.n_atoms for d in laws)
-        values, cum = np.empty((len(laws), n)), np.ones((len(laws), n))
-        for x, c, d in zip(values, cum, laws):
-            x[:], x[:d.n_atoms], c[:d.n_atoms] = d._values[-1], d._values, d._cum
-        return cls._from_sorted(values, cum)
+        """Atomic laws as the rows of one stack: each law's own ladder, padded."""
+        values, cum, weights, csum = np.empty((4, len(laws), max(d.n_atoms for d in laws)))
+        for r, d in enumerate(laws):
+            for a, x, pad in ((values, d._values, d._values[-1]), (cum, d._cum, 1.0),
+                              (weights, d._weights, 0.0), (csum, d._csum, d._csum[-1])):
+                a[r, :x.size], a[r, x.size:] = x, pad
+        return cls(values, cum, weights, csum, np.array([d.n_atoms for d in laws]))
+
+    @classmethod
+    def two_point(cls, x, p) -> "_Stack":
+        """Rows ``two_point(0, x, p)``, x >= 0 and 0 < p < 1; x = 0 is the point mass at 0."""
+        cum = np.stack((np.where(x == 0.0, 1.0, p), np.ones_like(x)), axis=1)
+        return cls._from_sorted(np.stack((np.zeros_like(x), x), axis=1), cum)
 
     @classmethod
     def empirical(cls, samples) -> "_Stack":
@@ -535,8 +544,12 @@ def _read_columns(path, numbers, labels=()):
     ``_PER_ROW_ONLY`` or a field that may pass the csv module's field size
     limit, a name is missing, or numpy rejects the data (ragged rows, empty
     fields and the numbers Python's ``float`` reads but numpy does not, such
-    as ``1_0`` or non-ASCII digits).
+    as ``1_0`` or non-ASCII digits), or numpy would decompress or fetch the path.
     """
+    fname = os.fspath(path) if isinstance(path, os.PathLike) else path
+    if (not isinstance(fname, str) or "://" in fname
+            or fname.endswith((".gz", ".bz2", ".xz", ".lzma"))):
+        return None
     try:
         with open(path, newline="") as fh, warnings.catch_warnings():
             # a warning, such as that for a file with no data rows, declines too
@@ -556,12 +569,10 @@ def _read_columns(path, numbers, labels=()):
             column = {name: i for i, name in enumerate(fh.readline().rstrip("\r\n").split(","))}
             if not all(name in column for name in (*numbers, *labels)):
                 return None
-            start = fh.tell()
-            values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+            values = np.loadtxt(fname, delimiter=",", comments=None, ndmin=2, skiprows=1,
                                 usecols=[column[name] for name in numbers])
             if not labels:
                 return values, None
-            fh.seek(start)
             # numpy reads strings in chunks of rows and warns that a blank line
             # does not count towards a chunk; every row is still read
             warnings.filterwarnings("ignore", "Input line", UserWarning)

@@ -20,16 +20,14 @@ C(1 - p) / (C(1 - p) + p).
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import (Distribution, FiniteAtomic, _check_level, _check_tol, _Stack, mix,
                             two_point)
-from .risk import RiskFunctional, l_C, u_C
-from .spectral import SpectralMeasure, interval_mass, spectral_fn
+from .risk import RiskFunctional, _expectile_rows, l_C, u_C
+from .spectral import SpectralMeasure, _nu_rows, interval_mass, spectral_fn, uc_measure
 
 __all__ = [
     "CIdentification",
@@ -90,8 +88,8 @@ def _check_grid(grid, minimum: int) -> list[float]:
 def identify_C(rf: RiskFunctional, grid=None, tolerance: float = 1e-8) -> CIdentification:
     """Estimate the two-point constant C and check its internal consistency.
 
-    For each grid point p the functional is evaluated on the law putting
-    mass p at 0 and 1 - p at 1.  A value r in (-1, 0) inverts to
+    The functional is evaluated, in one call, on a stack of the laws putting
+    mass p at 0 and 1 - p at 1, p on the grid.  A value r in (-1, 0) inverts to
 
         C_p = -p * r / ((1 - p) * (1 + r)),
 
@@ -100,23 +98,18 @@ def identify_C(rf: RiskFunctional, grid=None, tolerance: float = 1e-8) -> CIdent
     C_hat lands in (0, 1].
     """
     tolerance = _check_tol(tolerance, "tolerance")
-    if grid is None:
-        grid = DEFAULT_GRID
-    pts = _check_grid(grid, minimum=5)
-    estimates: list[tuple[float, float]] = []
-    degenerate: list[tuple[float, float]] = []
-    for p, r in zip(pts, _evaluate_each(rf, [two_point(0.0, 1.0, p) for p in pts])):
-        if r > -1.0:
-            c_p = -p * r / ((1.0 - p) * (1.0 + r))
-            estimates.append((p, c_p))
-        if not (-1.0 < r < 0.0):
-            degenerate.append((p, r))
-    c_hat = float(np.median([c for _, c in estimates])) if estimates else 0.0
-    residuals = tuple((p, float(c - c_hat)) for p, c in estimates)
-    max_res = max((abs(r) for _, r in residuals), default=0.0)
-    consistent = bool((not degenerate) and max_res <= tolerance and 0.0 < c_hat <= 1.0)
+    p = np.array(_check_grid(DEFAULT_GRID if grid is None else grid, minimum=5))
+    r = rf._evaluate_stack(_Stack.two_point(np.ones_like(p), p))
+    est, bad = r > -1.0, ~((-1.0 < r) & (r < 0.0))
+    with np.errstate(all="ignore"):  # as Python's float arithmetic, which does not warn
+        c = -p[est] * r[est] / ((1.0 - p[est]) * (1.0 + r[est]))
+    c_hat = float(np.median(c)) if c.size else 0.0
+    residuals = tuple(zip(p[est].tolist(), (c - c_hat).tolist()))
+    max_res = max((abs(x) for _, x in residuals), default=0.0)
+    consistent = bool(not bad.any() and max_res <= tolerance and 0.0 < c_hat <= 1.0)
+    degenerate = tuple(zip(p[bad].tolist(), r[bad].tolist()))
     return CIdentification(c_hat=c_hat, residuals=residuals, consistent=consistent,
-                           tolerance=tolerance, degenerate=tuple(degenerate))
+                           tolerance=tolerance, degenerate=degenerate)
 
 
 @dataclass(frozen=True)
@@ -140,24 +133,32 @@ class ConvexityWitness:
                 and abs(vm - self.target) > 10.0 * tol)
 
 
-def _evaluate_each(rf: RiskFunctional, laws: list) -> list:
-    # rf on every atomic law as floats, from one stack and one call of its kernel
-    return rf._evaluate_stack(_Stack.of(laws)).tolist() if laws else []
+def _hunt_members(rf: RiskFunctional, p: np.ndarray, tol: float):
+    """The hunt's members as rows of a stack and a (grid point, target) table
+    of their rows, -1 where there is no member."""
+    r = rf._evaluate_stack(_Stack.two_point(np.ones_like(p), p))[:, None]
+    with np.errstate(all="ignore"):  # x is used only where r_p < 0
+        x = np.divide(_TARGETS, r)
+    made = (r < 0.0) & np.isfinite(x)
+    member = np.full(x.shape, -1)
+    s = _Stack.two_point(x[made], np.broadcast_to(p[:, None], x.shape)[made])
+    hit = np.abs(rf._evaluate_stack(s) - np.broadcast_to(_TARGETS, x.shape)[made]) <= tol
+    member[made] = np.where(hit, np.arange(hit.size), -1)
+    return s, member
 
 
-def _hunt_members(rf: RiskFunctional, pts: list[float], tol: float) -> dict:
-    """The hunt's members {(t, i): law}, as :func:`convex_level_set_test` states."""
-    laws = {}
-    for i, (p, r_p) in enumerate(zip(pts, _evaluate_each(rf, [two_point(0.0, 1.0, p)
-                                                              for p in pts]))):
-        if not r_p < 0.0:
-            continue
-        for t in _TARGETS:
-            x2 = t / r_p
-            if math.isfinite(x2):
-                laws[(t, i)] = two_point(0.0, x2, p)
-    return {key: m for (key, m), v in zip(laws.items(), _evaluate_each(rf, list(laws.values())))
-            if abs(v - key[0]) <= tol}
+def _member_mixtures(s: _Stack, i0, i1, w) -> _Stack:
+    """Rows w m0 + (1 - w) m1 of members ``two_point(0, x, p)``, rows i0 and i1 of s,
+    as ``_Stack.mixed`` merges them: mass at 0, then the upper atoms, m0's first."""
+    c0, c1 = s.cum[i0, 0], s.cum[i1, 0]  # the mass at 0; 1 for the point mass at 0
+    x0, x1 = s.values[i0, -1], s.values[i1, -1]
+    b0, b1 = w * (1.0 - c0), (1.0 - w) * (1.0 - c1)
+    lo, hi = np.where(x1 < x0, (b1, b0), (b0, b1))  # the weights of the upper atoms in order
+    tie = x0 == x1  # one upper atom, whose weight sums m0's and m1's
+    values = np.stack((np.zeros_like(x0), np.minimum(x0, x1), np.maximum(x0, x1)), axis=1)
+    cum = np.stack((w * c0 + (1.0 - w) * c1, np.where(tie, b0 + b1, lo), np.where(tie, 0.0, hi)),
+                   axis=1).cumsum(axis=1)
+    return _Stack._from_sorted(values, cum)
 
 
 def convex_level_set_test(rf: RiskFunctional, search_budget: int = 10000, seed: int = 0,
@@ -168,42 +169,40 @@ def convex_level_set_test(rf: RiskFunctional, search_budget: int = 10000, seed: 
     of :func:`identify_C` is.  So with r_p the value of the law putting mass p
     at 0 and 1 - p at 1, the law with mass p at 0 whose value is a target
     t < 0 is ``two_point(0, t / r_p, p)``; it exists only when r_p < 0, and is
-    kept only when its value lies within ``tol`` of t.
+    kept as a member only when its value lies within ``tol`` of t.
 
     The candidates are a target and an unordered pair i < j of grid weights,
     3 g (g - 1) / 2 of them on a grid of g points; the mixture weights are
     symmetric, so the ordered pair (j, i) would add nothing.  They are tried
     in the order of a permutation seeded by ``seed``, at most
     ``search_budget`` of them, and each is evaluated at three interior
-    mixtures.  The mixtures of all candidates tried form one stack, a
-    (3 K, 3) ladder that the functional evaluates in one call; then, in the
-    order tried, the first witness whose recomputation passes
-    :meth:`ConvexityWitness.validate` is returned.  ``None`` means only that
-    no violation was found among the candidates tried.
+    mixtures.  The laws r_p, the members and all mixtures tried are three
+    stacks, each evaluated in one call.  Then, in the order tried, a mixture
+    off its target builds the laws of a witness, and the first witness whose
+    recomputation passes :meth:`ConvexityWitness.validate` is returned.
+    ``None`` means only that no violation was found among the candidates tried.
     """
     if search_budget < 1:
         raise ValueError("search_budget must be positive")
     tol = _check_tol(tol)
-    if grid is None:
-        grid = DEFAULT_GRID
-    pts = _check_grid(grid, minimum=2)
-    members = _hunt_members(rf, pts, tol)
-    row = {key: r for r, key in enumerate(members)}
-    space = [(t, i, j) for t in _TARGETS for i, j in itertools.combinations(range(len(pts)), 2)]
-    tried = [(row[(t, i)], row[(t, j)], t) for t, i, j in
-             (space[k] for k in np.random.default_rng(seed).permutation(len(space))[:search_budget])
-             if (t, i) in row and (t, j) in row]
-    if not tried:
+    p = np.array(_check_grid(DEFAULT_GRID if grid is None else grid, minimum=2))
+    s, member = _hunt_members(rf, p, tol)
+    # candidate k is (target k // pairs, pair k % pairs), pairs i < j in row-major order
+    i, j = np.triu_indices(p.size, 1)
+    k = np.random.default_rng(seed).permutation(len(_TARGETS) * i.size)[:search_budget]
+    t, pair = np.divmod(k, i.size)
+    r0, r1 = member[i[pair], t], member[j[pair], t]
+    tried = (r0 >= 0) & (r1 >= 0)
+    if not tried.any():
         return None
-    laws = list(members.values())
-    s = _Stack.of(laws)
-    i0, i1, t = (np.repeat(c, len(_MIX_WEIGHTS)) for c in zip(*tried))
-    w = np.tile(_MIX_WEIGHTS, len(tried))
-    values = rf._evaluate_stack(_Stack.mixed(s.values[i0], s.weights[i0],
-                                             s.values[i1], s.weights[i1], w))
-    for r in np.flatnonzero(np.abs(values - t) > 10.0 * tol):
-        witness = ConvexityWitness(p0=laws[i0[r]], p1=laws[i1[r]], mix_weight=float(w[r]),
-                                   target=float(t[r]), value_at_mixture=float(values[r]))
+    i0, i1, target = (np.repeat(c[tried], len(_MIX_WEIGHTS))
+                      for c in (r0, r1, np.take(_TARGETS, t)))
+    w = np.tile(_MIX_WEIGHTS, np.count_nonzero(tried))
+    values = rf._evaluate_stack(_member_mixtures(s, i0, i1, w))
+    for r in np.flatnonzero(np.abs(values - target) > 10.0 * tol):
+        p0, p1 = (two_point(0.0, s.values[q, -1], s.cum[q, 0]) for q in (i0[r], i1[r]))
+        witness = ConvexityWitness(p0=p0, p1=p1, mix_weight=float(w[r]),
+                                   target=float(target[r]), value_at_mixture=float(values[r]))
         if witness.validate(rf, tol):
             return witness
     return None
@@ -238,18 +237,25 @@ class BoundCheckReport:
 
 
 def bound_check(rf: RiskFunctional, C: float, test_set, tol: float = 1e-9) -> BoundCheckReport:
-    """Check l_C <= rho <= u_C on every law in the test set."""
-    tol = _check_tol(tol)
-    entries = []
-    for d in test_set:
-        lo = float(l_C(d, C))
-        hi = float(u_C(d, C))
-        v = float(rf.evaluate(d))
-        entries.append(BoundEntry(
-            distribution=d, lower=lo, value=v, upper=hi,
-            lower_margin=v - lo, upper_margin=hi - v,
-            ok=bool(v >= lo - tol and v <= hi + tol)))
-    return BoundCheckReport(C=float(C), tolerance=tol, entries=entries)
+    """Check l_C <= rho <= u_C on every law in the test set.  Its atomic laws of
+    one atom count form a stack, so no row is padded, and l_C, u_C and the
+    functional make one call of their kernel on each; other laws go one by one."""
+    tol, C, laws = _check_tol(tol), _check_level(C, "C"), list(test_set)
+    lo, hi, v = np.empty((3, len(laws)))
+    nu, stacks = uc_measure(C), {}
+    for k, d in enumerate(laws):
+        if isinstance(d, FiniteAtomic):
+            stacks.setdefault(d.n_atoms, []).append(k)
+        else:
+            lo[k], hi[k], v[k] = l_C(d, C), u_C(d, C), rf.evaluate(d)
+    for rows in stacks.values():
+        s = _Stack.of([laws[k] for k in rows])
+        lo[rows], hi[rows] = -_expectile_rows(s, C / (C + 1.0))[0], -_nu_rows(nu, s)
+        v[rows] = rf._evaluate_stack(s)
+    entries = [BoundEntry(distribution=d, lower=a, value=x, upper=b, lower_margin=x - a,
+                          upper_margin=b - x, ok=bool(x >= a - tol and x <= b + tol))
+               for d, a, x, b in zip(laws, lo.tolist(), v.tolist(), hi.tolist())]
+    return BoundCheckReport(C=C, tolerance=tol, entries=entries)
 
 
 @dataclass(frozen=True)
@@ -305,9 +311,7 @@ def spectral_bounds_check(m: SpectralMeasure, C: float, grid=None,
     """
     C = _check_level(C, "C")
     eq_tol = _check_tol(eq_tol, "eq_tol")
-    if grid is None:
-        grid = DEFAULT_GRID
-    p = np.array(_check_grid(grid, minimum=1))
+    p = np.array(_check_grid(DEFAULT_GRID if grid is None else grid, minimum=1))
     z = C * (1.0 - p) + p
     g, g_lo, g_hi = spectral_fn(m, p), C / z, 1.0 / z
     integ, env = interval_mass(m, p, 1.0), C * (1.0 - p) / z

@@ -7,12 +7,13 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from elicitrisk import (CoherenceReport, CoherenceViolation, ConvexityWitness, Empirical,
-                        FiniteAtomic, QuantileScore, SpectralMeasure, dirac, interval_mass, mix,
-                        mp_measure, nu, spectral_fn, two_point, uc_measure)
+from elicitrisk import (BoundCheckReport, BoundEntry, CIdentification, CoherenceReport,
+                        CoherenceViolation, ConvexityWitness, Empirical, FiniteAtomic,
+                        QuantileScore, SpectralMeasure, dirac, interval_mass, l_C, mix,
+                        mp_measure, nu, spectral_fn, two_point, u_C, uc_measure)
 from elicitrisk.cli import _fmt
-from elicitrisk.distributions import _check_tol
-from elicitrisk.elicit import _MIX_WEIGHTS, _TARGETS, DEFAULT_GRID, _check_grid, _hunt_members
+from elicitrisk.distributions import _check_tol, _Stack
+from elicitrisk.elicit import _MIX_WEIGHTS, _TARGETS, DEFAULT_GRID, _check_grid
 from elicitrisk.risk import _LAMBDAS, _SHIFTS
 from elicitrisk.spectral import _density_g_integral
 
@@ -274,15 +275,73 @@ def per_trial_coherence_check(rf, trials=1000, seed=0, max_states=8, tol=1e-9):
     return report
 
 
-def per_law_hunt(rf, search_budget=10000, seed=0, tol=1e-9, grid=None):
+def _evaluate_each(rf, laws: list) -> list:
+    # rf on every atomic law as floats, from one stack and one call of its kernel
+    return rf._evaluate_stack(_Stack.of(laws)).tolist() if laws else []
+
+
+def per_law_members(rf, pts: list[float], tol: float) -> dict:
+    """The hunt's members {(t, i): law} as they were built before the member
+    stack: a ``two_point`` law for every grid point and target."""
+    laws = {}
+    for i, (p, r_p) in enumerate(zip(pts, _evaluate_each(rf, [two_point(0.0, 1.0, p)
+                                                              for p in pts]))):
+        if not r_p < 0.0:
+            continue
+        for t in _TARGETS:
+            x2 = t / r_p
+            if math.isfinite(x2):
+                laws[(t, i)] = two_point(0.0, x2, p)
+    return {key: m for (key, m), v in zip(laws.items(), _evaluate_each(rf, list(laws.values())))
+            if abs(v - key[0]) <= tol}
+
+
+def per_law_identify_C(rf, grid=None, tolerance: float = 1e-8) -> CIdentification:
+    """identify_C as it ran before the anchor stack: one ``two_point`` law per
+    grid point."""
+    tolerance = _check_tol(tolerance, "tolerance")
+    pts = _check_grid(DEFAULT_GRID if grid is None else grid, minimum=5)
+    estimates, degenerate = [], []
+    for p, r in zip(pts, _evaluate_each(rf, [two_point(0.0, 1.0, p) for p in pts])):
+        if r > -1.0:
+            estimates.append((p, -p * r / ((1.0 - p) * (1.0 + r))))
+        if not (-1.0 < r < 0.0):
+            degenerate.append((p, r))
+    c_hat = float(np.median([c for _, c in estimates])) if estimates else 0.0
+    residuals = tuple((p, float(c - c_hat)) for p, c in estimates)
+    max_res = max((abs(r) for _, r in residuals), default=0.0)
+    consistent = bool((not degenerate) and max_res <= tolerance and 0.0 < c_hat <= 1.0)
+    return CIdentification(c_hat=c_hat, residuals=residuals, consistent=consistent,
+                           tolerance=tolerance, degenerate=tuple(degenerate))
+
+
+def per_law_bound_check(rf, C, test_set, tol=1e-9) -> BoundCheckReport:
+    """bound_check as it ran before the stack: l_C, u_C and the functional on
+    each law in turn."""
+    tol = _check_tol(tol)
+    entries = []
+    for d in test_set:
+        lo, hi, v = float(l_C(d, C)), float(u_C(d, C)), float(rf.evaluate(d))
+        entries.append(BoundEntry(distribution=d, lower=lo, value=v, upper=hi,
+                                  lower_margin=v - lo, upper_margin=hi - v,
+                                  ok=bool(v >= lo - tol and v <= hi + tol)))
+    return BoundCheckReport(C=float(C), tolerance=tol, entries=entries)
+
+
+def per_law_hunt(rf, search_budget=10000, seed=0, tol=1e-9, grid=None, memo=None):
     """convex_level_set_test as it ran before the stacks: each candidate's
     three mixtures are built with ``mix`` and evaluated one at a time, and
-    the hunt stops at the first witness that validates."""
+    the hunt stops at the first witness that validates.
+
+    ``memo``, a dict the caller keeps for one functional, grid and ``tol``,
+    holds each mixture's value across calls, keyed by target, pair and weight.
+    """
+    memo = {} if memo is None else memo
     if search_budget < 1:
         raise ValueError("search_budget must be positive")
     tol = _check_tol(tol)
     pts = _check_grid(DEFAULT_GRID if grid is None else grid, minimum=2)
-    members = _hunt_members(rf, pts, tol)
+    members = per_law_members(rf, pts, tol)
     space = [(t, i, j) for t in _TARGETS for i, j in itertools.combinations(range(len(pts)), 2)]
     for k in np.random.default_rng(seed).permutation(len(space))[:search_budget]:
         t, i, j = space[k]
@@ -290,7 +349,9 @@ def per_law_hunt(rf, search_budget=10000, seed=0, tol=1e-9, grid=None):
         if m0 is None or m1 is None:
             continue
         for w in _MIX_WEIGHTS:
-            v = rf.evaluate(mix(m0, m1, w))
+            v = memo.get((t, i, j, w))
+            if v is None:
+                v = memo[(t, i, j, w)] = rf.evaluate(mix(m0, m1, w))
             if abs(v - t) > 10.0 * tol:
                 witness = ConvexityWitness(p0=m0, p1=m1, mix_weight=w,
                                            target=t, value_at_mixture=v)

@@ -52,6 +52,15 @@ class TestEval:
         assert out[0] == "0"
         assert json.loads(out[1])["n"] == 2
 
+    def test_weights_summing_past_one_leave_no_negative_atom(self, capsys):
+        # the cumulative weight reaches 1 at the second atom: the third is dropped
+        code = run_cli(["eval", "--type", "var", "--level", "0.9999999999999", "--dist",
+                        '{"type":"atomic","atoms":[[0,0.5],[1,0.5000000000005],[2,1e-14]]}'])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert out[0] == "-1"
+        assert json.loads(out[1])["n"] == 2
+
     def test_es_from_csv_matches_library(self, capsys, tmp_path):
         f = tmp_path / "obs.csv"
         f.write_text("y\n-1.5\n2.0\n0.5\n3.5\n")

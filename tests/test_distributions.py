@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from elicitrisk import (Empirical, FiniteAtomic, Uniform, dirac,
                         empirical_from_csv, mix, two_point)
+from elicitrisk.distributions import _Stack
 
 from helpers import canonicalising_mix, ladder_bytes, random_atomic, random_law_pair, tail_sum_gap
 
@@ -140,6 +141,22 @@ class TestConstruction:
         m = mix(two_point(0.0, 1.0, 0.5), two_point(2.0, 3.0, 0.5), 5e-324)
         assert m.atoms() == [(2.0, 0.5), (3.0, 0.5)]
         for law in (d, top, m):
+            assert np.all(law._weights > 0.0)
+
+    def test_cumulative_weights_are_clipped_at_one(self):
+        # 0.5 + (0.5 + 5e-13) passes 1 before the last atom: the law ends there,
+        # and no atom is left with a negative weight
+        d = FiniteAtomic([0.0, 1.0, 2.0], [0.5, 0.5 + 5e-13, 1e-14])
+        assert d.atoms() == [(0.0, 0.5), (1.0, 0.5)]
+        assert d.quantile(1.0) == 1.0
+        m = mix(d, two_point(0.0, 3.0, 0.5), 0.5)
+        assert m.atoms() == [(0.0, 0.5), (1.0, 0.25), (3.0, 0.25)]
+        # the stack builder clips its rows the same way
+        s = _Stack._from_sorted(np.array([[0.0, 1.0, 2.0]]), np.array([[0.5, 1.0 + 5e-13,
+                                                                       1.0 + 5.1e-13]]))
+        assert s.atoms.tolist() == [2]
+        assert s.cum.tolist() == [[0.5, 1.0]] and s.weights.tolist() == [[0.5, 0.5]]
+        for law in (d, m):
             assert np.all(law._weights > 0.0)
 
     def test_weight_validation(self):

@@ -152,10 +152,11 @@ class TestConvexLevelSetTest:
         # the closed-form member exists exactly where the old bisection found one
         tol = 1e-9
         pts = sorted(float(p) for p in np.linspace(0.05, 0.95, 37))
-        members = elicit._hunt_members(rf, pts, tol)
-        for t in elicit._TARGETS:
+        s, member = elicit._hunt_members(rf, np.array(pts), tol)
+        for k, t in enumerate(elicit._TARGETS):
             for i, p in enumerate(pts):
-                m = members.get((t, i))
+                r = member[i, k]
+                m = None if r < 0 else two_point(0.0, s.values[r, -1], s.cum[r, 0])
                 assert (m is None) == (bisection_member(rf, p, t, tol) is None), (t, p)
                 if m is not None:
                     assert abs(rf.evaluate(m) - t) <= 0.01 * tol

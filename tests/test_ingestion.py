@@ -2,6 +2,8 @@
 
 import csv
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 
 from elicitrisk import ForecastSeries, empirical_from_csv
@@ -70,6 +72,37 @@ def test_panel_reader_matches_rows(csv_dir, text):
     want_kind, want = outcome(ForecastSeries._from_rows, path)
     assert kind == want_kind
     assert (panel_key(got) == panel_key(want)) if kind == "ok" else got == want
+
+
+# line ends CRLF, lone CR and mixed, blank and whitespace-only lines, a byte
+# order mark, duplicate header names, ragged rows, no trailing newline
+EDGE_FILES = ["y\r\n1\r\n2.5\r\n", "y\r1\r2.5\r", "y\r\n1\r2\n3\r\n", "y\n1\n\n2\n",
+              "y\n1\n   \n2\n", "\ufeffy\n1\n2\n", "\ufeffx,y\n0,1\n0,2\n", "y,y\n1,2\n3,4\n",
+              "x,y\n1,2\n3\n", "x,y\n1,2,3\n4,5\n", "y\n1\n2", "note,y\r\nx, 1.5\r\n\r\ny,-0.0\r\n"]
+
+
+@pytest.mark.parametrize("text", EDGE_FILES)
+def test_numpy_path_and_row_reader_agree_on_edge_files(tmp_path, text):
+    path = write_csv(tmp_path, text)
+    columns = distributions._read_columns(path, ["y"])
+    kind, rows = outcome(distributions._samples_by_rows, path)
+    if columns is not None:
+        assert kind == "ok"
+        assert columns[0][:, 0].tobytes() == np.array(rows).tobytes()
+    panel = write_csv(tmp_path, text.replace("y", "method,period,forecast,realization", 1)
+                      .replace("1", "a,t,0,1").replace("2", "b,t,0,2"))
+    kind, got = outcome(ForecastSeries.from_csv, panel)
+    want_kind, want = outcome(ForecastSeries._from_rows, panel)
+    assert kind == want_kind
+    assert (panel_key(got) == panel_key(want)) if kind == "ok" else got == want
+
+
+def test_a_path_numpy_would_decompress_is_read_by_rows(tmp_path):
+    # numpy opens a path ending in .gz as gzip; this one is plain text
+    path = tmp_path / "sample.csv.gz"
+    path.write_text("y\n1\n2\n")
+    assert distributions._read_columns(path, ["y"]) is None
+    assert empirical_from_csv(path).atoms() == [(1.0, 0.5), (2.0, 0.5)]
 
 
 def _no_rows(*args):

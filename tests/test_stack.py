@@ -12,15 +12,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from elicitrisk import (ES, Empirical, ExpectileRisk, FiniteAtomic, InfOverFamily, NegMean,
-                        RiskFunctional, SpectralMeasure, SpectralRisk, VaR, coherence_check,
-                        convex_level_set_test, dirac, es, expectile, mix, mp_measure, nu,
-                        two_point, uc_measure, var)
+from elicitrisk import (ES, ConvexityWitness, Empirical, ExpectileRisk, FiniteAtomic,
+                        InfOverFamily, NegMean, RiskFunctional, SpectralMeasure, SpectralRisk,
+                        Uniform, VaR, bound_check, coherence_check, convex_level_set_test, dirac,
+                        es, expectile, identify_C, mix, mp_measure, nu, two_point, uc_measure,
+                        var)
+from elicitrisk import elicit
+from elicitrisk.cli import _elicit_test_set
 from elicitrisk.distributions import _Stack
 
-from helpers import (atomic_expectile, ladder_bytes, per_law_hunt, per_law_nu,
-                     per_trial_coherence_check, random_law_pair, random_law_with_ties,
-                     random_measure, searched_pqi, searched_quantile)
+from helpers import (atomic_expectile, ladder_bytes, per_law_bound_check, per_law_hunt,
+                     per_law_identify_C, per_law_nu, per_trial_coherence_check, random_law_pair,
+                     random_law_with_ties, random_measure, searched_pqi, searched_quantile)
 
 
 def bits(x) -> bytes:
@@ -85,6 +88,13 @@ def test_hunt_returns_the_per_law_witness(rf, points):
         assert witness_fields(new) == witness_fields(old), (seed, budget)
 
 
+def test_a_hunt_without_members_finds_nothing():
+    # VaR(0.1) is 0 on every law on {0, 1} with mass p >= 0.1 at 0: no target is reached
+    grid = np.linspace(0.5, 0.9, 5)
+    assert convex_level_set_test(VaR(0.1), grid=grid) is None
+    assert per_law_hunt(VaR(0.1), grid=grid) is None
+
+
 def test_a_few_witnesses_are_found():
     # the identity above is not vacuous
     found = [convex_level_set_test(rf) is not None for rf in HUNTED]
@@ -101,6 +111,9 @@ class TailMean(RiskFunctional):
         self.calls += 1
         return es(d, 0.5)
 
+    def __repr__(self):
+        return "TailMean()"
+
 
 def test_a_functional_without_a_kernel_takes_the_per_law_route():
     rf = TailMean()
@@ -111,6 +124,121 @@ def test_a_functional_without_a_kernel_takes_the_per_law_route():
     rep = coherence_check(rf, trials=30, seed=4, max_states=6)
     assert report_fields(rep) == report_fields(
         per_trial_coherence_check(ES(0.5), trials=30, seed=4, max_states=6))
+
+
+# every built-in, ES where it finds witnesses, and a functional without a kernel
+ORACLE_CASES = [*BUILT_INS, ES(0.5), TailMean()]
+
+
+def ident_fields(ident):
+    return (bits(ident.c_hat), [(bits(p), bits(r)) for p, r in ident.residuals],
+            ident.consistent, bits(ident.tolerance),
+            [(bits(p), bits(r)) for p, r in ident.degenerate])
+
+
+def bound_fields(rep):
+    return (bits(rep.C), bits(rep.tolerance),
+            [(id(e.distribution), *map(bits, (e.lower, e.value, e.upper, e.lower_margin,
+                                              e.upper_margin)), e.ok) for e in rep.entries])
+
+
+@pytest.mark.parametrize("rf", ORACLE_CASES, ids=repr)
+@pytest.mark.parametrize("points", [5, 19, 37])
+def test_hunt_equals_the_per_law_hunt_at_every_budget_and_seed(rf, points):
+    grid, memo = np.linspace(0.05, 0.95, points), {}
+    for budget in (1, 7, 100, 10000):
+        for seed in range(20):
+            new = convex_level_set_test(rf, search_budget=budget, seed=seed, grid=grid)
+            old = per_law_hunt(rf, search_budget=budget, seed=seed, grid=grid, memo=memo)
+            assert witness_fields(new) == witness_fields(old), (budget, seed)
+
+
+@pytest.mark.parametrize("rf", ORACLE_CASES, ids=repr)
+def test_identify_C_equals_the_per_law_oracle(rf):
+    for grid in (None, np.linspace(0.05, 0.95, 5), np.linspace(0.001, 0.999, 37),
+                 [0.9, 0.1, 0.5, 0.3, 0.7, 0.2]):
+        assert ident_fields(identify_C(rf, grid=grid)) == ident_fields(
+            per_law_identify_C(rf, grid=grid))
+
+
+def random_test_set(rng):
+    laws = [random_law_with_ties(rng, 8), Empirical(rng.standard_normal(int(rng.integers(1, 9)))),
+            two_point(0.0, float(rng.uniform(0.0, 3.0)), float(rng.uniform())), dirac(-1.5),
+            Uniform(-1.0, float(rng.uniform(-0.5, 4.0)))]
+    return [laws[k] for k in rng.choice(len(laws), int(rng.integers(1, 8)))]
+
+
+def large_test_set(rng):
+    # laws of 16 to 300 atoms, of several lengths, beside few-atom laws: a sum
+    # over a row padded past 16 atoms need not match the law's own
+    return [Empirical(rng.standard_normal(17)), two_point(0.0, 1.0, 0.3),
+            Empirical(rng.standard_normal(300)), Uniform(-1.0, 2.0),
+            Empirical(rng.standard_normal(int(rng.integers(16, 120)))),
+            Empirical(rng.standard_normal(17)), random_law_with_ties(rng, 8)]
+
+
+@pytest.mark.parametrize("rf", ORACLE_CASES, ids=repr)
+def test_bound_check_equals_the_per_law_oracle(rf):
+    rng = np.random.default_rng(29)
+    for test_set in [_elicit_test_set(), [Uniform(0.0, 1.0)], []] + [
+            random_test_set(rng) for _ in range(12)] + [large_test_set(rng) for _ in range(4)]:
+        for C in (1e-12, 0.3, 1.0):
+            assert bound_fields(bound_check(rf, C, test_set)) == bound_fields(
+                per_law_bound_check(rf, C, test_set)), (test_set, C)
+
+
+def stack_bytes(s):
+    return s.values.shape, tuple(a.tobytes() for a in (s.values, s.cum, s.weights, s.csum,
+                                                       s.atoms))
+
+
+def test_two_point_rows_equal_the_stacked_laws():
+    rng = np.random.default_rng(8)
+    p = rng.uniform(0.001, 0.999, 400)
+    x = rng.choice([0.0, 5e-324, 1e-300, 1.0, 7.5, 1e300], p.size)
+    x[::3] = rng.uniform(0.0, 10.0, x[::3].size)
+    for rows in (slice(None), slice(0, 1), x == 0.0):
+        laws = [two_point(0.0, a, b) for a, b in zip(x[rows], p[rows])]
+        assert stack_bytes(_Stack.two_point(x[rows], p[rows])) == stack_bytes(_Stack.of(laws))
+
+
+def test_member_mixtures_equal_the_general_merge():
+    # members two_point(0, x, p), the point mass at 0 among them; rows 300 to
+    # 399 repeat the x of rows 0 to 99 at another p, and a tenth of the pairs
+    # tie on x that way
+    rng = np.random.default_rng(13)
+    u = rng.uniform(0.0, 5.0, 300)
+    x = np.concatenate((u, u[:100], [0.0, 0.0, 1e-310, 1e300]))
+    s = _Stack.two_point(x, rng.uniform(0.001, 0.999, x.size))
+    i0, i1 = rng.integers(0, x.size, (2, 20000))
+    tie = rng.uniform(size=i0.size) < 0.1
+    i0[tie] = rng.integers(0, 100, np.count_nonzero(tie))
+    i1[tie] = i0[tie] + 300
+    w = np.concatenate((np.tile(elicit._MIX_WEIGHTS, 5000), rng.uniform(size=4999), [0.0]))
+    new = elicit._member_mixtures(s, i0, i1, w)
+    old = _Stack.mixed(s.values[i0], s.weights[i0], s.values[i1], s.weights[i1], w)
+    assert stack_bytes(new) == stack_bytes(old)
+
+
+@pytest.mark.parametrize("rf", [NegMean(), ES(0.5), SpectralRisk(uc_measure(0.5))], ids=repr)
+def test_the_hunt_makes_three_kernel_calls_and_builds_only_witness_laws(rf, monkeypatch):
+    calls, builds, checks = [], [], []
+    kernel, build = type(rf)._evaluate_stack, FiniteAtomic._from_cum.__func__
+    validate = ConvexityWitness.validate
+    monkeypatch.setattr(type(rf), "_evaluate_stack",
+                        lambda self, s: calls.append(len(s.cum)) or kernel(self, s))
+    monkeypatch.setattr(FiniteAtomic, "_from_cum",
+                        classmethod(lambda cls, *a: builds.append(1) or build(cls, *a)))
+    monkeypatch.setattr(ConvexityWitness, "validate",
+                        lambda self, *a: checks.append(1) or validate(self, *a))
+    for points in range(5, 38):
+        del calls[:], builds[:], checks[:]
+        w = convex_level_set_test(rf, grid=np.linspace(0.05, 0.95, points))
+        # r_p, the members and the mixtures; a checked witness builds its two
+        # members and their mixture
+        assert len(calls) == 3, points
+        assert len(builds) == 3 * len(checks), points
+        assert (w is not None) == (len(checks) > 0), points
 
 
 def test_coherence_memory_grows_with_trials_times_states():
@@ -200,6 +328,8 @@ def test_stack_rows_hold_each_laws_ladder():
         n = d.n_atoms
         assert (s.values[row, n:] == d._values[-1]).all() and (s.weights[row, n:] == 0.0).all()
         assert (s.cum[row, n - 1:] == 1.0).all() and (s.csum[row, n:] == d._csum[-1]).all()
+    # the ladders as the canonicalising build makes them from sorted values
+    assert stack_bytes(s) == stack_bytes(_Stack._from_sorted(s.values, s.cum))
 
 
 def test_empirical_rows_equal_empirical_laws():
