@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -40,6 +41,14 @@ def _fmt(x) -> str:
     """12 significant digits, locale independent, no negative zero."""
     s = f"{float(x):.12g}"
     return "0" if s == "-0" else s
+
+
+def _csv_table(header: str, columns) -> str:
+    """The header line, then one line per row of the columns, each value as
+    ``_fmt`` prints it, formatted by one ``%`` over the whole table."""
+    table = np.column_stack(columns) + 0.0  # -0.0 + 0.0 is 0.0: no negative zero
+    row = ",".join(["%.12g"] * table.shape[1]) + "\n"
+    return header + "\n" + (row * len(table)) % tuple(table.ravel().tolist())
 
 
 class _Parser(argparse.ArgumentParser):
@@ -186,6 +195,10 @@ def cmd_elicit(args) -> int:
     if args.grid_size < 5:
         raise ValueError("--grid-size must be at least 5")
     _check_tol(args.tol, "--tol")
+    if args.budget < 1:
+        raise ValueError("--budget must be at least 1")
+    if args.seed < 0:
+        raise ValueError("--seed must be non-negative")
     grid = tuple(np.linspace(0.05, 0.95, args.grid_size))
     ident = identify_C(rf, grid=grid)
     bounds = None
@@ -226,9 +239,8 @@ def cmd_figure(args) -> int:
         grid[i], taken[i] = q, True
     grid.sort()
     columns = [grid] + [interval_mass(m, grid, 1.0) for m in measures]
-    lines = ["p,uc_integrated,es_integrated," + ",".join(f"mq_{q:g}" for q in qs)]
-    lines += [",".join(map(_fmt, row)) for row in zip(*(c.tolist() for c in columns))]
-    text = "\n".join(lines) + "\n"
+    text = _csv_table("p,uc_integrated,es_integrated," + ",".join(f"mq_{q:g}" for q in qs),
+                      columns)
     if args.out == "-":
         sys.stdout.write(text)
     else:
@@ -237,6 +249,7 @@ def cmd_figure(args) -> int:
     return 0
 
 
+@functools.cache  # parse_args makes a fresh namespace per call, so one parser serves every main
 def _build_parser() -> _Parser:
     parser = _Parser(prog="elicitrisk",
                      description="Coherent risk measures and elicitability diagnostics.")

@@ -85,6 +85,16 @@ def _check_grid(grid, minimum: int) -> list[float]:
     return sorted(pts)
 
 
+def _median(x: np.ndarray) -> float:
+    """``np.median`` of a nonempty 1-d array, bit for bit, NaN if any entry is
+    NaN; without its NaN check, which imports ``numpy.ma``."""
+    s = np.sort(x)  # NaN sorts last
+    h = s.size // 2
+    if np.isnan(s[-1]):
+        return float(s[-1])
+    return float(s[h] if s.size % 2 else (s[h - 1] + s[h]) / 2.0)
+
+
 def identify_C(rf: RiskFunctional, grid=None, tolerance: float = 1e-8) -> CIdentification:
     """Estimate the two-point constant C and check its internal consistency.
 
@@ -103,7 +113,7 @@ def identify_C(rf: RiskFunctional, grid=None, tolerance: float = 1e-8) -> CIdent
     est, bad = r > -1.0, ~((-1.0 < r) & (r < 0.0))
     with np.errstate(all="ignore"):  # as Python's float arithmetic, which does not warn
         c = -p[est] * r[est] / ((1.0 - p[est]) * (1.0 + r[est]))
-    c_hat = float(np.median(c)) if c.size else 0.0
+    c_hat = _median(c) if c.size else 0.0
     residuals = tuple(zip(p[est].tolist(), (c - c_hat).tolist()))
     max_res = max((abs(x) for _, x in residuals), default=0.0)
     consistent = bool(not bad.any() and max_res <= tolerance and 0.0 < c_hat <= 1.0)
@@ -184,6 +194,8 @@ def convex_level_set_test(rf: RiskFunctional, search_budget: int = 10000, seed: 
     """
     if search_budget < 1:
         raise ValueError("search_budget must be positive")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     tol = _check_tol(tol)
     p = np.array(_check_grid(DEFAULT_GRID if grid is None else grid, minimum=2))
     s, member = _hunt_members(rf, p, tol)

@@ -623,6 +623,13 @@ def figure_text_oracle(C: float, qs) -> str:
     return "\n".join(lines) + "\n"
 
 
+def per_value_csv_table(header: str, columns) -> str:
+    """The figure verb's CSV text as it was formatted before one ``%`` took the
+    whole table: one ``_fmt`` call per value."""
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    return "\n".join([header] + [",".join(map(_fmt, row)) for row in rows]) + "\n"
+
+
 def pointwise_bounds_entries(m: SpectralMeasure, C: float, grid, eq_tol: float) -> list:
     """spectral_bounds_check's entries as it built them, one level at a time
     with scalar spectral_fn and interval_mass calls, as field tuples."""

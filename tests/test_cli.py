@@ -10,9 +10,12 @@ import numpy as np
 import pytest
 
 import elicitrisk
-from elicitrisk import Empirical, es, interval_mass, measure_to_json, uc_measure
-from elicitrisk.cli import _fmt, main
-from helpers import figure_text_oracle
+from elicitrisk import (Empirical, SpectralMeasure, es, interval_mass, measure_to_json,
+                        uc_measure)
+from elicitrisk.cli import _csv_table, _fmt, main
+from helpers import figure_text_oracle, per_value_csv_table
+
+EVAL_ARGV = ["eval", "--type", "negmean", "--dist", '{"type": "dirac", "at": 0.0}']
 
 
 def run_cli(argv):
@@ -354,6 +357,18 @@ class TestElicit:
         assert out == ""
         assert err == f"error: --tol must be finite and positive, got {float(tol)!r}\n"
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-1", "--seed must be non-negative"),
+        ("--budget", "0", "--budget must be at least 1"),
+        ("--budget", "-3", "--budget must be at least 1")])
+    def test_hunt_flag_validation(self, capsys, flag, value, message):
+        # these were numpy's "expected non-negative integer" and the library's
+        # "search_budget must be positive", which name no flag
+        assert run_cli(["elicit", "--type", "es", "--level", "0.5", f"{flag}={value}"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestFigure:
     def parse(self, text):
@@ -425,6 +440,26 @@ class TestFigure:
         assert run_cli(["figure", "--C", repr(C), "--p-list", ",".join(map(str, qs))]) == 0
         assert capsys.readouterr().out == figure_text_oracle(C, qs)
 
+    @pytest.mark.parametrize("C", ["1e-10", "0.2", "0.437", "0.999999", "1", "2.3e-308"])
+    @pytest.mark.parametrize("p_list", ["0.3,0.8", "1e-16,0.9999999999999999", "1e-300,0.5"])
+    def test_matches_the_per_value_formatter(self, capsys, monkeypatch, C, p_list):
+        # C = 2.3e-308 prints subnormal values, 1e-16 values near 1e-16
+        argv = ["figure", "--C", C, "--p-list", p_list]
+        assert run_cli(argv) == 0
+        table = capsys.readouterr().out
+        monkeypatch.setattr(elicitrisk.cli, "_csv_table", per_value_csv_table)
+        assert run_cli(argv) == 0
+        assert table == capsys.readouterr().out
+
+    def test_table_formats_as_fmt(self):
+        edge = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-16, -1e-16,
+                         1e16, 1e16 + 2.0, -1e16, 1e17, 999999999999.5, 123456789012.5, 0.1,
+                         1.0 / 3.0, 1.7976931348623157e308, np.nan, np.inf, -np.inf])
+        bits = np.random.default_rng(5).integers(0, 2**64, 4000, dtype=np.uint64).view(np.float64)
+        bits[np.isnan(bits)] = np.nan  # a signalling NaN would warn in the + 0.0
+        for columns in ([edge], [edge, -edge, edge[::-1]], list(bits.reshape(8, 500))):
+            assert _csv_table("h", columns) == per_value_csv_table("h", columns)
+
     def test_one_interval_mass_call_per_column(self, capsys, monkeypatch):
         calls = []
 
@@ -490,6 +525,38 @@ class TestGlobalFlags:
         assert run_cli(["frobnicate"]) == 1
         capsys.readouterr()
 
+    def test_main_builds_its_parser_once(self, capsys, monkeypatch):
+        built = []
+        init = elicitrisk.cli._Parser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(elicitrisk.cli._Parser, "__init__", counting)
+        elicitrisk.cli._build_parser.cache_clear()
+        counts = []
+        for argv in (EVAL_ARGV, ["figure", "--C", "0.5"], ["frobnicate"], EVAL_ARGV):
+            run_cli(argv)
+            capsys.readouterr()
+            counts.append(len(built))
+        assert counts[0] > 0
+        assert counts == counts[:1] * 4
+
+    @pytest.mark.parametrize("argv", [["frobnicate"], ["elicit", "--budget", "x"],
+                                      ["--threads", "0", *EVAL_ARGV]])
+    def test_usage_error_after_other_verbs(self, capsys, argv):
+        elicitrisk.cli._build_parser.cache_clear()
+        assert run_cli(argv) == 1
+        first = capsys.readouterr()
+        assert run_cli(EVAL_ARGV) == 0
+        assert run_cli(["figure", "--C", "0.5"]) == 0
+        capsys.readouterr()
+        assert run_cli(argv) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", first.err)
+        assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+
 
 def test_import_needs_numpy_only():
     # numpy is the one runtime dependency: importing the package and the CLI
@@ -500,3 +567,18 @@ def test_import_needs_numpy_only():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "[]"
+
+
+def test_elicit_leaves_numpy_ma_unimported():
+    # np.median's NaN check imported numpy.ma, about half the time of a process's first elicit
+    src = str(Path(elicitrisk.__file__).resolve().parents[1])
+    # a consistent spectral functional runs bound_check and spectral_bounds_check too
+    measure = json.dumps(measure_to_json(SpectralMeasure(atoms=[(1.0, 1.0)])))
+    code = ("import sys; from elicitrisk.cli import main; "
+            "codes = [main(['elicit', '--type', 'es', '--level', '0.5']), "
+            "main(['elicit', '--type', 'expectile', '--level', '0.25']), "
+            f"main(['elicit', '--type', 'spectral', '--measure', {measure!r}])]; "
+            "print(codes, 'numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.splitlines()[-1] == "[2, 0, 0] False"

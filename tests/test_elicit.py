@@ -105,6 +105,19 @@ class TestIdentifyC:
         assert len(ident.residuals) == 5
 
 
+def test_median_is_numpys():
+    # bit for bit, on arrays with ties, and NaN when any entry is NaN
+    rng = np.random.default_rng(11)
+    for k in range(20000):
+        n = int(rng.integers(1, 40))
+        pool = rng.normal(size=int(rng.integers(1, n + 1))) * 10.0 ** rng.integers(-300, 300)
+        x = rng.choice(pool, size=n)
+        if k % 7 == 0:
+            x[rng.integers(n)] = np.nan
+        want, got = np.median(x), elicit._median(x)
+        assert np.isnan(got) if np.isnan(want) else np.float64(got).tobytes() == want.tobytes()
+
+
 class TestConvexLevelSetTest:
     def test_es_yields_validated_witness(self):
         rf = ES(0.5)
@@ -143,6 +156,11 @@ class TestConvexLevelSetTest:
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             convex_level_set_test(NegMean(), search_budget=0)
+
+    def test_seed_validation(self):
+        # numpy's own error would not name the seed
+        with pytest.raises(ValueError, match="^seed must be non-negative$"):
+            convex_level_set_test(NegMean(), seed=-1)
 
     @pytest.mark.parametrize("rf", [
         ES(0.5), ES(0.1), VaR(0.3), VaR(0.9), NegMean(), ExpectileRisk(0.1),
