@@ -59,10 +59,20 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+def _no_negative_zero(obj):
+    # -0.0 + 0.0 is 0.0, and every other float stays as it is
+    if isinstance(obj, dict):
+        return {k: _no_negative_zero(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_no_negative_zero(v) for v in obj]
+    return obj + 0.0 if isinstance(obj, float) else obj
+
+
 def _json_line(obj) -> str:
-    """One RFC 8259 JSON line: a NaN or infinity in the output is an error."""
+    """One RFC 8259 JSON line with no negative zero: a NaN or infinity in the
+    output is an error."""
     try:
-        return json.dumps(obj, sort_keys=True, allow_nan=False)
+        return json.dumps(_no_negative_zero(obj), sort_keys=True, allow_nan=False)
     except ValueError:
         raise ValueError("the result is not a finite number") from None
 
@@ -107,15 +117,9 @@ def _functional_from_args(args) -> RiskFunctional:
         return functional_from_json(args.spec)
     if args.type is None:
         raise ValueError("a functional is required: --type or --spec")
-    t = args.type
-    if t in ("var", "es", "expectile"):
-        if args.level is None:
-            raise ValueError(f"--type {t} needs --level")
-    elif args.level is not None:
-        raise ValueError(f"--level does not apply to --type {t}")
-    elif t == "spectral" and args.measure is None:
-        raise ValueError("--type spectral needs --measure")
-    return functional_from_json({"type": t, "level": args.level, "measure": args.measure})
+    # only the flags given, so that the spec's checks name a missing or extra key
+    flags = {"type": args.type, "level": args.level, "measure": args.measure}
+    return functional_from_json({k: v for k, v in flags.items() if v is not None})
 
 
 def _add_functional_flags(p: argparse.ArgumentParser):

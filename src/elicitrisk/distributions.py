@@ -420,14 +420,14 @@ def mix(d0: Distribution, d1: Distribution, p: float) -> FiniteAtomic:
     """Mixture p * d0 + (1 - p) * d1 of two atomic laws.
 
     Continuous laws are rejected: mixtures are only needed on the atomic side
-    of the diagnostics, where they stay exact.  Both ladders are canonical and
-    are merged: a shared value sums its weights, and p = 0 or 1 drops a law.
+    of the diagnostics, where they stay exact.  The law is built from both
+    sets of atoms: a shared value sums its weights, and p = 0 or 1 drops a law.
     """
     p = _check_prob(p)
     if not isinstance(d0, FiniteAtomic) or not isinstance(d1, FiniteAtomic):
         raise ValueError("mix is defined for atomic laws only")
-    return _Stack.mixed(d0._values[None], d0._weights[None], d1._values[None],
-                        d1._weights[None], np.array([p])).laws()[0]
+    return FiniteAtomic(np.concatenate((d0._values, d1._values)),
+                        np.concatenate((p * d0._weights, (1.0 - p) * d1._weights)))
 
 
 class _Stack:
@@ -487,21 +487,6 @@ class _Stack:
         last = np.append(s[:, 1:] != s[:, :-1], np.ones((len(s), 1), dtype=bool), axis=1)
         cum = np.where(last, np.arange(1.0, s.shape[1] + 1.0) / s.shape[1], 0.0)
         return cls._from_sorted(s, np.maximum.accumulate(cum, axis=1))
-
-    @classmethod
-    def mixed(cls, v0, w0, v1, w1, p) -> "_Stack":
-        """Rows p d0 + (1 - p) d1 from the values and weights of two sets of
-        rows and one p per row, as ``mix`` merges two ladders."""
-        values = np.concatenate((v0, v1), axis=1)
-        order = values.argsort(axis=1, kind="stable")  # a run of equal values: d0's, then d1's
-        values = np.take_along_axis(values, order, 1)
-        weights = np.concatenate((p[:, None] * w0, (1.0 - p[:, None]) * w1), axis=1)
-        start = np.flatnonzero(np.concatenate(
-            (np.ones((len(values), 1), dtype=bool), values[:, 1:] != values[:, :-1]), axis=1))
-        # each run's weights summed in order onto its first entry, zero elsewhere
-        run = np.zeros(values.size)
-        run[start] = np.add.reduceat(np.take_along_axis(weights, order, 1).ravel(), start)
-        return cls._from_sorted(values, np.cumsum(run.reshape(values.shape), axis=1))
 
     def laws(self) -> list:
         return [FiniteAtomic._from_cum(x[:m], c[:m], s[:m])

@@ -159,7 +159,7 @@ def _hunt_members(rf: RiskFunctional, p: np.ndarray, tol: float):
 
 def _member_mixtures(s: _Stack, i0, i1, w) -> _Stack:
     """Rows w m0 + (1 - w) m1 of members ``two_point(0, x, p)``, rows i0 and i1 of s,
-    as ``_Stack.mixed`` merges them: mass at 0, then the upper atoms, m0's first."""
+    as ``mix`` merges them: mass at 0, then the upper atoms, m0's first."""
     c0, c1 = s.cum[i0, 0], s.cum[i1, 0]  # the mass at 0; 1 for the point mass at 0
     x0, x1 = s.values[i0, -1], s.values[i1, -1]
     b0, b1 = w * (1.0 - c0), (1.0 - w) * (1.0 - c1)

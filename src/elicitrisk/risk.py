@@ -380,6 +380,11 @@ def coherence_check(rf: RiskFunctional, trials: int = 1000, seed: int = 0,
     return report
 
 
+# the one key, if any, that each functional type takes besides "type"
+_SPEC_KEY = {"negmean": None, "var": "level", "es": "level", "expectile": "level",
+             "spectral": "measure", "inf_family": "measures"}
+
+
 def functional_from_json(spec, tol: float = JSON_NORMALIZATION_TOL) -> RiskFunctional:
     """Build a risk functional from a JSON object or string.
 
@@ -392,23 +397,24 @@ def functional_from_json(spec, tol: float = JSON_NORMALIZATION_TOL) -> RiskFunct
     if not isinstance(spec, dict) or "type" not in spec:
         raise ValueError("functional spec must be a JSON object with a 'type' key")
     kind = spec["type"]
+    if not isinstance(kind, str) or kind not in _SPEC_KEY:
+        raise ValueError(f"unknown functional type {kind!r}")
+    key = _SPEC_KEY[kind]
+    unknown = set(spec) - {"type", key}
+    if unknown:
+        raise ValueError(f"unknown keys for functional type {kind!r}: {sorted(unknown)}")
+    if key is not None and key not in spec:
+        raise ValueError(f"functional type {kind!r} needs a {key!r}")
     if kind == "negmean":
         return NegMean()
-    if kind in ("var", "es", "expectile"):
-        if "level" not in spec:
-            raise ValueError(f"functional type {kind!r} needs a 'level'")
-        level = _json_number(spec["level"], "level")
-        return {"var": VaR, "es": ES, "expectile": ExpectileRisk}[kind](level)
     if kind == "spectral":
-        if "measure" not in spec:
-            raise ValueError("spectral functional needs a 'measure'")
         return SpectralRisk(measure_from_json(spec["measure"], tol=tol))
     if kind == "inf_family":
-        measures = spec.get("measures")
+        measures = spec["measures"]
         if not isinstance(measures, list) or not measures:
             raise ValueError("inf_family needs a nonempty 'measures' list")
         return InfOverFamily(tuple(measure_from_json(ms, tol=tol) for ms in measures))
-    raise ValueError(f"unknown functional type {kind!r}")
+    return {"var": VaR, "es": ES, "expectile": ExpectileRisk}[kind](_json_number(spec[key], key))
 
 
 def functional_to_json(rf: RiskFunctional) -> dict:

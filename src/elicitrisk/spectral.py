@@ -184,10 +184,13 @@ def _density_g_integral(density: UcDensity | None, p1, p2):
     # integral of the density part of g_m over (p1, p2], elementwise on arrays
     if density is None or density.C == 1.0:
         return 0.0
+    # C (p2 - p1)(1 - h1 h2) / (h1 h2) with h = C + t p, t = 1 - C: as a product,
+    # 1 - h1 h2 = t ((1 - p1) + (1 - p2) h1), it does not cancel as C -> 1, and
+    # its ratios underflow only with the result
     c = density.C
-    h1 = c + (1.0 - c) * p1
-    h2 = c + (1.0 - c) * p2
-    return c / (1.0 - c) * (1.0 / h1 - 1.0 / h2) - c * (p2 - p1)
+    t = 1.0 - c
+    h1 = c + t * p1
+    return (c / h1) * ((p2 - p1) / (c + t * p2)) * (t * ((1.0 - p1) + (1.0 - p2) * h1))
 
 
 def spectral_fn(m: SpectralMeasure, u):
@@ -300,22 +303,17 @@ def nu_via_U(m: SpectralMeasure, d: Distribution) -> float:
     c = m.density.C
     if isinstance(d, Uniform):
         return out + _uniform_density_part(d, c)
-    cum = d._cum
-    prev = np.concatenate(([0.0], cum[:-1]))
-    csum_prev = np.concatenate(([0.0], d._csum[:-1]))
-    # On (c[i-1], c[i]] the tail integral is x_0 c[i-1] + S[i-1] + x[i] (a - c[i-1]),
-    # an affine function A + x*a with A = S[i-1] - (x[i] - x_0) c[i-1].
-    h_prev = c + (1.0 - c) * prev
-    h_cum = c + (1.0 - c) * cum
-    # (A + x*a)/a * f_C(a) = (A + x*a) * 2C(1-C)/h(a)^3, so each piece reduces to
-    # the closed-form integrals i0 of 2C(1-C)/h^3 and i1 of a * 2C(1-C)/h^3.
-    # C/h^2 as C/h/h, which does not underflow at a tiny C (h >= C) as h^2 does
-    q_prev, q_cum = c / h_prev / h_prev, c / h_cum / h_cum
-    i0 = q_prev - q_cum
-    i1 = (2.0 * c / (1.0 - c)) * ((-1.0 / h_cum + 0.5 * q_cum) - (-1.0 / h_prev + 0.5 * q_prev))
-    a_coef = csum_prev - (d._values - d._values[0]) * prev
-    val = float(np.dot(a_coef, i0) + np.dot(d._values, i1))
-    return out + val
+    cum, csum = d._cum, d._csum
+    prev, csum_prev = np.concatenate(([0.0], cum[:-1])), np.concatenate(([0.0], csum[:-1]))
+    # On (p1, p2] = (c[i-1], c[i]] the tail integral is affine in a, so its piece of
+    # the integral against f_C(a)/a = 2C(1-C)/h(a)^3, h = C + t a, t = 1 - C, is
+    # k (P1/h1 + P2/h2) with k = C (p2 - p1) t / (h1 h2) and P1, P2 the tail integral
+    # x_0 c + S at the ends: a product that does not cancel as C -> 1.  The x_0 c
+    # parts sum to x_0 t, x_0 times the density's mass.
+    t = 1.0 - c
+    h_prev, h_cum = c + t * prev, c + t * cum
+    k = (c / h_prev) * ((cum - prev) * t / h_cum)
+    return out + d._values[0] * t + float(np.dot(k, csum_prev / h_prev + csum / h_cum))
 
 
 def measure_from_json(spec, tol: float = JSON_NORMALIZATION_TOL) -> SpectralMeasure:
@@ -346,6 +344,9 @@ def measure_from_json(spec, tol: float = JSON_NORMALIZATION_TOL) -> SpectralMeas
     if density_spec is not None:
         if not isinstance(density_spec, dict) or density_spec.get("type") != "uc":
             raise ValueError(f"unsupported density spec {density_spec!r}")
+        unknown = set(density_spec) - {"type", "C"}
+        if unknown:
+            raise ValueError(f"unknown uc density keys: {sorted(unknown)}")
         density = UcDensity(_json_number(density_spec.get("C"), "density C"))
     return SpectralMeasure(atom_at_zero=atom0, atoms=pairs, density=density, tol=tol)
 

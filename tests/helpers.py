@@ -142,12 +142,28 @@ def bisection_expectile(d, tau: float) -> float:
 def canonicalising_mix(d0: FiniteAtomic, d1: FiniteAtomic, p: float) -> FiniteAtomic:
     """p * d0 + (1 - p) * d1 built from the concatenated atoms.
 
-    This was ``mix`` before it merged the two ladders: the constructor sorts
-    the atoms with ``np.unique``, sums the weights of equal values with
-    ``np.bincount`` and validates them again.
+    The constructor sorts the atoms with ``np.unique``, sums the weights of
+    equal values with ``np.bincount`` and validates them again; ``mix`` builds
+    its law this way.
     """
     return FiniteAtomic(np.concatenate((d0._values, d1._values)),
                         np.concatenate((p * d0._weights, (1.0 - p) * d1._weights)))
+
+
+def stacked_mix(v0, w0, v1, w1, p) -> _Stack:
+    """Rows p d0 + (1 - p) d1 from the values and weights of two sets of rows
+    and one p per row: the general merge of two ladders, row by row, as
+    ``mix`` merges two laws."""
+    values = np.concatenate((v0, v1), axis=1)
+    order = values.argsort(axis=1, kind="stable")  # a run of equal values: d0's, then d1's
+    values = np.take_along_axis(values, order, 1)
+    weights = np.concatenate((p[:, None] * w0, (1.0 - p[:, None]) * w1), axis=1)
+    start = np.flatnonzero(np.concatenate(
+        (np.ones((len(values), 1), dtype=bool), values[:, 1:] != values[:, :-1]), axis=1))
+    # each run's weights summed in order onto its first entry, zero elsewhere
+    run = np.zeros(values.size)
+    run[start] = np.add.reduceat(np.take_along_axis(weights, order, 1).ravel(), start)
+    return _Stack._from_sorted(values, np.cumsum(run.reshape(values.shape), axis=1))
 
 
 def _searched_tails(d: FiniteAtomic, x: float) -> tuple[float, float]:

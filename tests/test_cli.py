@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -138,6 +139,16 @@ class TestEval:
             ["eval", "--type", "negmean", "--level", "0.5",
              "--dist", '{"type": "dirac", "at": 0.0}'],
             ["eval", "--type", "spectral", "--dist", '{"type": "dirac", "at": 0.0}'],
+            # keys the type does not take
+            ["eval", "--spec", '{"type": "negmean", "level": 0.3}',
+             "--dist", '{"type": "dirac", "at": 0.0}'],
+            ["eval", "--spec", '{"type": "var", "level": 0.3, "bogus": 1}',
+             "--dist", '{"type": "dirac", "at": 0.0}'],
+            ["eval", "--type", "var", "--level", "0.3", "--measure", '{"atoms": [[1, 1]]}',
+             "--dist", '{"type": "dirac", "at": 0.0}'],
+            ["eval", "--type", "spectral", "--measure",
+             '{"atoms": [[1, 0.5]], "density": {"type": "uc", "C": 0.5, "junk": 1}}',
+             "--dist", '{"type": "dirac", "at": 0.0}'],
             # missing file
             ["eval", "--type", "negmean", "--data", str(tmp_path / "nope.csv")],
             ["eval", "--type", "negmean", "--data", str(huge)],
@@ -342,6 +353,25 @@ class TestElicit:
         first = capsys.readouterr().out
         run_cli(argv)
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("functional", [
+        ["--type", "var", "--level", "0.3"], ["--type", "es", "--level", "0.1"],
+        ["--type", "es", "--level", "0.5"], ["--type", "expectile", "--level", "0.5"],
+        ["--type", "negmean"],
+        ["--type", "spectral", "--measure", json.dumps(measure_to_json(uc_measure(0.5)))]])
+    def test_negative_zero_never_printed(self, capsys, functional):
+        # ES(0.1) has -0.0 among its degenerate values, expectile(0.5) in its margins
+        assert run_cli(["elicit", *functional]) in (0, 2)
+        out = capsys.readouterr().out
+        assert re.search(r"-0\.0(?![0-9e])", out) is None
+
+    def test_expectile_just_below_half_is_consistent(self, capsys):
+        # every expectile with tau <= 1/2 lies in the corridor; near C = 1 the
+        # density part of u_C once cancelled into a false envelope violation
+        code = run_cli(["elicit", "--type", "expectile", "--level", "0.49999999"])
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "consistent" and code == 0
+        assert all(m["ok"] for m in report["margins"])
 
     def test_grid_size_validation(self, capsys):
         assert run_cli(["elicit", "--type", "negmean", "--grid-size", "4"]) == 1

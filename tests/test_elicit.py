@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from elicitrisk import (
+    ConvexityWitness,
     DEFAULT_GRID,
     ES,
     Empirical,
@@ -182,15 +183,22 @@ class TestConvexLevelSetTest:
 
 
 def test_hunt_never_canonicalises(monkeypatch):
-    # members are two-point laws and mixtures merge canonical ladders: no law
-    # in the hunt goes through the sorting constructor
-    def refuse(*args):
-        raise AssertionError("the hunt canonicalised a law")
-
-    monkeypatch.setattr(distributions, "_canonical_atoms", refuse)
+    # members are two-point laws and the mixtures tried are stack rows: only
+    # the recomputation of a witness builds a law, its mixture, through the
+    # sorting constructor
+    canonical, validate = distributions._canonical_atoms, ConvexityWitness.validate
+    sorts, checks = [], []
+    monkeypatch.setattr(distributions, "_canonical_atoms",
+                        lambda *a: sorts.append(1) or canonical(*a))
+    monkeypatch.setattr(ConvexityWitness, "validate",
+                        lambda self, *a: checks.append(len(sorts)) or validate(self, *a))
     for rf in (NegMean(), ExpectileRisk(0.25), ES(0.5), VaR(0.3),
                SpectralRisk(uc_measure(0.5))):
+        del sorts[:], checks[:]
         convex_level_set_test(rf)
+        # none before each check, one inside it
+        assert checks == list(range(len(checks))), rf
+        assert len(sorts) == len(checks), rf
 
 
 class CountingNegMean(RiskFunctional):

@@ -1,7 +1,12 @@
-"""The README's library quick start runs as written."""
+"""The README's library quick start and command lines run as written."""
 
 import re
+import shlex
 from pathlib import Path
+
+import pytest
+
+from elicitrisk.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -13,3 +18,22 @@ def test_library_quick_start_runs():
     exec(compile(match.group(1), "README.md quick start", "exec"), scope)
     # the block's own comment: ES is not identified by a single C
     assert scope["rep"].consistent is False
+
+
+# argv of each README ``elicitrisk`` line that reads no input file: neither
+# ``--data`` nor a ``score`` panel
+COMMANDS = [argv for argv in (shlex.split(line)[1:] for line in README.read_text().splitlines()
+                              if line.startswith("elicitrisk "))
+            if argv[0] != "score" and "--data" not in argv]
+
+
+def test_command_lines_cover_every_verb_that_needs_no_file():
+    assert {argv[0] for argv in COMMANDS} == {"eval", "elicit", "figure"}
+
+
+@pytest.mark.parametrize("argv", COMMANDS)
+def test_command_line_runs(argv, tmp_path, monkeypatch, capsys):
+    # in a directory of its own, where figure --out writes its file
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) in (0, 2)
+    assert capsys.readouterr().err == ""

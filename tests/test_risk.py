@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import sys
 
 import numpy as np
@@ -564,3 +565,16 @@ class TestFunctionalJson:
             functional_from_json({"type": "cvar", "level": 0.5})
         with pytest.raises(TypeError):
             functional_to_json(object())
+        for kind in ([1], {"a": 1}, None, 3):
+            with pytest.raises(ValueError, match="unknown functional type"):
+                functional_from_json({"type": kind})
+        # a key its type does not take
+        one = {"atoms": [[1.0, 1.0]]}
+        for spec, extra in (({"type": "negmean", "level": 0.3}, "level"),
+                            ({"type": "var", "level": 0.3, "bogus": 1}, "bogus"),
+                            ({"type": "es", "level": 0.3, "measure": one}, "measure"),
+                            ({"type": "spectral", "measure": one, "level": 0.3}, "level"),
+                            ({"type": "inf_family", "measures": [one], "level": 0.3}, "level")):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"unknown keys for functional type {spec['type']!r}: [{extra!r}]")):
+                functional_from_json(spec)

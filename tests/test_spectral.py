@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -332,6 +333,56 @@ class TestNuViaU:
                 assert abs(nu(m, d) - nu_via_U(m, d)) <= 1e-12
 
 
+def exact_density_integral(C: float, p1: float, p2: float) -> Fraction:
+    """The density part of g_m over (p1, p2] in rationals: C (p2 - p1)(1 / (h1 h2) - 1)."""
+    C, p1, p2 = Fraction(C), Fraction(p1), Fraction(p2)
+    h1, h2 = C + (1 - C) * p1, C + (1 - C) * p2
+    return C * (p2 - p1) * (1 / (h1 * h2) - 1)
+
+
+class TestDensityAgainstRationals:
+    """The density part as C -> 1, where a difference of reciprocals times
+    C / (1 - C) once cancelled, and at a tiny C, where it must not underflow."""
+
+    CS = (1.0 - 1e-16, 1.0 - 1e-12, 0.999999, 0.5, 1e-300)
+    LAWS = (two_point(0.0, 1.0, 0.3), two_point(0.0, 1.0, 0.999),
+            FiniteAtomic([0.0, 0.5, 2.0, 7.0], [0.2, 0.5, 0.25, 0.05]),
+            FiniteAtomic([0.0, 1.0, 3.0], [1e-9, 1.0 - 2e-9, 1e-9]))
+
+    @staticmethod
+    def close(got: float, want: Fraction, rel: float) -> bool:
+        # a subnormal result keeps only a few units of the smallest one
+        return abs(Fraction(got) - want) <= rel * abs(want) + Fraction(4 * 5e-324)
+
+    def test_interval_mass(self):
+        levels = (0.0, 1e-12, 0.3, 0.5, 0.999, 1.0 - 1e-12, 1.0)
+        for C in self.CS:
+            m = uc_measure(C)
+            for p1 in levels:
+                for p2 in (p for p in levels if p > p1):
+                    atom = Fraction(C) * (Fraction(p2) - Fraction(p1))
+                    want = exact_density_integral(C, p1, p2) + atom
+                    assert self.close(interval_mass(m, p1, p2), want, 4e-16), (C, p1, p2)
+            assert self.close(interval_mass(m, 0.0, 1.0), Fraction(1), 4e-16), C
+
+    def test_nu_and_nu_via_U(self):
+        # an atom at zero carries the rest of the mass and adds C * 0: the
+        # density part alone, a sum of positive terms
+        for C in self.CS:
+            m = SpectralMeasure(atom_at_zero=C, density=UcDensity(C))
+            for d in self.LAWS:
+                prev = np.append(0.0, d._cum[:-1])
+                want = sum(Fraction(x) * exact_density_integral(C, a, b)
+                           for x, a, b in zip(d._values, prev, d._cum))
+                assert self.close(nu(m, d), want, 1e-15), (C, d)
+                assert self.close(nu_via_U(m, d), want, 1e-15), (C, d)
+
+    def test_near_one_the_measure_is_the_top_atom(self):
+        m = uc_measure(1.0 - 1e-16)
+        assert nu(m, dirac(1.0)) == 1.0
+        assert nu_via_U(m, dirac(1.0)) == 1.0
+
+
 def _magnitude(d) -> float:
     return max(abs(d.support_min()), abs(d.support_max()))
 
@@ -496,3 +547,5 @@ class TestJson:
             measure_from_json({"atoms": [[0.5, "1"]]})
         with pytest.raises(ValueError, match="density C must be a number, got None"):
             measure_from_json({"density": {"type": "uc"}})
+        with pytest.raises(ValueError, match=r"unknown uc density keys: \['junk'\]"):
+            measure_from_json({"density": {"type": "uc", "C": 0.5, "junk": 1}})

@@ -23,7 +23,8 @@ from elicitrisk.distributions import _Stack
 
 from helpers import (atomic_expectile, ladder_bytes, per_law_bound_check, per_law_hunt,
                      per_law_identify_C, per_law_nu, per_trial_coherence_check, random_law_pair,
-                     random_law_with_ties, random_measure, searched_pqi, searched_quantile)
+                     random_law_with_ties, random_measure, searched_pqi, searched_quantile,
+                     stacked_mix)
 
 
 def bits(x) -> bytes:
@@ -216,19 +217,20 @@ def test_member_mixtures_equal_the_general_merge():
     i1[tie] = i0[tie] + 300
     w = np.concatenate((np.tile(elicit._MIX_WEIGHTS, 5000), rng.uniform(size=4999), [0.0]))
     new = elicit._member_mixtures(s, i0, i1, w)
-    old = _Stack.mixed(s.values[i0], s.weights[i0], s.values[i1], s.weights[i1], w)
+    old = stacked_mix(s.values[i0], s.weights[i0], s.values[i1], s.weights[i1], w)
     assert stack_bytes(new) == stack_bytes(old)
 
 
 @pytest.mark.parametrize("rf", [NegMean(), ES(0.5), SpectralRisk(uc_measure(0.5))], ids=repr)
 def test_the_hunt_makes_three_kernel_calls_and_builds_only_witness_laws(rf, monkeypatch):
     calls, builds, checks = [], [], []
-    kernel, build = type(rf)._evaluate_stack, FiniteAtomic._from_cum.__func__
+    kernel, build = type(rf)._evaluate_stack, FiniteAtomic._set_ladder
     validate = ConvexityWitness.validate
     monkeypatch.setattr(type(rf), "_evaluate_stack",
                         lambda self, s: calls.append(len(s.cum)) or kernel(self, s))
-    monkeypatch.setattr(FiniteAtomic, "_from_cum",
-                        classmethod(lambda cls, *a: builds.append(1) or build(cls, *a)))
+    # every atomic law passes through _set_ladder, however it is built
+    monkeypatch.setattr(FiniteAtomic, "_set_ladder",
+                        lambda self, *a: builds.append(1) or build(self, *a))
     monkeypatch.setattr(ConvexityWitness, "validate",
                         lambda self, *a: checks.append(1) or validate(self, *a))
     for points in range(5, 38):
@@ -345,7 +347,7 @@ def test_mixed_rows_equal_mix():
     pairs = [random_law_pair(rng) for _ in range(60)]
     p = np.array([0.0, 1.0, 0.25, 0.5, 5e-324, 0.75] * 10)
     s0, s1 = _Stack.of([a for a, _ in pairs]), _Stack.of([b for _, b in pairs])
-    s = _Stack.mixed(s0.values, s0.weights, s1.values, s1.weights, p)
+    s = stacked_mix(s0.values, s0.weights, s1.values, s1.weights, p)
     assert [ladder_bytes(d) for d in s.laws()] == [
         ladder_bytes(mix(a, b, w)) for (a, b), w in zip(pairs, p)]
 
