@@ -12,6 +12,7 @@ is the uniform law, which covers every closed-form case the diagnostics need.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import os
@@ -512,66 +513,179 @@ class _Stack:
         return out.reshape(len(self.cum), *p.shape)
 
 
-# Characters on which numpy's parse and the csv module's could differ: the
-# quote, NUL (dropped from the end of numpy strings) and the ASCII separators
+# Bytes on which numpy's parse and the csv module's could differ: the quote,
+# NUL (dropped from the end of numpy strings) and the ASCII separators
 # 0x1c-0x1f (whitespace to numpy's float parser, not to Python's float).
-_PER_ROW_ONLY = '"\0\x1c\x1d\x1e\x1f'
+_PER_ROW_ONLY = b'"\0\x1c\x1d\x1e\x1f'
+
+# The first L bytes of a little-endian 8-byte word, for L = 0..8
+_PREFIX = np.array([(1 << 8 * L) - 1 for L in range(9)], np.uint64)
+
+# The readers take the file in pieces of at most this many bytes; the label
+# scan cuts each after a line end
+_PIECE = 1 << 20
 
 
 def _read_columns(path, numbers, labels=()):
     """Named columns of a CSV file with a header row, parsed by numpy.
 
-    Returns a float64 array with one column per name in ``numbers`` and, when
-    ``labels`` is given, a stripped string array with one column per label
-    name; one row per data row, blank lines skipped.  A name given twice in
-    the header means its last column.  Returns None whenever the per-row
-    parser must decide: the file holds a quote, a character in
-    ``_PER_ROW_ONLY`` or a field that may pass the csv module's field size
-    limit, a name is missing, or numpy rejects the data (ragged rows, empty
-    fields and the numbers Python's ``float`` reads but numpy does not, such
-    as ``1_0`` or non-ASCII digits), or numpy would decompress or fetch the path.
+    Returns a float64 array with one column per name in ``numbers``, one row
+    per data row, blank lines skipped, and a list with a triple ``(names,
+    codes, first)`` per name in ``labels``: the distinct stripped labels in
+    sorted order, each row's index into them and the row where each first
+    occurs.  A name given twice in the header means its last column.
+    Returns None whenever the per-row parser must decide: the file holds a
+    quote, a byte in ``_PER_ROW_ONLY`` or a field that may pass the csv
+    module's field size limit, a name is missing, or numpy rejects the data
+    (undecodable bytes, ragged rows, empty fields and the numbers Python's
+    ``float`` reads but numpy does not, such as ``1_0`` or non-ASCII digits),
+    or numpy would decompress or fetch the path; with labels, also when a
+    line has not the header's number of fields or a label column held at
+    its widest label's width would outgrow the file and 1 MiB.
     """
     fname = os.fspath(path) if isinstance(path, os.PathLike) else path
     if (not isinstance(fname, str) or "://" in fname
             or fname.endswith((".gz", ".bz2", ".xz", ".lzma"))):
         return None
+    # a field longer than the csv module's limit covers a whole block of at
+    # most half that length, so a block with no field end declines; reads of
+    # whole blocks keep the blocks aligned
+    block = min(max(1, (csv.field_size_limit() + 1) // 2), _PIECE)
     try:
-        with open(path, newline="") as fh, warnings.catch_warnings():
+        # the per-row parser's own file, so the same text encoding
+        with open(fname, newline="") as fh:
+            encoding, read, head = fh.encoding, fh.buffer.read, b""
+            # the label scan reads the whole file; the numbers alone need no bytes kept
+            for chunk in [read()] if labels else iter(lambda: read(_PIECE // block * block), b""):
+                head = head or chunk
+                if any(c in chunk for c in _PER_ROW_ONLY) or any(
+                        all(chunk.find(c, i, i + block) < 0 for c in b",\n\r")
+                        for i in range(0, len(chunk) - block + 1, block)):
+                    return None
+        end = min((i for i in (head.find(b"\n", 0, _PIECE), head.find(b"\r", 0, _PIECE))
+                   if i >= 0), default=len(head))
+        if end >= _PIECE:
+            return None
+        header = head[:end].decode(encoding).split(",")
+        column = {name: i for i, name in enumerate(header)}
+        if not all(name in column for name in (*numbers, *labels)):
+            return None
+        if labels:
+            cells = _label_cells(head, end + 1 + (head[end:end + 2] == b"\r\n"), len(header),
+                                 [column[name] for name in labels])
+            # the bytes go before numpy parses the numbers
+            del head, chunk
+            if cells is None:
+                return None
+            factors = [_factorise(c, encoding) for c in cells]
+            del cells
+        with warnings.catch_warnings():
             # a warning, such as that for a file with no data rows, declines too
             warnings.simplefilter("error")
-            # a field longer than the csv module's limit covers a whole block
-            # of at most half that length, so a block with no field end
-            # declines; chunks are whole blocks, so blocks stay aligned
-            block = min(max(1, (csv.field_size_limit() + 1) // 2), 1 << 20)
-            size = block * ((1 << 20) // block)
-            for chunk in iter(lambda: fh.read(size), ""):
-                if any(c in chunk for c in _PER_ROW_ONLY):
-                    return None
-                for i in range(0, len(chunk) - block + 1, block):
-                    if all(chunk.find(c, i, i + block) < 0 for c in ",\n\r"):
-                        return None
-            fh.seek(0)
-            column = {name: i for i, name in enumerate(fh.readline().rstrip("\r\n").split(","))}
-            if not all(name in column for name in (*numbers, *labels)):
-                return None
             values = np.loadtxt(fname, delimiter=",", comments=None, ndmin=2, skiprows=1,
                                 usecols=[column[name] for name in numbers])
-            if not labels:
-                return values, None
-            # numpy reads strings in chunks of rows and warns that a blank line
-            # does not count towards a chunk; every row is still read
-            warnings.filterwarnings("ignore", "Input line", UserWarning)
-            text = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=str,
-                              usecols=[column[name] for name in labels])
     # ValueError covers undecodable bytes, whose message the per-row parser gives
     except (ValueError, IndexError, Warning):
         return None
-    return values, np.char.strip(text)
+    if not labels:
+        return values, []
+    return (values, factors) if all(c.size == len(values) for _, c, _ in factors) else None
+
+
+def _label_cells(data: bytes, lo: int, nfields: int, cols: list):
+    """The fields ``cols`` of each non-empty line of ``data[lo:]``: one ``S``
+    array per column, zero-padded to a multiple of 8 bytes.  None unless every
+    such line has ``nfields`` fields and each column's widest field, times the
+    rows, fits in the larger of ``data`` and a piece.
+
+    Lines end at LF, CR and CRLF, as both parsers end them.
+    """
+    buf, n, rows = np.frombuffer(data, np.uint8), len(data), 0
+    parts, widest = [[] for _ in cols], [0] * len(cols)
+    while lo < n:
+        # cut after the piece's last line end; the LF of a CRLF cut there
+        # starts the next piece as an empty line
+        hi = n if n - lo <= _PIECE else 1 + max(data.rfind(b"\n", lo, lo + _PIECE),
+                                                data.rfind(b"\r", lo, lo + _PIECE))
+        if hi <= lo:
+            return None
+        piece, lo = buf[lo:hi], hi
+        pos = np.flatnonzero((piece == 44) | (piece == 10) | (piece == 13)).astype(np.int32)
+        if hi == n and data[-1] not in b"\r\n":
+            # the last line has no line end
+            pos = np.append(pos, np.int32(piece.size))
+        # the piece with zeros past its end, which also mark the missing line end
+        padded = np.append(piece, np.zeros(8, np.uint8))
+        sep = padded[pos]
+        # a field starts after the separator before it; the LF of a CRLF ends
+        # none, and neither does the line end of an empty line
+        start = np.concatenate((np.zeros(1, np.int32), pos[:-1] + 1))
+        keep = np.concatenate(([True], (sep[1:] != 10) | (sep[:-1] != 13)
+                               | (pos[1:] != pos[:-1] + 1)))
+        ends = sep != 44
+        keep &= ~ends | (start != pos) | np.concatenate(([False], ~ends[:-1]))
+        if not keep.all():
+            pos, ends, start = pos[keep], ends[keep], start[keep]
+        count = int(np.count_nonzero(ends))
+        if pos.size != count * nfields or not ends[nfields - 1::nfields].all():
+            return None
+        rows += count
+        fields = [(start[c::nfields], pos[c::nfields] - start[c::nfields]) for c in cols]
+        widest = [max(w, int(length.max(initial=0))) for w, (_, length) in zip(widest, fields)]
+        if any(rows * w > max(n, _PIECE) for w in widest):
+            return None
+        # a field as little-endian 8-byte words, read at any byte offset
+        words = np.ndarray((piece.size + 1,), "<u8", padded, strides=(1,))
+        for part, w, (s, length) in zip(parts, widest, fields):
+            cell = np.empty((count, max(1, -(-w // 8))), "<u8")
+            for k in range(cell.shape[1]):
+                cell[:, k] = (words[np.minimum(s + 8 * k, piece.size)]
+                              & _PREFIX[np.clip(length - 8 * k, 0, 8)])
+            part.append(cell.view(f"S{8 * cell.shape[1]}")[:, 0])
+    return [np.concatenate(part) for part in parts] if rows else None
+
+
+def _factorise(cells: np.ndarray, encoding: str):
+    """Distinct stripped labels of ``cells`` in sorted order, each cell's index
+    into them and the first cell of each."""
+    # eight bytes sort as their big-endian integer, and faster
+    keys = cells.view(">u8").astype(np.uint64) if cells.itemsize == 8 else cells
+    keys, first, codes = np.unique(keys, return_index=True, return_inverse=True)
+    raw = keys.astype(">u8").view("S8").tolist() if cells.itemsize == 8 else keys.tolist()
+    names = [b.decode(encoding).strip() for b in raw]
+    # bytes sort as their ASCII text; other text, or stripping, may merge or reorder
+    if any(not b.isascii() or len(b) != len(name) for b, name in zip(raw, names)):
+        names, merged = np.unique(names, return_inverse=True)
+        codes, names, merged_first = merged[codes], names.tolist(), np.full(len(names), codes.size)
+        np.minimum.at(merged_first, merged, first)
+        first = merged_first
+    return names, codes, first
+
+
+@contextlib.contextmanager
+def _decode_errors(path, where):
+    """Make a text decoding error in the block a ValueError that names the
+    physical line of the file's first undecodable byte, counted as the csv
+    module counts lines and formatted by ``where``."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        # the decoder's own position counts from the start of its buffer
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode(exc.encoding)
+        except UnicodeDecodeError as first:
+            exc = first
+        head = data[:exc.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise ValueError(f"{where(line)}: {exc.encoding!r} codec can't decode byte "
+                         f"0x{exc.object[exc.start]:02x}: {exc.reason}") from None
 
 
 def _samples_by_rows(path) -> list[float]:
     """Column ``y`` read row by row; errors name the physical line."""
-    with open(path, newline="") as fh:
+    with open(path, newline="") as fh, _decode_errors(path, lambda line: f"{path}:{line}"):
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "y" not in reader.fieldnames:
             raise ValueError(f"{path}: expected a header row with a column named 'y'")

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, FiniteAtomic, Uniform, _check_open_unit, _read_columns
+from .distributions import (Distribution, FiniteAtomic, Uniform, _check_open_unit, _decode_errors,
+                            _read_columns)
 from .risk import expectile
 
 __all__ = [
@@ -454,31 +455,31 @@ class ForecastSeries:
     def from_csv(cls, path) -> "ForecastSeries":
         """Read a long-format panel: columns method, period, forecast, realization.
 
-        The columns are parsed by numpy; a file numpy cannot read, or one that
-        fails a check, is read again row by row, which names the physical line
-        of the first fault.
+        The numbers are parsed by numpy and the labels taken from one scan of
+        the file's bytes; a file that either cannot read, or one that fails a
+        check, is read again row by row, which names the physical line of the
+        first fault.
         """
         columns = _read_columns(path, ("forecast", "realization"), ("method", "period"))
         panel = None if columns is None else cls._from_columns(*columns)
         return panel if panel is not None else cls._from_rows(path)
 
     @classmethod
-    def _from_columns(cls, numbers: np.ndarray, labels: np.ndarray):
-        """The panel from (forecast, realization) and (method, period) columns.
+    def _from_columns(cls, numbers: np.ndarray, labels: list):
+        """The panel from (forecast, realization) columns and the (names,
+        codes, first) triples of the method and period labels.
 
         Returns None where a check fails, so that the per-row parser can name
         the line at fault.
         """
         x, y = numbers.T
-        methods, m_code = np.unique(labels[:, 0], return_inverse=True)
-        periods, first, p_code = np.unique(labels[:, 1], return_index=True,
-                                           return_inverse=True)
+        (methods, m_code, _), (periods, p_code, first) = labels
         # renumber the periods in first-occurrence order
         order = np.argsort(first)
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)
-        p_code, first, periods = rank[p_code], first[order], periods[order]
-        n_m, n_p = methods.size, periods.size
+        p_code, first, periods = rank[p_code], first[order], [periods[i] for i in order]
+        n_m, n_p = len(methods), len(periods)
         if ("" in methods or "" in periods or x.size != n_m * n_p
                 or not np.isfinite(numbers).all()
                 or (np.bincount(m_code * n_p + p_code, minlength=x.size) != 1).any()
@@ -486,7 +487,7 @@ class ForecastSeries:
             return None
         matrix = np.empty((n_m, n_p))
         matrix[m_code, p_code] = x
-        return cls._from_matrix(periods.tolist(), methods.tolist(), matrix, y[first])
+        return cls._from_matrix(periods, methods, matrix, y[first])
 
     @classmethod
     def _from_rows(cls, path) -> "ForecastSeries":
@@ -494,7 +495,7 @@ class ForecastSeries:
         periods: list = []
         realizations: dict = {}
         forecasts: dict = {}
-        with open(path, newline="") as fh:
+        with open(path, newline="") as fh, _decode_errors(path, "line {}".format):
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or not required.issubset(reader.fieldnames):
                 raise ValueError(f"forecast csv needs columns {sorted(required)}")

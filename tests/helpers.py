@@ -3,6 +3,7 @@
 import bisect
 import itertools
 import math
+import warnings
 
 import numpy as np
 from hypothesis import strategies as st
@@ -137,17 +138,6 @@ def bisection_expectile(d, tau: float) -> float:
     mu = 0.5 * (lo + hi)
     assert abs(psi(mu)) <= 1e-10 * (1.0 + abs(mu)), "bisection did not converge"
     return mu
-
-
-def canonicalising_mix(d0: FiniteAtomic, d1: FiniteAtomic, p: float) -> FiniteAtomic:
-    """p * d0 + (1 - p) * d1 built from the concatenated atoms.
-
-    The constructor sorts the atoms with ``np.unique``, sums the weights of
-    equal values with ``np.bincount`` and validates them again; ``mix`` builds
-    its law this way.
-    """
-    return FiniteAtomic(np.concatenate((d0._values, d1._values)),
-                        np.concatenate((p * d0._weights, (1.0 - p) * d1._weights)))
 
 
 def stacked_mix(v0, w0, v1, w1, p) -> _Stack:
@@ -660,6 +650,27 @@ def pointwise_bounds_entries(m: SpectralMeasure, C: float, grid, eq_tol: float) 
                         abs(lower) <= eq_tol, abs(upper) <= eq_tol, abs(integrated) <= eq_tol,
                         lower < -eq_tol or upper < -eq_tol or integrated < -eq_tol))
     return entries
+
+
+def loadtxt_labels(path, labels):
+    """Label columns as numpy's string reader gives them: stripped, one
+    column per name, one row per data row; None where numpy rejects the file.
+
+    The panel reader took its labels this way before it factorised them from
+    the file's bytes.
+    """
+    with open(path, newline="") as fh, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # numpy reads strings in chunks of rows and warns that a blank line
+        # does not count towards a chunk; every row is still read
+        warnings.filterwarnings("ignore", "Input line", UserWarning)
+        column = {name: i for i, name in enumerate(fh.readline().rstrip("\r\n").split(","))}
+        try:
+            text = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=str,
+                              usecols=[column[name] for name in labels])
+        except (ValueError, IndexError, Warning):
+            return None
+    return np.char.strip(text)
 
 
 _csv_names = itertools.count()

@@ -283,6 +283,26 @@ class TestScore:
         assert "needs columns" in capsys.readouterr().err
 
 
+def test_an_undecodable_byte_names_its_line(capsys, tmp_path):
+    # the byte lies far past the text decoder's first 8 KiB buffer, after LF,
+    # CRLF and lone CR line ends and a blank line, each counted as a line
+    head = "method,period,forecast,realization\r\n\nm,0,1,2\rm,00,1,2\n"
+    rows = "".join(f"m,{i},0.5,1.5\n" for i in range(1, 2001))
+    panel = tmp_path / "panel.csv"
+    panel.write_bytes((head + rows).encode() + b"m,\xff,0,1\n")
+    assert run_cli(["score", str(panel), "--quantile", "0.5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: line 2005: 'utf-8' codec can't decode byte 0xff: invalid start byte\n"
+    sample = tmp_path / "y.csv"
+    sample.write_bytes(("y\r\n" + "0.25\r\n" * 3000).encode() + b"1\xc3\n")
+    assert run_cli(["eval", "--type", "negmean", "--data", str(sample)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: {sample}:3002: 'utf-8' codec can't decode byte 0xc3: "
+                   "invalid continuation byte\n")
+
+
 class TestElicit:
     def test_expectile_consistent(self, capsys):
         code = run_cli(["elicit", "--type", "expectile", "--level",
