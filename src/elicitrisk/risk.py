@@ -15,8 +15,10 @@ The two envelope functionals, parameterized by C in (0, 1]:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -325,6 +327,80 @@ _AXIOMS = ("subadditivity", *["homogeneity"] * 4, *["translation"] * 3, "monoton
 _PARAMS = (None, *_LAMBDAS, *_SHIFTS, None)
 
 
+_UINT32_MAX = 0xFFFFFFFF
+
+
+def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
+    # numpy's SeedSequence hash constant, from init, before and after each of
+    # its successive multiplications by mult, as a column
+    h = [init]
+    for _ in range(calls):
+        h.append(h[-1] * mult & _UINT32_MAX)
+    return np.array(h, dtype=np.uint32)[:, None]
+
+
+def _hashmix(v, h):
+    # successive hashmix calls of SeedSequence, one per row: call i xors in
+    # the constant h[i] and multiplies by h[i + 1]
+    v = (v ^ h[:-1]) * h[1:]
+    return v ^ v >> 16
+
+
+def _mix(x, y):
+    # SeedSequence's mix of a pool word x with a hashed word y
+    r = x * np.uint32(0xca01f9dd) - y * np.uint32(0x4973f715)
+    return r ^ r >> 16
+
+
+_OUTPUT_CONSTANTS = _hash_constants(0x8b51f9dd, 0x58f38ded, 8)
+
+
+def _trial_states(seed: int, trials: int) -> np.ndarray:
+    """SeedSequence((seed, k)).generate_state(4, np.uint64) for every k < trials.
+
+    numpy's documented and stable hash, run on uint32 arrays with a column per
+    trial.  The entropy is the seed's little-endian 32-bit words (0 has one),
+    then k; it is hashed into a pool of four words, each of which is mixed
+    into the others, and then any entropy beyond four words into all four;
+    eight words are hashed out of the pool and read as four uint64.  Row k is
+    the PCG64 state of ``np.random.default_rng((seed, k))``.
+    """
+    words = [seed >> i & _UINT32_MAX for i in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.zeros((max(len(words) + 1, 4), trials), dtype=np.uint32)
+    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words)] = np.arange(trials, dtype=np.uint32)
+    # four calls fill the pool, twelve mix it and four more take each further word
+    h = _hash_constants(0x43b0d7e5, 0x931e8875, 4 * len(entropy))
+    pool = _hashmix(entropy[:4], h[:5])
+    for src in range(4):
+        dst, c = [i for i in range(4) if i != src], 4 + 3 * src
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], h[c:c + 4]))
+    for i, word in enumerate(entropy[4:]):
+        c = 16 + 4 * i
+        pool = _mix(pool, _hashmix(word, h[c:c + 5]))
+    out = _hashmix(pool[[0, 1, 2, 3] * 2], _OUTPUT_CONSTANTS)
+    return np.ascontiguousarray(out.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _trial_state_type():
+    """The type of a trial's seed sequence, whose state was hashed beforehand.
+
+    A numpy ``ISeedSequence``, made when first used, so that importing this
+    module does not import ``numpy.random``.
+    """
+    class TrialState(np.random.bit_generator.ISeedSequence):
+        __slots__ = ("state",)
+
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return TrialState
+
+
 def coherence_check(rf: RiskFunctional, trials: int = 1000, seed: int = 0,
                     max_states: int = 8, tol: float = 1e-9) -> CoherenceReport:
     """Randomized search for coherence violations on joint finite spaces.
@@ -333,10 +409,13 @@ def coherence_check(rf: RiskFunctional, trials: int = 1000, seed: int = 0,
     equally likely states with values in [-10, 10], then checks
     subadditivity, positive homogeneity (factors 0, 0.5, 2, 10), cash
     translation (shifts -1, 0, 3) and monotonicity against a dominated
-    payoff.  Trials are seeded individually from the base seed, so reports
-    are reproducible.  The eleven laws of all trials with the same number of
-    states form one stack, a (11 K, n) ladder that the functional evaluates
-    in one call; violations are listed by trial, then axiom, then parameter.
+    payoff.  Trial k draws from ``np.random.default_rng((seed, k))``, so
+    reports are reproducible and a violation's trial replays its payoffs;
+    the generators' states are hashed for all trials at once, and ``seed``
+    is a non-negative integer.  The eleven laws of all trials with the same
+    number of states form one stack, a (11 K, n) ladder that the functional
+    evaluates in one call; violations are listed by trial, then axiom, then
+    parameter.
 
     Note the granularity caveat: a quantile level below 1/max_states makes
     the quantile functional collapse to the worst-case payoff on these
@@ -345,20 +424,37 @@ def coherence_check(rf: RiskFunctional, trials: int = 1000, seed: int = 0,
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    if trials > _UINT32_MAX:
+        raise ValueError("trials must be at most 2**32 - 1")
     if max_states < 2:
         raise ValueError("max_states must be at least 2")
     tol = _check_tol(tol)
-    draws, by_states = [], {}
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        seed = -1
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer")
+    # row k: trial k's state count n, then the 3 n uniforms of x, y and z
+    states = _trial_states(seed, trials)
+    ns, u = np.empty(trials, dtype=np.intp), np.empty((trials, 3 * int(max_states)))
+    Generator, PCG64, TrialState = np.random.Generator, np.random.PCG64, _trial_state_type()
     for k in range(trials):
-        rng = np.random.default_rng((seed, k))
-        n = int(rng.integers(2, max_states + 1))
-        x, y = rng.uniform(-10.0, 10.0, n), rng.uniform(-10.0, 10.0, n)
-        draws.append((x, y, x - rng.uniform(0.0, 5.0, n)))  # z, dominated statewise by x
-        by_states.setdefault(n, []).append(k)
+        rng = Generator(PCG64(TrialState(states[k])))
+        n = ns[k] = rng.integers(2, max_states + 1)
+        rng.random(out=u[k, :3 * n])
+
+    def payoffs(k, n):
+        # x, y and z, dominated statewise by x, of trial or trials k: uniform(a, b)
+        # draws a + (b - a) u, and 0 + 5 u is 5 u
+        x = -10.0 + 20.0 * u[k, :n]
+        return x, -10.0 + 20.0 * u[k, n:2 * n], x - 5.0 * u[k, 2 * n:3 * n]
+
     # per trial: rho of x, y, x + y, lam x, x + a and z
     r = np.empty((trials, 11))
-    for n, ks in sorted(by_states.items()):
-        x, y, z = (np.array([draws[k][c] for k in ks]) for c in range(3))
+    for n in np.flatnonzero(np.bincount(ns)).tolist():
+        ks = np.flatnonzero(ns == n)
+        x, y, z = payoffs(ks, n)
         laws = np.stack((x, y, x + y, *(lam * x for lam in _LAMBDAS),
                          *(x + a for a in _SHIFTS), z), axis=1)
         r[ks] = rf._evaluate_stack(_Stack.empirical(laws.reshape(-1, n))).reshape(-1, 11)
@@ -372,7 +468,7 @@ def coherence_check(rf: RiskFunctional, trials: int = 1000, seed: int = 0,
         "subadditivity": trials, "homogeneity": 4 * trials, "translation": 3 * trials,
         "monotonicity": trials})
     for k, c in zip(*np.nonzero(bad)):
-        x, y, z = draws[k]
+        x, y, z = payoffs(k, ns[k])
         report.violations.append(CoherenceViolation(
             axiom=_AXIOMS[c], trial=int(k), states_x=tuple(x),
             states_y=tuple(y) if c == 0 else tuple(z) if c == 8 else None,

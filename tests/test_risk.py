@@ -530,6 +530,31 @@ class TestCoherenceCheck:
             with pytest.raises(ValueError, match="tol must be finite and positive"):
                 coherence_check(NegMean(), trials=1, tol=bad)
 
+    @pytest.mark.parametrize("seed", [-1, -2**40, "5", (1, 2), [3], 1.0, None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            coherence_check(NegMean(), trials=1, seed=seed)
+
+    def test_integer_seeds_of_any_type_give_one_report(self):
+        reports = [coherence_check(ExpectileRisk(0.75), trials=40, seed=seed)
+                   for seed in (7, np.int64(7), np.uint32(7))]
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_trials_fit_one_32_bit_word(self):
+        # raised before anything is drawn or allocated
+        with pytest.raises(ValueError, match="trials must be at most"):
+            coherence_check(NegMean(), trials=2**32)
+
+    def test_a_violation_replays_from_its_trial_generator(self):
+        seed, max_states = 3, 16
+        rep = coherence_check(VaR(0.1), trials=1500, seed=seed, max_states=max_states)
+        assert rep.violations
+        for v in rep.violations:
+            rng = np.random.default_rng((seed, v.trial))
+            n = rng.integers(2, max_states + 1)
+            x, y = rng.uniform(-10.0, 10.0, n), rng.uniform(-10.0, 10.0, n)
+            assert v.states_x == tuple(x) and v.states_y == tuple(y)
+
 
 class TestFunctionalJson:
     def test_round_trips(self):

@@ -6,11 +6,13 @@ kernels sum the same terms in the same order as the per-law code did.
 """
 
 import math
+import operator
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.random.bit_generator import ISeedSequence
 
 from elicitrisk import (ES, ConvexityWitness, Empirical, ExpectileRisk, FiniteAtomic,
                         InfOverFamily, NegMean, RiskFunctional, SpectralMeasure, SpectralRisk,
@@ -20,6 +22,7 @@ from elicitrisk import (ES, ConvexityWitness, Empirical, ExpectileRisk, FiniteAt
 from elicitrisk import elicit
 from elicitrisk.cli import _elicit_test_set
 from elicitrisk.distributions import _Stack
+from elicitrisk.risk import _trial_states
 
 from helpers import (atomic_expectile, ladder_bytes, per_law_bound_check, per_law_hunt,
                      per_law_identify_C, per_law_nu, per_trial_coherence_check, random_law_pair,
@@ -73,6 +76,48 @@ def test_library_coherence_cases_equal_the_oracle(rf, max_states, trials):
     new = coherence_check(rf, trials=trials, seed=1201, max_states=max_states)
     assert report_fields(new) == report_fields(
         per_trial_coherence_check(rf, trials=trials, seed=1201, max_states=max_states))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**200,
+                                  np.int64(7), np.uint32(2**32 - 1)], ids=repr)
+def test_trial_states_equal_numpys_seed_sequence(seed):
+    # fails if numpy changes its SeedSequence hash; 2**200 has seven words,
+    # more than the pool's four
+    states = _trial_states(operator.index(seed), 4097)
+    assert states.dtype == np.uint64 and states.flags.c_contiguous
+    assert np.array_equal(states, [np.random.SeedSequence((seed, k)).generate_state(4, np.uint64)
+                                   for k in range(4097)])
+
+
+@pytest.mark.parametrize("seed", [2**32, 2**200], ids=repr)
+@pytest.mark.parametrize("trials", [1, 1500])
+@pytest.mark.parametrize("max_states", [2, 16, 20])
+def test_coherence_reports_at_seeds_of_several_words_equal_the_oracle(seed, trials, max_states):
+    rf = VaR(0.1)
+    new = coherence_check(rf, trials=trials, seed=seed, max_states=max_states)
+    assert report_fields(new) == report_fields(
+        per_trial_coherence_check(rf, trials=trials, seed=seed, max_states=max_states))
+
+
+def test_coherence_check_hashes_no_seed_per_trial(monkeypatch):
+    # a SeedSequence is built by name, by default_rng, or by PCG64 from any
+    # seed other than a seed sequence
+    built, generators = [], []
+    SeedSequence, default_rng, PCG64 = (np.random.SeedSequence, np.random.default_rng,
+                                        np.random.PCG64)
+
+    def pcg64(seed=None):
+        generators.append(seed)
+        if not isinstance(seed, ISeedSequence):
+            built.append(seed)
+        return PCG64(seed)
+
+    monkeypatch.setattr(np.random, "SeedSequence", lambda *a: built.append(a) or SeedSequence(*a))
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: built.append(a) or default_rng(*a))
+    monkeypatch.setattr(np.random, "PCG64", pcg64)
+    rep = coherence_check(VaR(0.1), trials=300, seed=5, max_states=16)
+    assert len(generators) == rep.trials  # the patched names are the ones called
+    assert len(built) <= 1
 
 
 HUNTED = [ES(0.5), ES(0.1), VaR(0.3), ExpectileRisk(0.1), ExpectileRisk(0.25), NegMean(),
