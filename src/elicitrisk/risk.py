@@ -435,20 +435,28 @@ def coherence_check(rf: RiskFunctional, trials: int = 1000, seed: int = 0,
         seed = -1
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
-    # row k: trial k's state count n, then the 3 n uniforms of x, y and z
+    # trial k draws its state count n, then the 3 n uniforms of x, y and z into
+    # u[start[k]:][:3 n]; u holds no padding, so it is sized for the mean state
+    # count and grows in place (no view of it is alive while it does)
     states = _trial_states(seed, trials)
-    ns, u = np.empty(trials, dtype=np.intp), np.empty((trials, 3 * int(max_states)))
+    ns, start = np.empty(trials, dtype=np.intp), np.empty(trials, dtype=np.intp)
+    u, end = np.empty(3 * trials * (int(max_states) + 2) // 2), 0
     Generator, PCG64, TrialState = np.random.Generator, np.random.PCG64, _trial_state_type()
     for k in range(trials):
         rng = Generator(PCG64(TrialState(states[k])))
         n = ns[k] = rng.integers(2, max_states + 1)
-        rng.random(out=u[k, :3 * n])
+        start[k] = a = end
+        end += 3 * int(n)
+        if end > u.size:
+            u.resize(end + u.size // 8, refcheck=False)
+        rng.random(out=u[a:end])
 
     def payoffs(k, n):
         # x, y and z, dominated statewise by x, of trial or trials k: uniform(a, b)
         # draws a + (b - a) u, and 0 + 5 u is 5 u
-        x = -10.0 + 20.0 * u[k, :n]
-        return x, -10.0 + 20.0 * u[k, n:2 * n], x - 5.0 * u[k, 2 * n:3 * n]
+        v = u[np.add.outer(start[k], np.arange(3 * n))]
+        x = -10.0 + 20.0 * v[..., :n]
+        return x, -10.0 + 20.0 * v[..., n:2 * n], x - 5.0 * v[..., 2 * n:]
 
     # per trial: rho of x, y, x + y, lam x, x + a and z
     r = np.empty((trials, 11))

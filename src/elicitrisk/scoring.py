@@ -186,11 +186,9 @@ class QuantileScore:
         y = np.asarray(outcome, dtype=float)
         return self._terms(x, y, self.generator(x), self.generator(y), None)
 
-    def _terms(self, x, y, gx, gy, sx, out=(None, None)):
-        # the score from g(x) and g(y); the slope sx is not needed.  out holds
-        # two arrays of the terms' shape to compute in, or None for fresh ones
-        t = np.subtract(np.greater_equal(x, y, out=out[0]), self.alpha, out=out[0])
-        return np.multiply(t, np.subtract(gx, gy, out=out[1]), out=out[0])
+    def _terms(self, x, y, gx, gy, sx):
+        # the score from g(x) and g(y); the slope sx is not needed
+        return ((x >= y) - self.alpha) * (gx - gy)
 
     score = _finite(_score)
 
@@ -250,13 +248,9 @@ class ExpectileScore:
         g = self.generator
         return self._terms(x, y, g(x), g(y), g.derivative(x))
 
-    def _terms(self, x, y, gx, gy, sx, out=(None, None)):
-        # the score from g(x), g(y) and the slope sx = g'(x): a Bregman divergence,
-        # computed in out as the quantile score's terms are
-        u = np.multiply(sx, np.subtract(y, x, out=out[0]), out=out[0])
-        v = np.subtract(np.subtract(gy, gx, out=out[1]), u, out=out[1])
-        t = np.subtract(np.greater_equal(x, y, out=out[0]), self.tau, out=out[0])
-        return np.multiply(np.abs(t, out=out[0]), v, out=out[0])
+    def _terms(self, x, y, gx, gy, sx):
+        # the score from g(x), g(y) and the slope sx = g'(x): a Bregman divergence
+        return np.abs((x >= y) - self.tau) * (gy - gx - sx * (y - x))
 
     score = _finite(_score)
 
@@ -352,10 +346,7 @@ def _breakpoint_edges(score, d: Distribution, lo: float, hi: float, constant: bo
         except _NotFinite:
             raise ValueError("the score is not a finite number") from None
         k = int(np.argmin(_ladder_values(score, d, x, gx, gy, sx)))
-    # the terms of each sum are computed in buffers of the solve, so that the
-    # bisection faults no fresh pages in
-    out = np.empty(y.size), np.empty(y.size)
-    f = _finite(lambda i: score._terms(x[i], y, gx[i], gy, sx[i], out) @ d._weights)
+    f = _finite(lambda i: score._terms(x[i], y, gx[i], gy, sx[i]) @ d._weights)
     fmin = f(k)
     level = fmin + 1e-11 * (1.0 + abs(fmin))
     left = bisect.bisect_left(range(k), True, key=lambda i: f(i) <= level)

@@ -473,25 +473,6 @@ class TestBreakpointKernel:
                     assert (r.lo, r.hi) == brute_force_edges(s, d, lo, hi), (d, s)
                     assert r.value == s.expected_score(r.midpoint, d)
 
-    def test_terms_computed_in_buffers_equal_the_expressions(self):
-        # the kernel sums terms computed in two buffers of the solve; they are
-        # the score's expressions, bit for bit
-        rng = np.random.default_rng(64)
-        y = np.append(rng.standard_t(3, 999), 0.5)
-        for level in (0.25, float(rng.uniform(0.01, 0.99))):
-            for s in kernel_scores(level):
-                g = s.generator
-                gy = g(y)
-                for x in (0.5, *rng.standard_t(3, 20)):
-                    gx, sx = g(np.float64(x)), g.derivative(np.float64(x))
-                    out = np.empty(y.size), np.empty(y.size)
-                    terms = s._terms(np.float64(x), y, gx, gy, sx, out)
-                    if isinstance(s, QuantileScore):
-                        expected = ((x >= y) - level) * (gx - gy)
-                    else:
-                        expected = np.abs((x >= y) - level) * (gy - gx - sx * (y - x))
-                    assert terms is out[0] and terms.tobytes() == expected.tobytes(), (s, x)
-
     def test_kink_is_reported_at_the_atom(self):
         # F jumps across 1/3 at -1.58, where g is strictly increasing; the
         # old grid reported about [-1.5800003, -1.5799998] here

@@ -120,6 +120,15 @@ def test_coherence_check_hashes_no_seed_per_trial(monkeypatch):
     assert len(built) <= 1
 
 
+def test_coherence_trials_past_the_mean_state_count_equal_the_oracle():
+    # the draws are buffered for the mean state count, 11 of 2 to 20, and grow
+    # in place for a trial that draws more
+    seeds = [s for s in range(100) if np.random.default_rng((s, 0)).integers(2, 21) > 11][:3]
+    for seed in seeds:
+        assert report_fields(coherence_check(VaR(0.4), trials=1, seed=seed, max_states=20)) == \
+            report_fields(per_trial_coherence_check(VaR(0.4), trials=1, seed=seed, max_states=20))
+
+
 HUNTED = [ES(0.5), ES(0.1), VaR(0.3), ExpectileRisk(0.1), ExpectileRisk(0.25), NegMean(),
           SpectralRisk(uc_measure(0.5)), InfOverFamily((delta(0.3), delta(1.0)))]
 
@@ -298,6 +307,19 @@ def test_coherence_memory_grows_with_trials_times_states():
         tracemalloc.stop()
     # about 1.7 MB: one state-count group's stack at a time, plus the draws
     assert peak < 4 * 2**20, peak
+
+
+def test_coherence_draws_take_no_room_past_each_trials_states():
+    coherence_check(ES(0.3), trials=2, max_states=200)
+    tracemalloc.start()
+    try:
+        coherence_check(ES(0.3), trials=1000, max_states=200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 4.5 MB: the 3 n draws of each trial, 2.4 MB on average, plus one
+    # state-count group's stack; rows of 3 max_states draws each took 6.8 MB
+    assert peak < 5 * 2**20, peak
 
 
 def law_sizes():
