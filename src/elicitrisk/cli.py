@@ -22,8 +22,8 @@ import sys
 
 import numpy as np
 
-from .distributions import (Distribution, Empirical, FiniteAtomic, Uniform, _check_level,
-                            _check_open_unit, _check_tol, _json_number, dirac,
+from .distributions import (Distribution, Empirical, FiniteAtomic, Uniform, _check_count,
+                            _check_level, _check_open_unit, _check_tol, _json_number, dirac,
                             empirical_from_csv, two_point)
 from .elicit import (bound_check, convex_level_set_test, diagnostic_report,
                      identify_C, spectral_bounds_check)
@@ -196,13 +196,10 @@ def _elicit_measures(rf: RiskFunctional):
 
 def cmd_elicit(args) -> int:
     rf = _functional_from_args(args)
-    if args.grid_size < 5:
-        raise ValueError("--grid-size must be at least 5")
+    _check_count(args.grid_size, "--grid-size", 5)
     _check_tol(args.tol, "--tol")
-    if args.budget < 1:
-        raise ValueError("--budget must be at least 1")
-    if args.seed < 0:
-        raise ValueError("--seed must be non-negative")
+    _check_count(args.budget, "--budget", 1)
+    _check_count(args.seed, "--seed", 0)
     grid = tuple(np.linspace(0.05, 0.95, args.grid_size))
     ident = identify_C(rf, grid=grid)
     bounds = None

@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
+import operator
 import os
 import sys
 import warnings
@@ -66,6 +67,18 @@ def _check_open_unit(x: float, name: str) -> float:
     x = float(x)
     if not 0.0 < x < 1.0:
         raise ValueError(f"{name} must lie in (0, 1), got {x!r}")
+    return x
+
+
+def _check_count(x, name: str, minimum: int) -> int:
+    # any integer type, returned as a Python int; a float, even 3.0, is not a count
+    try:
+        x = operator.index(x)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {x!r}") from None
+    if x < minimum:
+        raise ValueError(f"{name} must be non-negative" if minimum == 0
+                         else f"{name} must be at least {minimum}")
     return x
 
 
@@ -143,7 +156,8 @@ class Distribution(ABC):
 
 
 def _canonical_atoms(values, weights):
-    """Sort atoms, merge equal values, drop zero weights, validate the total."""
+    """Sorted distinct values and their running cumulative weights, one row
+    each, after validating the weights."""
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if values.ndim != 1 or weights.ndim != 1 or values.size != weights.size:
@@ -159,13 +173,7 @@ def _canonical_atoms(values, weights):
     if abs(total - 1.0) > WEIGHT_TOL:
         raise ValueError(f"atom weights must sum to 1 within {WEIGHT_TOL}, got {total!r}")
     uniq, inverse = np.unique(values, return_inverse=True)
-    cum = np.minimum(np.cumsum(np.bincount(inverse, weights=weights, minlength=uniq.size)), 1.0)
-    # clipped at 1, no weight is negative; an atom whose weight vanishes in the sum, a
-    # zero weight among them, leaves the cumulative weight where its predecessor's was: drop it
-    rise = cum != np.append(0.0, cum[:-1])
-    uniq, cum = uniq[rise], cum[rise]
-    cum[-1] = 1.0  # pin the top so quantile(1.0) is always defined
-    return uniq, cum
+    return uniq[None], np.cumsum(np.bincount(inverse, weights=weights, minlength=uniq.size))[None]
 
 
 class FiniteAtomic(Distribution):
@@ -185,32 +193,21 @@ class FiniteAtomic(Distribution):
     """
 
     def __init__(self, values, weights):
-        self._set_ladder(*_canonical_atoms(values, weights))
+        self._hold(_Stack._from_sorted(*_canonical_atoms(values, weights)))
 
-    def _set_ladder(self, values: np.ndarray, cum: np.ndarray, csum=None):
-        # every atomic law passes here; Python floats overflow to inf without a warning
-        if not math.isfinite(float(values[-1]) - float(values[0])):
-            raise ValueError("atom values must span a finite range, got "
-                             f"[{float(values[0])!r}, {float(values[-1])!r}]")
-        self._values = values
-        # one block, filled in place: the allocator hands it to the next law
-        # of its size, where separate n-arrays would each fault pages in again
-        ladder = np.empty((3 if csum is None else 2, values.size))
-        ladder[0] = cum
-        ladder[1, 0] = cum[0]
-        np.subtract(cum[1:], cum[:-1], out=ladder[1, 1:])
-        if csum is None:
-            csum = np.subtract(values, values[0], out=ladder[2])
-            csum *= ladder[1]
-            csum.cumsum(out=csum)
-        self._cum, self._weights, self._csum = ladder[0], ladder[1], csum
-        self._one = None
+    def _hold(self, row: "_Stack"):
+        # every atomic law passes here: it is the one row of a stack that the
+        # ladder builder made, and its arrays are views of that row
+        self._row = row
+        self._values, self._cum, self._weights, self._csum = (
+            row.values[0], row.cum[0], row.weights[0], row.csum[0])
 
     @classmethod
     def _from_cum(cls, values: np.ndarray, cum: np.ndarray, csum=None) -> "FiniteAtomic":
-        # internal: values strictly increasing, cum nondecreasing with cum[-1] == 1.0
+        # internal: values sorted, cum their running cumulative weights
         obj = cls.__new__(cls)
-        obj._set_ladder(np.asarray(values, dtype=float), np.asarray(cum, dtype=float), csum)
+        obj._hold(_Stack._from_sorted(values[None], cum[None],
+                                      None if csum is None else csum[None]))
         return obj
 
     def atoms(self) -> list[tuple[float, float]]:
@@ -227,19 +224,11 @@ class FiniteAtomic(Distribution):
             return 0.0
         return float(self._cum[idx - 1])
 
-    def _stack(self) -> "_Stack":
-        # the law as a stack of one row, made once: its offset is 0, so its
-        # search key is cum itself
-        if self._one is None:
-            self._one = _Stack(self._values[None], self._cum[None], self._weights[None],
-                               self._csum[None], np.array([self._values.size]), self._cum)
-        return self._one
-
     def quantile(self, v: float) -> float:
-        return float(self._values[self._stack()._reach(_check_level(v))[0][0, 0]])
+        return float(self._values[self._row._reach(_check_level(v))[0][0, 0]])
 
     def _pqi(self, p):
-        return self._stack().pqi(p)[0]
+        return self._row.pqi(p)[0]
 
     def partial_quantile_integral(self, p: float) -> float:
         return float(self._pqi(_check_prob(p)))
@@ -264,20 +253,12 @@ class FiniteAtomic(Distribution):
     def lower_partial_moment(self, x: float) -> float:
         return _finite_moment(self._tails(_check_point(x))[1], x)
 
-    def _moved(self, values: np.ndarray, csum: np.ndarray) -> "FiniteAtomic":
-        # rounding can make neighbours equal: keep the last atom of each run,
-        # whose cumulative weight and prefix sum cover the whole run
-        last = np.append(values[1:] != values[:-1], True)
-        if last.all():
-            return FiniteAtomic._from_cum(values, self._cum, csum)
-        return FiniteAtomic._from_cum(values[last], self._cum[last], csum[last])
-
     def shift(self, c: float) -> "FiniteAtomic":
         # distances to the first atom do not move, so the prefix sums carry over;
-        # an overflow leaves a range that _set_ladder rejects
+        # rounding may merge neighbours, and an overflow leaves a range the builder rejects
         with np.errstate(over="ignore", invalid="ignore"):
             values = self._values + float(c)
-        return self._moved(values, self._csum)
+        return FiniteAtomic._from_cum(values, self._cum, self._csum)
 
     def scale(self, lam: float) -> "FiniteAtomic":
         lam = float(lam)
@@ -287,7 +268,7 @@ class FiniteAtomic(Distribution):
             return dirac(0.0)
         with np.errstate(over="ignore", invalid="ignore"):
             values, csum = self._values * lam, self._csum * lam
-        return self._moved(values, csum)
+        return FiniteAtomic._from_cum(values, self._cum, csum)
 
     def __repr__(self):
         pairs = ", ".join(f"({v:.6g}, {w:.6g})" for v, w in self.atoms()[:4])
@@ -309,15 +290,7 @@ class Empirical(FiniteAtomic):
         # sorted, so an infinity sits at an end and a NaN at the top
         if not (math.isfinite(samples[0]) and math.isfinite(samples[-1])):
             raise ValueError("samples must be finite")
-        # an atom ends wherever the next value differs; without ties the
-        # sorted sample is the atom array itself, and k / n fills one array
-        values, cum = samples, np.arange(1.0, samples.size + 1.0)
-        tie = samples[1:] == samples[:-1]
-        if tie.any():
-            last = np.append(~tie, True)
-            values, cum = samples[last], cum[last]
-        cum /= samples.size
-        self._set_ladder(values, cum)
+        self._hold(_Stack.empirical(samples[None]))
         self.samples = samples
 
     def __repr__(self):
@@ -335,10 +308,8 @@ def two_point(x1: float, x2: float, p: float) -> FiniteAtomic:
         raise ValueError(f"two_point atoms must be finite, got {x1!r} and {x2!r}")
     if x1 > x2:
         raise ValueError(f"two_point requires x1 <= x2, got {x1!r} > {x2!r}")
-    if x1 == x2 or p == 1.0:
+    if x1 == x2:
         return dirac(x1)
-    if p == 0.0:
-        return dirac(x2)
     return FiniteAtomic._from_cum(np.array([x1, x2]), np.array([p, 1.0]))
 
 
@@ -431,6 +402,15 @@ def mix(d0: Distribution, d1: Distribution, p: float) -> FiniteAtomic:
                         np.concatenate((p * d0._weights, (1.0 - p) * d1._weights)))
 
 
+def _kept(keep):
+    """Flat indices of each row's kept entries, padded with its last, and their counts."""
+    flat = np.flatnonzero(keep)
+    atoms = np.bincount(flat // keep.shape[1], minlength=len(keep))
+    end = np.cumsum(atoms)
+    return flat[np.minimum(np.arange(atoms.max(initial=1)) + (end - atoms)[:, None],
+                           end[:, None] - 1)], atoms
+
+
 class _Stack:
     """K atomic laws as (K, n) arrays of values, cumulative weights, weights
     and prefix sums centred on each row's first atom; a law is one row.
@@ -441,28 +421,59 @@ class _Stack:
     flattened rows, row r offset by ``off`` = 2 r.
     """
 
-    def __init__(self, values, cum, weights, csum, atoms, key=None):
+    def __init__(self, values, cum, weights, csum, atoms):
         self.values, self.cum, self.weights, self.csum = values, cum, weights, csum
-        self.atoms, rows = atoms, np.arange(len(cum))
-        self.off, self.start = 2.0 * rows[:, None], cum.shape[1] * rows
-        self.key = (cum + self.off).ravel() if key is None else key
+        self.atoms, (k, n) = atoms, cum.shape
+        self.off, self.start = np.arange(0.0, 2.0 * k, 2.0)[:, None], np.arange(0, k * n, n)
+        # row 0's offset is 0, so a single row is searched on its own cumulative weights
+        self.key = (cum + self.off).ravel() if k > 1 else cum.ravel()
 
     @classmethod
-    def _from_sorted(cls, values, cum):
-        # rows sorted by value with running cumulative weights: clip them at 1, drop an
-        # entry whose cumulative weight is its predecessor's (0 before the first), pin the top
-        cum = np.minimum(cum, 1.0)
-        keep = cum != np.concatenate((np.zeros((len(cum), 1)), cum[:, :-1]), axis=1)
-        atoms = keep.sum(axis=1)
-        order = np.argsort(~keep, axis=1, kind="stable")[:, :atoms.max(initial=1)]
-        values, cum = np.take_along_axis(values, order, 1), np.take_along_axis(cum, order, 1)
-        top = np.arange(cum.shape[1]) >= atoms[:, None] - 1
-        cum[top] = 1.0
-        values = np.where(top, np.take_along_axis(values, atoms[:, None] - 1, 1), values)
-        weights = np.diff(cum, axis=1, prepend=0.0)
-        with np.errstate(over="ignore", invalid="ignore"):  # a law rejects such a range
-            csum = np.cumsum((values - values[:, :1]) * weights, axis=1)
-        return cls(values, cum, weights, csum, atoms)
+    def _from_sorted(cls, values, cum, csum=None) -> "_Stack":
+        """Rows of sorted values and running cumulative weights (one row of them
+        may serve all rows), and prefix sums if ``csum`` carries them, as a
+        stack; every atomic law is one such row.
+        The last of a run of equal values stands for the run, cumulative weights
+        are clipped at 1, an entry of weight 0 is dropped, the top is pinned at 1.
+        """
+        tie = values[:, 1:] == values[:, :-1]
+        if tie.any():
+            last = np.ones(values.shape, dtype=bool)
+            np.logical_not(tie, out=last[:, :-1])
+            take, _ = _kept(last)
+            values, cum = np.take(values, take), np.take(np.broadcast_to(cum, last.shape), take)
+            csum = None if csum is None else np.take(csum, take)
+        # one block, filled in place: the allocator hands it to the next law
+        # of its size, where separate arrays would each fault pages in again
+        ladder = np.empty((3 if csum is None else 2,) + values.shape)
+        c, weights = np.minimum(cum, 1.0, out=ladder[0]), ladder[1]
+        weights[:, 0] = c[:, 0]
+        np.subtract(c[:, 1:], c[:, :-1], out=weights[:, 1:])
+        if weights.min(initial=1.0) > 0.0:
+            # the top is the last entry: pin it, and its weight with it
+            atoms = np.full(len(c), c.shape[1])
+            c[:, -1] = 1.0
+            np.subtract(1.0, c[:, -2] if c.shape[1] > 1 else 0.0, out=weights[:, -1])
+        else:
+            take, atoms = _kept(weights != 0.0)
+            c.reshape(-1)[take[:, -1]] = 1.0
+            values, csum = np.take(values, take), None if csum is None else np.take(csum, take)
+            ladder = np.empty((len(ladder),) + take.shape)
+            c, weights = np.take(c, take, out=ladder[0]), ladder[1]
+            weights[:, 0] = c[:, 0]
+            np.subtract(c[:, 1:], c[:, :-1], out=weights[:, 1:])
+        # distances to each row's first atom; the last is the row's span
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = (np.subtract(values, values[:, :1], out=ladder[2]) if csum is None
+                 else values[:, -1:] - values[:, :1])
+        if not math.isfinite(d[:, -1].max(initial=0.0)):
+            r = int(np.argmin(np.isfinite(d[:, -1])))
+            raise ValueError("atom values must span a finite range, got "
+                             f"[{float(values[r, 0])!r}, {float(values[r, -1])!r}]")
+        if csum is None:
+            csum = np.multiply(d, weights, out=d)
+            csum.cumsum(axis=1, out=csum)
+        return cls(values, c, weights, csum, atoms)
 
     @classmethod
     def of(cls, laws) -> "_Stack":
@@ -477,17 +488,15 @@ class _Stack:
     @classmethod
     def two_point(cls, x, p) -> "_Stack":
         """Rows ``two_point(0, x, p)``, x >= 0 and 0 < p < 1; x = 0 is the point mass at 0."""
-        cum = np.stack((np.where(x == 0.0, 1.0, p), np.ones_like(x)), axis=1)
-        return cls._from_sorted(np.stack((np.zeros_like(x), x), axis=1), cum)
+        return cls._from_sorted(np.stack((np.zeros_like(x), x), axis=1),
+                                np.stack((p, np.ones_like(x)), axis=1))
 
     @classmethod
-    def empirical(cls, samples) -> "_Stack":
-        """Each row of equally likely samples, as ``Empirical`` builds its law."""
-        s = np.sort(samples, axis=1)
-        # k / n on the last of each run of ties, carried over the next run's others
-        last = np.append(s[:, 1:] != s[:, :-1], np.ones((len(s), 1), dtype=bool), axis=1)
-        cum = np.where(last, np.arange(1.0, s.shape[1] + 1.0) / s.shape[1], 0.0)
-        return cls._from_sorted(s, np.maximum.accumulate(cum, axis=1))
+    def empirical(cls, s) -> "_Stack":
+        """Rows of sorted, equally likely samples: sample k of n reaches k / n."""
+        cum = np.arange(1.0, s.shape[1] + 1.0)
+        cum /= s.shape[1]
+        return cls._from_sorted(s, cum[None])
 
     def laws(self) -> list:
         return [FiniteAtomic._from_cum(x[:m], c[:m], s[:m])

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (Distribution, FiniteAtomic, _check_level, _check_tol, _Stack, mix,
-                            two_point)
+from .distributions import (Distribution, FiniteAtomic, _check_count, _check_level, _check_tol,
+                            _Stack, mix, two_point)
 from .risk import RiskFunctional, _expectile_rows, l_C, u_C
 from .spectral import SpectralMeasure, _nu_rows, interval_mass, spectral_fn, uc_measure
 
@@ -192,10 +192,8 @@ def convex_level_set_test(rf: RiskFunctional, search_budget: int = 10000, seed: 
     recomputation passes :meth:`ConvexityWitness.validate` is returned.
     ``None`` means only that no violation was found among the candidates tried.
     """
-    if search_budget < 1:
-        raise ValueError("search_budget must be positive")
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
+    search_budget = _check_count(search_budget, "search_budget", 1)
+    seed = _check_count(seed, "seed", 0)
     tol = _check_tol(tol)
     p = np.array(_check_grid(DEFAULT_GRID if grid is None else grid, minimum=2))
     s, member = _hunt_members(rf, p, tol)

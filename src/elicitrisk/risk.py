@@ -18,13 +18,12 @@ from __future__ import annotations
 import functools
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import (Distribution, FiniteAtomic, Uniform, _check_level, _check_normal_level,
-                            _check_open_unit, _check_tol, _json_number, _Stack)
+from .distributions import (Distribution, FiniteAtomic, Uniform, _check_count, _check_level,
+                            _check_normal_level, _check_open_unit, _check_tol, _json_number, _Stack)
 from .spectral import (JSON_NORMALIZATION_TOL, SpectralMeasure, _nu_rows, measure_from_json,
                        measure_to_json, mp_measure, nu, uc_measure)
 
@@ -130,7 +129,7 @@ def expectile(d: Distribution, tau: float) -> ExpectileSolution:
     """
     tau = _check_open_unit(tau, "tau")
     if isinstance(d, FiniteAtomic):
-        mu, p_star = _expectile_rows(d._stack(), tau)
+        mu, p_star = _expectile_rows(d._row, tau)
         return ExpectileSolution(mu=float(mu[0]), tau=tau, p_star=float(p_star[0]))
     if not isinstance(d, Uniform):
         raise TypeError(f"expectile is not defined for {type(d).__name__}")
@@ -422,25 +421,18 @@ def coherence_check(rf: RiskFunctional, trials: int = 1000, seed: int = 0,
     spaces, which is subadditive, so violation searches for such levels need
     a larger ``max_states``.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    trials = _check_count(trials, "trials", 1)
     if trials > _UINT32_MAX:
         raise ValueError("trials must be at most 2**32 - 1")
-    if max_states < 2:
-        raise ValueError("max_states must be at least 2")
+    max_states = _check_count(max_states, "max_states", 2)
     tol = _check_tol(tol)
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        seed = -1
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
+    seed = _check_count(seed, "seed", 0)
     # trial k draws its state count n, then the 3 n uniforms of x, y and z into
     # u[start[k]:][:3 n]; u holds no padding, so it is sized for the mean state
     # count and grows in place (no view of it is alive while it does)
     states = _trial_states(seed, trials)
     ns, start = np.empty(trials, dtype=np.intp), np.empty(trials, dtype=np.intp)
-    u, end = np.empty(3 * trials * (int(max_states) + 2) // 2), 0
+    u, end = np.empty(3 * trials * (max_states + 2) // 2), 0
     Generator, PCG64, TrialState = np.random.Generator, np.random.PCG64, _trial_state_type()
     for k in range(trials):
         rng = Generator(PCG64(TrialState(states[k])))
@@ -464,8 +456,9 @@ def coherence_check(rf: RiskFunctional, trials: int = 1000, seed: int = 0,
         ks = np.flatnonzero(ns == n)
         x, y, z = payoffs(ks, n)
         laws = np.stack((x, y, x + y, *(lam * x for lam in _LAMBDAS),
-                         *(x + a for a in _SHIFTS), z), axis=1)
-        r[ks] = rf._evaluate_stack(_Stack.empirical(laws.reshape(-1, n))).reshape(-1, 11)
+                         *(x + a for a in _SHIFTS), z), axis=1).reshape(-1, n)
+        laws.sort()
+        r[ks] = rf._evaluate_stack(_Stack.empirical(laws)).reshape(-1, 11)
     rx = r[:, :1]
     lhs = np.concatenate((r[:, 2:10], rx), axis=1)
     rhs = np.concatenate((rx + r[:, 1:2], np.multiply(_LAMBDAS, rx), rx - _SHIFTS, r[:, 10:]),

@@ -282,7 +282,7 @@ def nu(m: SpectralMeasure, d: Distribution) -> float:
     masses.  For the uniform law the density part has a closed form.
     """
     if isinstance(d, FiniteAtomic):
-        return float(_nu_rows(m, d._stack())[0])
+        return float(_nu_rows(m, d._row)[0])
     out = _atom_part(m, d, "nu")
     if m.density is None or m.density.C == 1.0:
         return out

@@ -156,6 +156,104 @@ def stacked_mix(v0, w0, v1, w1, p) -> _Stack:
     return _Stack._from_sorted(values, np.cumsum(run.reshape(values.shape), axis=1))
 
 
+def set_ladder(values, cum, csum=None) -> tuple:
+    """(values, cum, weights, csum) of a canonical law as ``FiniteAtomic``
+    built them before every law was a row of ``_Stack._from_sorted``: the
+    range check on Python floats, then one (3, n) block filled in place."""
+    if not math.isfinite(float(values[-1]) - float(values[0])):
+        raise ValueError("atom values must span a finite range, got "
+                         f"[{float(values[0])!r}, {float(values[-1])!r}]")
+    ladder = np.empty((3 if csum is None else 2, values.size))
+    ladder[0] = cum
+    ladder[1, 0] = cum[0]
+    np.subtract(cum[1:], cum[:-1], out=ladder[1, 1:])
+    if csum is None:
+        csum = np.subtract(values, values[0], out=ladder[2])
+        csum *= ladder[1]
+        csum.cumsum(out=csum)
+    return values, ladder[0], ladder[1], csum
+
+
+def canonical_ladder(values, weights) -> tuple:
+    """The ladder of ``FiniteAtomic(values, weights)`` as its constructor made
+    it on its own: sort and merge equal values, clip the cumulative weights
+    at 1, drop an atom whose cumulative weight is its predecessor's, pin the
+    top at 1."""
+    uniq, inverse = np.unique(np.asarray(values, dtype=float), return_inverse=True)
+    cum = np.minimum(np.cumsum(np.bincount(inverse, weights=np.asarray(weights, dtype=float),
+                                           minlength=uniq.size)), 1.0)
+    rise = cum != np.append(0.0, cum[:-1])
+    uniq, cum = uniq[rise], cum[rise]
+    cum[-1] = 1.0
+    return set_ladder(uniq, cum)
+
+
+def empirical_ladder(samples) -> tuple:
+    """The ladder of ``Empirical(samples)`` as its constructor made it on its
+    own: the last of each run of equal sorted samples stands for the run,
+    with cumulative weight k / n."""
+    samples = np.sort(np.asarray(samples, dtype=float))
+    values, cum = samples, np.arange(1.0, samples.size + 1.0)
+    tie = samples[1:] == samples[:-1]
+    if tie.any():
+        last = np.append(~tie, True)
+        values, cum = samples[last], cum[last]
+    cum /= samples.size
+    return set_ladder(values, cum)
+
+
+def moved_ladder(d: FiniteAtomic, values, csum) -> tuple:
+    """The ladder of ``d.shift`` or ``d.scale`` from the moved values and
+    prefix sums, as those methods made it: where rounding made neighbours
+    equal, the last atom of each run, whose cumulative weight and prefix sum
+    cover the run."""
+    last = np.append(values[1:] != values[:-1], True)
+    return set_ladder(values[last], d._cum[last], csum[last])
+
+
+def sorted_rows_ladders(values, cum) -> list:
+    """The ladder of each row of sorted values and running cumulative weights
+    under the old single-law rules, the last of a run of equal values first
+    (as ``moved_ladder`` and ``empirical_ladder``), then the clip, drop and
+    pin of ``canonical_ladder``."""
+    out = []
+    for v, c in zip(values, cum):
+        last = np.append(v[1:] != v[:-1], True)
+        v, c = v[last], np.minimum(c[last], 1.0)
+        rise = c != np.append(0.0, c[:-1])
+        v, c = v[rise], c[rise]
+        c[-1] = 1.0
+        out.append(set_ladder(v, c))
+    return out
+
+
+def argsort_from_sorted(values, cum) -> _Stack:
+    """``_Stack._from_sorted`` as it compacted rows before it merged runs of
+    equal values: clip at 1, then a stable argsort moves the kept entries
+    first; the top is pinned and copied over the padding."""
+    cum = np.minimum(cum, 1.0)
+    keep = cum != np.concatenate((np.zeros((len(cum), 1)), cum[:, :-1]), axis=1)
+    atoms = keep.sum(axis=1)
+    order = np.argsort(~keep, axis=1, kind="stable")[:, :atoms.max(initial=1)]
+    values, cum = np.take_along_axis(values, order, 1), np.take_along_axis(cum, order, 1)
+    top = np.arange(cum.shape[1]) >= atoms[:, None] - 1
+    cum[top] = 1.0
+    values = np.where(top, np.take_along_axis(values, atoms[:, None] - 1, 1), values)
+    weights = np.diff(cum, axis=1, prepend=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        csum = np.cumsum((values - values[:, :1]) * weights, axis=1)
+    return _Stack(values, cum, weights, csum, atoms)
+
+
+def argsort_empirical(samples) -> _Stack:
+    """``_Stack.empirical`` as it set k / n on the last of each run of ties
+    and carried it over the next run's others, for ``argsort_from_sorted``."""
+    s = np.sort(samples, axis=1)
+    last = np.append(s[:, 1:] != s[:, :-1], np.ones((len(s), 1), dtype=bool), axis=1)
+    cum = np.where(last, np.arange(1.0, s.shape[1] + 1.0) / s.shape[1], 0.0)
+    return argsort_from_sorted(s, np.maximum.accumulate(cum, axis=1))
+
+
 def _searched_tails(d: FiniteAtomic, x: float) -> tuple[float, float]:
     # E(Y - x)^+ and E(x - Y)^+ over the atoms strictly above and below x,
     # with the tail bounds found by binary search

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -162,6 +163,24 @@ class TestConvexLevelSetTest:
         # numpy's own error would not name the seed
         with pytest.raises(ValueError, match="^seed must be non-negative$"):
             convex_level_set_test(NegMean(), seed=-1)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": "5"}, "seed must be an integer, got '5'"),
+        ({"seed": (1, 2)}, "seed must be an integer, got (1, 2)"),
+        ({"search_budget": 2.5}, "search_budget must be an integer, got 2.5"),
+        ({"search_budget": 0}, "search_budget must be at least 1")])
+    def test_counts_must_be_integers(self, kwargs, message):
+        # these were numpy's or a comparison's TypeError, which name no argument
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            convex_level_set_test(NegMean(), **kwargs)
+
+    def test_integer_counts_of_any_type_give_one_witness(self):
+        got = [convex_level_set_test(ES(0.5), search_budget=b, seed=s)
+               for b, s in ((100, 3), (np.int64(100), np.uint8(3)))]
+        assert [(w.p0.atoms(), w.p1.atoms(), w.mix_weight, w.value_at_mixture)
+                for w in got] == [(got[0].p0.atoms(), got[0].p1.atoms(), got[0].mix_weight,
+                                   got[0].value_at_mixture)] * 2
 
     @pytest.mark.parametrize("rf", [
         ES(0.5), ES(0.1), VaR(0.3), VaR(0.9), NegMean(), ExpectileRisk(0.1),

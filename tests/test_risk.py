@@ -1,6 +1,7 @@
 """Risk functionals: closed forms, envelope identities, coherence search, JSON."""
 
 import dataclasses
+import json
 import math
 import re
 import sys
@@ -532,8 +533,26 @@ class TestCoherenceCheck:
 
     @pytest.mark.parametrize("seed", [-1, -2**40, "5", (1, 2), [3], 1.0, None])
     def test_seed_must_be_a_non_negative_integer(self, seed):
-        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        with pytest.raises(ValueError, match="^seed must be (non-negative$|an integer, got )"):
             coherence_check(NegMean(), trials=1, seed=seed)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_states": 8.5}, "max_states must be an integer, got 8.5"),
+        ({"max_states": 1}, "max_states must be at least 2"),
+        ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+        ({"trials": "3"}, "trials must be an integer, got '3'"),
+        ({"trials": 0}, "trials must be at least 1")])
+    def test_counts_must_be_integers(self, kwargs, message):
+        # max_states=8.5 ran and reported 8.5; trials=2.5 raised numpy's TypeError
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            coherence_check(NegMean(), **kwargs)
+
+    def test_integer_counts_of_any_type_report_python_ints(self):
+        rep = coherence_check(ExpectileRisk(0.75), trials=np.int64(3), max_states=np.uint8(5))
+        assert rep == coherence_check(ExpectileRisk(0.75), trials=3, max_states=5)
+        assert type(rep.trials) is int and type(rep.max_states) is int
+        assert all(type(v) is int for v in rep.checks.values())
+        json.dumps(rep.checks)
 
     def test_integer_seeds_of_any_type_give_one_report(self):
         reports = [coherence_check(ExpectileRisk(0.75), trials=40, seed=seed)

@@ -7,6 +7,7 @@ kernels sum the same terms in the same order as the per-law code did.
 
 import math
 import operator
+import re
 import struct
 import tracemalloc
 
@@ -24,10 +25,11 @@ from elicitrisk.cli import _elicit_test_set
 from elicitrisk.distributions import _Stack
 from elicitrisk.risk import _trial_states
 
-from helpers import (atomic_expectile, ladder_bytes, per_law_bound_check, per_law_hunt,
-                     per_law_identify_C, per_law_nu, per_trial_coherence_check, random_law_pair,
-                     random_law_with_ties, random_measure, searched_pqi, searched_quantile,
-                     stacked_mix)
+from helpers import (argsort_empirical, argsort_from_sorted, atomic_expectile, canonical_ladder,
+                     empirical_ladder, ladder_bytes, moved_ladder, per_law_bound_check,
+                     per_law_hunt, per_law_identify_C, per_law_nu, per_trial_coherence_check,
+                     random_law_pair, random_law_with_ties, random_measure, searched_pqi,
+                     searched_quantile, set_ladder, sorted_rows_ladders, stacked_mix)
 
 
 def bits(x) -> bytes:
@@ -278,12 +280,12 @@ def test_member_mixtures_equal_the_general_merge():
 @pytest.mark.parametrize("rf", [NegMean(), ES(0.5), SpectralRisk(uc_measure(0.5))], ids=repr)
 def test_the_hunt_makes_three_kernel_calls_and_builds_only_witness_laws(rf, monkeypatch):
     calls, builds, checks = [], [], []
-    kernel, build = type(rf)._evaluate_stack, FiniteAtomic._set_ladder
+    kernel, build = type(rf)._evaluate_stack, FiniteAtomic._hold
     validate = ConvexityWitness.validate
     monkeypatch.setattr(type(rf), "_evaluate_stack",
                         lambda self, s: calls.append(len(s.cum)) or kernel(self, s))
-    # every atomic law passes through _set_ladder, however it is built
-    monkeypatch.setattr(FiniteAtomic, "_set_ladder",
+    # every atomic law passes through _hold, however it is built
+    monkeypatch.setattr(FiniteAtomic, "_hold",
                         lambda self, *a: builds.append(1) or build(self, *a))
     monkeypatch.setattr(ConvexityWitness, "validate",
                         lambda self, *a: checks.append(1) or validate(self, *a))
@@ -405,8 +407,99 @@ def test_empirical_rows_equal_empirical_laws():
     rng = np.random.default_rng(9)
     x = rng.uniform(-10.0, 10.0, (30, 6))
     rows = np.concatenate((x, 0.0 * x, np.round(x), np.full((2, 6), -0.0), 0.0 * -x))
-    s = _Stack.empirical(rows)
+    s = _Stack.empirical(np.sort(rows, axis=1))
     assert [ladder_bytes(d) for d in s.laws()] == [ladder_bytes(Empirical(r)) for r in rows]
+
+
+def row_ladders(s) -> list:
+    """Each row's (values, cum, weights, csum) bytes without its padding, after
+    checking the padding: the top value, cumulative weight 1, weight 0 and the
+    top prefix sum."""
+    for r, m in enumerate(s.atoms):
+        assert (s.values[r, m:] == s.values[r, m - 1]).all() and (s.cum[r, m - 1:] == 1.0).all()
+        assert (s.weights[r, m:] == 0.0).all() and (s.csum[r, m:] == s.csum[r, m - 1]).all()
+    return [tuple(a[r, :m].tobytes() for a in (s.values, s.cum, s.weights, s.csum))
+            for r, m in enumerate(s.atoms)]
+
+
+def oracle_bytes(ladder) -> tuple:
+    return tuple(a.tobytes() for a in ladder)
+
+
+def test_the_builder_equals_the_old_single_law_builders():
+    rng = np.random.default_rng(20)
+    for _ in range(40):
+        k, n = int(rng.integers(1, 30)), int(rng.integers(1, 10))
+        x = rng.uniform(-10.0, 10.0, (k, n))
+        # samples: ties, all-equal rows (as lambda = 0 makes them) and -0.0 beside 0.0
+        samples = np.concatenate((x, np.round(x), 0.0 * x, 0.0 * -x, np.where(x < 0, -0.0, 0.0)))
+        s = _Stack.empirical(np.sort(samples, axis=1))
+        want = [oracle_bytes(empirical_ladder(row)) for row in samples]
+        assert row_ladders(s) == want
+        assert [ladder_bytes(Empirical(row)) for row in samples] == want
+        assert stack_bytes(s) == stack_bytes(argsort_empirical(samples))
+        # sorted rows with ties, zero weights and totals that round past 1
+        values = np.sort(rng.integers(-3, 4, (k, n)).astype(float), axis=1)
+        w = rng.dirichlet(np.ones(n), k) * (rng.random((k, n)) < 0.7)
+        w /= np.maximum(w.sum(axis=1, keepdims=True), 1e-300)
+        w[:, -1] += rng.choice([0.0, 4e-13, -4e-13, 1.0], k) * (w.sum(axis=1) == 0.0)
+        w[:, -1] = np.maximum(w[:, -1] + rng.choice([0.0, 5e-13, -5e-13], k), 0.0)
+        ok = np.abs(w.sum(axis=1) - 1.0) <= 1e-12
+        values, w = values[ok], w[ok]
+        cum = np.cumsum(w, axis=1)
+        assert row_ladders(_Stack._from_sorted(values, cum)) == [
+            oracle_bytes(ladder) for ladder in sorted_rows_ladders(values, cum)]
+        for v, wr in zip(values, w):
+            assert ladder_bytes(FiniteAtomic(v, wr)) == oracle_bytes(canonical_ladder(v, wr))
+        # rows without ties build as the argsort compaction built them
+        distinct = (values[:, 1:] != values[:, :-1]).all(axis=1)
+        if distinct.any():
+            new = _Stack._from_sorted(values[distinct], cum[distinct])
+            assert stack_bytes(new) == stack_bytes(argsort_from_sorted(values[distinct],
+                                                                       cum[distinct]))
+
+
+def test_moved_laws_merge_as_shift_and_scale_did():
+    # neighbours one ulp apart merge when shifted far or scaled into the subnormals
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        n = int(rng.integers(1, 12))
+        base = float(rng.choice([1.0, 1e-300, -3.5, 1e8]))
+        values = base + np.cumsum(rng.integers(0, 3, n)) * np.spacing(base)
+        d = FiniteAtomic(values, rng.dirichlet(np.ones(n)))
+        # and a shift or scale past the largest double leaves a range both reject
+        c = float(rng.choice([0.0, 1e3, -1e9, 2.0 ** 60, 1e300, 1.79e308]))
+        lam = float(rng.choice([1.0, 3.0, 1e-10, 1e-20, 2.0 ** -1070, 1e300]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            moved = ((d.shift, c, d._values + c, d._csum),
+                     (d.scale, lam, d._values * lam, d._csum * lam))
+        for method, arg, v, csum in moved:
+            try:
+                want = oracle_bytes(moved_ladder(d, v, csum))
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    method(arg)
+            else:
+                assert ladder_bytes(method(arg)) == want
+
+
+@pytest.mark.parametrize("a", [2.0 ** 1023, np.nextafter(2.0 ** 1023, 0.0), 1.7e308, 1e308])
+def test_spans_at_the_edge_of_overflow(a):
+    # [-a, a] spans 2 a: finite below 2 ** 1023, past the largest double from it on
+    v, w = np.array([-a, a]), np.array([0.5, 0.5])
+    try:
+        want = oracle_bytes(set_ladder(v, np.cumsum(w)))
+    except ValueError as exc:
+        # a stack names its first row whose range is past the largest double
+        for build in (lambda: FiniteAtomic(v, w), lambda: Empirical(v),
+                      lambda: two_point(-a, a, 0.5),
+                      lambda: _Stack._from_sorted(np.array([[0.0, 1.0], v, v]),
+                                                  np.array([[0.5, 1.0]] * 3))):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                build()
+        return
+    assert ladder_bytes(FiniteAtomic(v, w)) == ladder_bytes(Empirical(v)) == want
+    assert ladder_bytes(two_point(-a, a, 0.5)) == want
 
 
 def test_mixed_rows_equal_mix():

@@ -1,0 +1,41 @@
+"""The benchmark's tracer against the library it wraps.
+
+``benchmark/run.py --trace 1`` installs ``benchmark/tracing.Tracer`` over the
+library; a refactor that renames or moves a traced callable breaks that run
+or silently drops its metric.  The tracer replaces module attributes and
+class methods, so it runs in a subprocess.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+INSTALL = textwrap.dedent("""
+    import inspect, json, sys
+    import elicitrisk, elicitrisk.cli
+    import tracing
+    tracing.Tracer().install()
+    unwrapped = []
+    for key in tracing.CATEGORIES:
+        layer, *path = key.split(".")
+        obj = sys.modules["elicitrisk." + layer]
+        for name in path:
+            obj = inspect.getattr_static(obj, name)
+        if getattr(obj, "__func__", obj).__qualname__ != "Tracer.wrap.<locals>.traced":
+            unwrapped.append(key)
+    print(json.dumps(unwrapped))
+""")
+
+
+def test_the_tracer_wraps_every_callable_it_lists():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "benchmark"), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", INSTALL], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == []
