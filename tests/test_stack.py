@@ -483,7 +483,7 @@ def test_moved_laws_merge_as_shift_and_scale_did():
                 assert ladder_bytes(method(arg)) == want
 
 
-@pytest.mark.parametrize("a", [2.0 ** 1023, np.nextafter(2.0 ** 1023, 0.0), 1.7e308, 1e308])
+@pytest.mark.parametrize("a", [2.0 ** 1023, np.nextafter(2.0 ** 1023, 0.0), 8.9e307, 1.7e308])
 def test_spans_at_the_edge_of_overflow(a):
     # [-a, a] spans 2 a: finite below 2 ** 1023, past the largest double from it on
     v, w = np.array([-a, a]), np.array([0.5, 0.5])
