@@ -442,7 +442,7 @@ class _Stack:
             np.logical_not(tie, out=last[:, :-1])
             take, _ = _kept(last)
             values, cum = np.take(values, take), np.take(np.broadcast_to(cum, last.shape), take)
-            csum = None if csum is None else np.take(csum, take)
+            csum = None  # a merged row's first atom moved: sum its ladder again
         # one block, filled in place: the allocator hands it to the next law
         # of its size, where separate arrays would each fault pages in again
         ladder = np.empty((3 if csum is None else 2,) + values.shape)

@@ -15,7 +15,6 @@ The two envelope functionals, parameterized by C in (0, 1]:
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -326,80 +325,6 @@ _AXIOMS = ("subadditivity", *["homogeneity"] * 4, *["translation"] * 3, "monoton
 _PARAMS = (None, *_LAMBDAS, *_SHIFTS, None)
 
 
-_UINT32_MAX = 0xFFFFFFFF
-
-
-def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
-    # numpy's SeedSequence hash constant, from init, before and after each of
-    # its successive multiplications by mult, as a column
-    h = [init]
-    for _ in range(calls):
-        h.append(h[-1] * mult & _UINT32_MAX)
-    return np.array(h, dtype=np.uint32)[:, None]
-
-
-def _hashmix(v, h):
-    # successive hashmix calls of SeedSequence, one per row: call i xors in
-    # the constant h[i] and multiplies by h[i + 1]
-    v = (v ^ h[:-1]) * h[1:]
-    return v ^ v >> 16
-
-
-def _mix(x, y):
-    # SeedSequence's mix of a pool word x with a hashed word y
-    r = x * np.uint32(0xca01f9dd) - y * np.uint32(0x4973f715)
-    return r ^ r >> 16
-
-
-_OUTPUT_CONSTANTS = _hash_constants(0x8b51f9dd, 0x58f38ded, 8)
-
-
-def _trial_states(seed: int, trials: int) -> np.ndarray:
-    """SeedSequence((seed, k)).generate_state(4, np.uint64) for every k < trials.
-
-    numpy's documented and stable hash, run on uint32 arrays with a column per
-    trial.  The entropy is the seed's little-endian 32-bit words (0 has one),
-    then k; it is hashed into a pool of four words, each of which is mixed
-    into the others, and then any entropy beyond four words into all four;
-    eight words are hashed out of the pool and read as four uint64.  Row k is
-    the PCG64 state of ``np.random.default_rng((seed, k))``.
-    """
-    words = [seed >> i & _UINT32_MAX for i in range(0, max(seed.bit_length(), 1), 32)]
-    entropy = np.zeros((max(len(words) + 1, 4), trials), dtype=np.uint32)
-    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[len(words)] = np.arange(trials, dtype=np.uint32)
-    # four calls fill the pool, twelve mix it and four more take each further word
-    h = _hash_constants(0x43b0d7e5, 0x931e8875, 4 * len(entropy))
-    pool = _hashmix(entropy[:4], h[:5])
-    for src in range(4):
-        dst, c = [i for i in range(4) if i != src], 4 + 3 * src
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], h[c:c + 4]))
-    for i, word in enumerate(entropy[4:]):
-        c = 16 + 4 * i
-        pool = _mix(pool, _hashmix(word, h[c:c + 5]))
-    out = _hashmix(pool[[0, 1, 2, 3] * 2], _OUTPUT_CONSTANTS)
-    return np.ascontiguousarray(out.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
-
-
-@functools.cache
-def _trial_state_type():
-    """The type of a trial's seed sequence, whose state was hashed beforehand.
-
-    A numpy ``ISeedSequence``, made when first used, so that importing this
-    module does not import ``numpy.random``.
-    """
-    class TrialState(np.random.bit_generator.ISeedSequence):
-        __slots__ = ("state",)
-
-        def __init__(self, state):
-            self.state = state
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.state
-
-    return TrialState
-
-
 def coherence_check(rf: RiskFunctional, trials: int = 1000, seed: int = 0,
                     max_states: int = 8, tol: float = 1e-9) -> CoherenceReport:
     """Randomized search for coherence violations on joint finite spaces.
@@ -408,13 +333,17 @@ def coherence_check(rf: RiskFunctional, trials: int = 1000, seed: int = 0,
     equally likely states with values in [-10, 10], then checks
     subadditivity, positive homogeneity (factors 0, 0.5, 2, 10), cash
     translation (shifts -1, 0, 3) and monotonicity against a dominated
-    payoff.  Trial k draws from ``np.random.default_rng((seed, k))``, so
-    reports are reproducible and a violation's trial replays its payoffs;
-    the generators' states are hashed for all trials at once, and ``seed``
-    is a non-negative integer.  The eleven laws of all trials with the same
-    number of states form one stack, a (11 K, n) ladder that the functional
-    evaluates in one call; violations are listed by trial, then axiom, then
-    parameter.
+    payoff.  ``seed`` is a non-negative integer, and
+    ``counts, draws = np.random.default_rng(seed).spawn(2)`` are the two
+    streams: ``counts`` draws every trial's state count n, and ``draws``
+    then gives each trial in turn its x, y and z as ``uniform(-10, 10, n)``,
+    ``uniform(-10, 10, n)`` and x less ``uniform(0, 5, n)``.  So reports
+    are reproducible, the first k trials are the same whatever ``trials``
+    is, and a violation's trial replays its payoffs: draw the counts up to
+    it and skip 3 n uniforms for each trial before it.  The eleven laws of
+    all trials with the same number of states form one stack, a (11 K, n)
+    ladder that the functional evaluates in one call; violations are listed
+    by trial, then axiom, then parameter.
 
     Note the granularity caveat: a quantile level below 1/max_states makes
     the quantile functional collapse to the worst-case payoff on these
@@ -422,26 +351,15 @@ def coherence_check(rf: RiskFunctional, trials: int = 1000, seed: int = 0,
     a larger ``max_states``.
     """
     trials = _check_count(trials, "trials", 1)
-    if trials > _UINT32_MAX:
-        raise ValueError("trials must be at most 2**32 - 1")
     max_states = _check_count(max_states, "max_states", 2)
     tol = _check_tol(tol)
     seed = _check_count(seed, "seed", 0)
-    # trial k draws its state count n, then the 3 n uniforms of x, y and z into
-    # u[start[k]:][:3 n]; u holds no padding, so it is sized for the mean state
-    # count and grows in place (no view of it is alive while it does)
-    states = _trial_states(seed, trials)
-    ns, start = np.empty(trials, dtype=np.intp), np.empty(trials, dtype=np.intp)
-    u, end = np.empty(3 * trials * (max_states + 2) // 2), 0
-    Generator, PCG64, TrialState = np.random.Generator, np.random.PCG64, _trial_state_type()
-    for k in range(trials):
-        rng = Generator(PCG64(TrialState(states[k])))
-        n = ns[k] = rng.integers(2, max_states + 1)
-        start[k] = a = end
-        end += 3 * int(n)
-        if end > u.size:
-            u.resize(end + u.size // 8, refcheck=False)
-        rng.random(out=u[a:end])
+    # trial k's state count n is the k-th draw of one stream, and the 3 n
+    # uniforms of its x, y and z are u[start[k]:][:3 n] of the other
+    counts, draws = np.random.default_rng(seed).spawn(2)
+    ns = counts.integers(2, max_states + 1, size=trials)
+    start = np.cumsum(3 * ns) - 3 * ns
+    u = draws.random(3 * ns.sum())
 
     def payoffs(k, n):
         # x, y and z, dominated statewise by x, of trial or trials k: uniform(a, b)

@@ -205,10 +205,12 @@ def empirical_ladder(samples) -> tuple:
 def moved_ladder(d: FiniteAtomic, values, csum) -> tuple:
     """The ladder of ``d.shift`` or ``d.scale`` from the moved values and
     prefix sums, as those methods made it: where rounding made neighbours
-    equal, the last atom of each run, whose cumulative weight and prefix sum
-    cover the run."""
+    equal, the last atom of each run, whose cumulative weight covers the run,
+    and prefix sums summed again from the merged values."""
     last = np.append(values[1:] != values[:-1], True)
-    return set_ladder(values[last], d._cum[last], csum[last])
+    if last.all():
+        return set_ladder(values, d._cum, csum)
+    return set_ladder(values[last], d._cum[last])
 
 
 def sorted_rows_ladders(values, cum) -> list:
@@ -334,48 +336,49 @@ def atomic_expectile(d: FiniteAtomic, tau: float) -> tuple[float, float]:
 
 
 def per_trial_coherence_check(rf, trials=1000, seed=0, max_states=8, tol=1e-9):
-    """coherence_check as it ran before the stacks: every trial builds its
-    eleven laws with ``Empirical`` and evaluates them one at a time."""
+    """coherence_check as it ran before the stacks: every trial draws its
+    state count and payoffs one at a time from the two streams, and builds
+    its eleven laws with ``Empirical`` and evaluates them one at a time."""
     if trials < 1:
         raise ValueError("trials must be positive")
     if max_states < 2:
         raise ValueError("max_states must be at least 2")
     tol = _check_tol(tol)
     report = CoherenceReport(trials=trials, max_states=max_states, tolerance=tol)
-    counts = {"subadditivity": 0, "homogeneity": 0, "translation": 0, "monotonicity": 0}
+    checks = {"subadditivity": 0, "homogeneity": 0, "translation": 0, "monotonicity": 0}
 
     def record(axiom, trial, sx, sy, param, lhs, rhs):
         report.violations.append(CoherenceViolation(
             axiom=axiom, trial=trial, states_x=tuple(sx),
             states_y=None if sy is None else tuple(sy), param=param, lhs=lhs, rhs=rhs))
 
+    counts, draws = np.random.default_rng(seed).spawn(2)
     for k in range(trials):
-        rng = np.random.default_rng((seed, k))
-        n = int(rng.integers(2, max_states + 1))
-        x = rng.uniform(-10.0, 10.0, n)
-        y = rng.uniform(-10.0, 10.0, n)
+        n = int(counts.integers(2, max_states + 1))
+        x = draws.uniform(-10.0, 10.0, n)
+        y = draws.uniform(-10.0, 10.0, n)
         rx = rf.evaluate(Empirical(x))
         ry = rf.evaluate(Empirical(y))
-        counts["subadditivity"] += 1
+        checks["subadditivity"] += 1
         rxy = rf.evaluate(Empirical(x + y))
         if rxy > rx + ry + tol:
             record("subadditivity", k, x, y, None, rxy, rx + ry)
         for lam in _LAMBDAS:
-            counts["homogeneity"] += 1
+            checks["homogeneity"] += 1
             r = rf.evaluate(Empirical(lam * x))
             if abs(r - lam * rx) > tol:
                 record("homogeneity", k, x, None, lam, r, lam * rx)
         for a in _SHIFTS:
-            counts["translation"] += 1
+            checks["translation"] += 1
             r = rf.evaluate(Empirical(x + a))
             if abs(r - (rx - a)) > tol:
                 record("translation", k, x, None, a, r, rx - a)
-        counts["monotonicity"] += 1
-        z = x - rng.uniform(0.0, 5.0, n)
+        checks["monotonicity"] += 1
+        z = x - draws.uniform(0.0, 5.0, n)
         rz = rf.evaluate(Empirical(z))
         if rx > rz + tol:
             record("monotonicity", k, x, z, None, rx, rz)
-    report.checks = counts
+    report.checks = checks
     return report
 
 

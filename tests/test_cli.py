@@ -610,13 +610,15 @@ class TestGlobalFlags:
 
 def test_import_needs_numpy_only():
     # numpy is the one runtime dependency: importing the package and the CLI
-    # must not pull in scipy
+    # must not pull in scipy, nor numpy.random, which only coherence_check and
+    # the hunt use and which costs a fresh process about 10 ms
     src = str(Path(elicitrisk.__file__).resolve().parents[1])
     code = ("import sys, elicitrisk.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+            "'numpy.random' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.strip() == "[]"
+    assert out.strip() == "[] False"
 
 
 def test_elicit_leaves_numpy_ma_unimported():

@@ -320,6 +320,11 @@ class TestPrefixSums:
         laws = [FiniteAtomic([3.0, -1.0, 3.0], [0.25, 0.5, 0.25]),
                 FiniteAtomic._from_cum(np.array([0.0, 2.0]), np.array([0.5, 1.0])),
                 Empirical([2.0, -1.0, 2.0, 5.0]), two_point(-1.0, 4.0, 0.3), dirac(7.0)]
+        # a shift or scale whose rounding merges neighbours, the first atom among them
+        close = FiniteAtomic(1e8 + np.array([0.0, 1.0, 3.0, 4.0]) * np.spacing(1e8),
+                             [0.1, 0.2, 0.3, 0.4])
+        laws += [close.shift(1e300), close.scale(0.7)]
+        assert [d.n_atoms for d in laws[-2:]] == [1, 3]
         for d in laws:
             x = d._values
             want = np.cumsum(d._weights * (x - x[0]))

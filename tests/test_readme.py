@@ -20,6 +20,16 @@ def test_library_quick_start_runs():
     assert scope["rep"].consistent is False
 
 
+def test_coherence_replay_recipe_runs():
+    blocks = [b for b in re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+              if ".spawn(2)" in b]
+    assert len(blocks) == 1, "the README lost its coherence replay block"
+    scope = {}
+    exec(compile(blocks[0], "README.md coherence replay", "exec"), scope)
+    # the block's asserts ran on some violation
+    assert scope["rep"].violations
+
+
 # argv of each README ``elicitrisk`` line that reads no input file: neither
 # ``--data`` nor a ``score`` panel
 COMMANDS = [argv for argv in (shlex.split(line)[1:] for line in README.read_text().splitlines()

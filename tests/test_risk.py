@@ -559,20 +559,13 @@ class TestCoherenceCheck:
                    for seed in (7, np.int64(7), np.uint32(7))]
         assert reports[0] == reports[1] == reports[2]
 
-    def test_trials_fit_one_32_bit_word(self):
-        # raised before anything is drawn or allocated
-        with pytest.raises(ValueError, match="trials must be at most"):
-            coherence_check(NegMean(), trials=2**32)
-
-    def test_a_violation_replays_from_its_trial_generator(self):
-        seed, max_states = 3, 16
-        rep = coherence_check(VaR(0.1), trials=1500, seed=seed, max_states=max_states)
-        assert rep.violations
-        for v in rep.violations:
-            rng = np.random.default_rng((seed, v.trial))
-            n = rng.integers(2, max_states + 1)
-            x, y = rng.uniform(-10.0, 10.0, n), rng.uniform(-10.0, 10.0, n)
-            assert v.states_x == tuple(x) and v.states_y == tuple(y)
+    def test_the_first_trials_do_not_depend_on_the_number_of_trials(self):
+        # state counts and uniforms come from two streams, so trial k's draws
+        # are the same in a longer run
+        short = coherence_check(VaR(0.1), trials=700, seed=3, max_states=16)
+        long = coherence_check(VaR(0.1), trials=1500, seed=3, max_states=16)
+        assert short.violations
+        assert short.violations == [v for v in long.violations if v.trial < 700]
 
 
 class TestFunctionalJson:

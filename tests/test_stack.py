@@ -6,14 +6,12 @@ kernels sum the same terms in the same order as the per-law code did.
 """
 
 import math
-import operator
 import re
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.random.bit_generator import ISeedSequence
 
 from elicitrisk import (ES, ConvexityWitness, Empirical, ExpectileRisk, FiniteAtomic,
                         InfOverFamily, NegMean, RiskFunctional, SpectralMeasure, SpectralRisk,
@@ -23,7 +21,6 @@ from elicitrisk import (ES, ConvexityWitness, Empirical, ExpectileRisk, FiniteAt
 from elicitrisk import elicit
 from elicitrisk.cli import _elicit_test_set
 from elicitrisk.distributions import _Stack
-from elicitrisk.risk import _trial_states
 
 from helpers import (argsort_empirical, argsort_from_sorted, atomic_expectile, canonical_ladder,
                      empirical_ladder, ladder_bytes, moved_ladder, per_law_bound_check,
@@ -80,17 +77,6 @@ def test_library_coherence_cases_equal_the_oracle(rf, max_states, trials):
         per_trial_coherence_check(rf, trials=trials, seed=1201, max_states=max_states))
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**200,
-                                  np.int64(7), np.uint32(2**32 - 1)], ids=repr)
-def test_trial_states_equal_numpys_seed_sequence(seed):
-    # fails if numpy changes its SeedSequence hash; 2**200 has seven words,
-    # more than the pool's four
-    states = _trial_states(operator.index(seed), 4097)
-    assert states.dtype == np.uint64 and states.flags.c_contiguous
-    assert np.array_equal(states, [np.random.SeedSequence((seed, k)).generate_state(4, np.uint64)
-                                   for k in range(4097)])
-
-
 @pytest.mark.parametrize("seed", [2**32, 2**200], ids=repr)
 @pytest.mark.parametrize("trials", [1, 1500])
 @pytest.mark.parametrize("max_states", [2, 16, 20])
@@ -102,33 +88,22 @@ def test_coherence_reports_at_seeds_of_several_words_equal_the_oracle(seed, tria
 
 
 def test_coherence_check_hashes_no_seed_per_trial(monkeypatch):
-    # a SeedSequence is built by name, by default_rng, or by PCG64 from any
-    # seed other than a seed sequence
-    built, generators = [], []
-    SeedSequence, default_rng, PCG64 = (np.random.SeedSequence, np.random.default_rng,
-                                        np.random.PCG64)
+    # one seeded generator spawns the two streams, whatever the number of
+    # trials; a generator spawns children of its own type, so they count too
+    built = []
 
-    def pcg64(seed=None):
-        generators.append(seed)
-        if not isinstance(seed, ISeedSequence):
-            built.append(seed)
-        return PCG64(seed)
+    class Counted(np.random.Generator):
+        def __init__(self, bit_generator):
+            built.append(bit_generator)
+            super().__init__(bit_generator)
 
-    monkeypatch.setattr(np.random, "SeedSequence", lambda *a: built.append(a) or SeedSequence(*a))
-    monkeypatch.setattr(np.random, "default_rng", lambda *a: built.append(a) or default_rng(*a))
-    monkeypatch.setattr(np.random, "PCG64", pcg64)
-    rep = coherence_check(VaR(0.1), trials=300, seed=5, max_states=16)
-    assert len(generators) == rep.trials  # the patched names are the ones called
-    assert len(built) <= 1
-
-
-def test_coherence_trials_past_the_mean_state_count_equal_the_oracle():
-    # the draws are buffered for the mean state count, 11 of 2 to 20, and grow
-    # in place for a trial that draws more
-    seeds = [s for s in range(100) if np.random.default_rng((s, 0)).integers(2, 21) > 11][:3]
-    for seed in seeds:
-        assert report_fields(coherence_check(VaR(0.4), trials=1, seed=seed, max_states=20)) == \
-            report_fields(per_trial_coherence_check(VaR(0.4), trials=1, seed=seed, max_states=20))
+    PCG64 = np.random.PCG64
+    monkeypatch.setattr(np.random, "Generator", Counted)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Counted(PCG64(seed)))
+    for trials in (1, 300, 1500):
+        built.clear()
+        coherence_check(VaR(0.1), trials=trials, seed=5, max_states=16)
+        assert len(built) == 3, trials  # the seeded generator and its two streams
 
 
 HUNTED = [ES(0.5), ES(0.1), VaR(0.3), ExpectileRisk(0.1), ExpectileRisk(0.25), NegMean(),
