@@ -156,8 +156,7 @@ class Distribution(ABC):
 
 
 def _canonical_atoms(values, weights):
-    """Sorted distinct values and their running cumulative weights, one row
-    each, after validating the weights."""
+    """Sorted distinct values and their running cumulative weights, after validating both."""
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if values.ndim != 1 or weights.ndim != 1 or values.size != weights.size:
@@ -173,7 +172,7 @@ def _canonical_atoms(values, weights):
     if abs(total - 1.0) > WEIGHT_TOL:
         raise ValueError(f"atom weights must sum to 1 within {WEIGHT_TOL}, got {total!r}")
     uniq, inverse = np.unique(values, return_inverse=True)
-    return uniq[None], np.cumsum(np.bincount(inverse, weights=weights, minlength=uniq.size))[None]
+    return uniq, np.cumsum(np.bincount(inverse, weights=weights, minlength=uniq.size))
 
 
 class FiniteAtomic(Distribution):
@@ -196,18 +195,16 @@ class FiniteAtomic(Distribution):
         self._hold(_Stack._from_sorted(*_canonical_atoms(values, weights)))
 
     def _hold(self, row: "_Stack"):
-        # every atomic law passes here: it is the one row of a stack that the
-        # ladder builder made, and its arrays are views of that row
+        # every atomic law passes here: it is a stack of one row, whose arrays it holds
         self._row = row
         self._values, self._cum, self._weights, self._csum = (
-            row.values[0], row.cum[0], row.weights[0], row.csum[0])
+            row.values, row.cum, row.weights, row.csum)
 
     @classmethod
     def _from_cum(cls, values: np.ndarray, cum: np.ndarray, csum=None) -> "FiniteAtomic":
         # internal: values sorted, cum their running cumulative weights
         obj = cls.__new__(cls)
-        obj._hold(_Stack._from_sorted(values[None], cum[None],
-                                      None if csum is None else csum[None]))
+        obj._hold(_Stack._from_sorted(values, cum, csum))
         return obj
 
     def atoms(self) -> list[tuple[float, float]]:
@@ -290,7 +287,7 @@ class Empirical(FiniteAtomic):
         # sorted, so an infinity sits at an end and a NaN at the top
         if not (math.isfinite(samples[0]) and math.isfinite(samples[-1])):
             raise ValueError("samples must be finite")
-        self._hold(_Stack.empirical(samples[None]))
+        self._hold(_Stack.empirical(samples))
         self.samples = samples
 
     def __repr__(self):
@@ -402,88 +399,73 @@ def mix(d0: Distribution, d1: Distribution, p: float) -> FiniteAtomic:
                         np.concatenate((p * d0._weights, (1.0 - p) * d1._weights)))
 
 
-def _kept(keep):
-    """Flat indices of each row's kept entries, padded with its last, and their counts."""
-    flat = np.flatnonzero(keep)
-    atoms = np.bincount(flat // keep.shape[1], minlength=len(keep))
-    end = np.cumsum(atoms)
-    return flat[np.minimum(np.arange(atoms.max(initial=1)) + (end - atoms)[:, None],
-                           end[:, None] - 1)], atoms
-
-
 class _Stack:
-    """K atomic laws as (K, n) arrays of values, cumulative weights, weights
-    and prefix sums centred on each row's first atom; a law is one row.
-
-    Row r holds ``atoms[r]`` atoms, then zero weight at its last value with
-    cumulative weight 1 and its last prefix sum, so a sum along a row adds
-    only exact zeros to the law's own.  A search runs once over the
-    flattened rows, row r offset by ``off`` = 2 r.
-    """
+    """K atomic laws end to end in flat arrays of values, cumulative weights, weights
+    and prefix sums centred on each row's first atom: row r is the ``atoms[r]``
+    entries from ``start[r]``, and a law is the stack of one row.  A search runs
+    once over all rows, on ``cum`` + 2 r: a row's top is exactly 1."""
 
     def __init__(self, values, cum, weights, csum, atoms):
         self.values, self.cum, self.weights, self.csum = values, cum, weights, csum
-        self.atoms, (k, n) = atoms, cum.shape
-        self.off, self.start = np.arange(0.0, 2.0 * k, 2.0)[:, None], np.arange(0, k * n, n)
+        self.atoms, self.end = atoms, atoms.cumsum()
+        self.start, self.off = self.end - atoms, np.arange(0.0, 2.0 * len(atoms), 2.0)[:, None]
         # row 0's offset is 0, so a single row is searched on its own cumulative weights
-        self.key = (cum + self.off).ravel() if k > 1 else cum.ravel()
+        self.key = cum + np.repeat(self.off[:, 0], atoms) if len(atoms) > 1 else cum
 
     @classmethod
     def _from_sorted(cls, values, cum, csum=None) -> "_Stack":
-        """Rows of sorted values and running cumulative weights (one row of them
-        may serve all rows), and prefix sums if ``csum`` carries them, as a
-        stack; every atomic law is one such row.
-        The last of a run of equal values stands for the run, cumulative weights
-        are clipped at 1, an entry of weight 0 is dropped, the top is pinned at 1.
-        """
-        tie = values[:, 1:] == values[:, :-1]
-        if tie.any():
-            last = np.ones(values.shape, dtype=bool)
-            np.logical_not(tie, out=last[:, :-1])
-            take, _ = _kept(last)
-            values, cum = np.take(values, take), np.take(np.broadcast_to(cum, last.shape), take)
-            csum = None  # a merged row's first atom moved: sum its ladder again
+        """Rows of sorted values along the last axis, their running cumulative weights
+        (broadcast to the values' shape) and prefix sums if ``csum`` carries them, as
+        a stack; every atomic law is one such row.  The last of a run of equal values
+        stands for the run, cumulative weights are clipped at 1, an entry of weight 0
+        is dropped whatever its value, and the top is pinned at 1.  A row is summed
+        at full length, a dropped entry adding an exact zero, then compacted."""
         # one block, filled in place: the allocator hands it to the next law
         # of its size, where separate arrays would each fault pages in again
-        ladder = np.empty((3 if csum is None else 2,) + values.shape)
-        c, weights = np.minimum(cum, 1.0, out=ladder[0]), ladder[1]
-        weights[:, 0] = c[:, 0]
-        np.subtract(c[:, 1:], c[:, :-1], out=weights[:, 1:])
-        if weights.min(initial=1.0) > 0.0:
-            # the top is the last entry: pin it, and its weight with it
-            atoms = np.full(len(c), c.shape[1])
-            c[:, -1] = 1.0
-            np.subtract(1.0, c[:, -2] if c.shape[1] > 1 else 0.0, out=weights[:, -1])
+        ladder = np.empty((3,) + values.shape)
+        c = np.minimum(cum, 1.0, out=ladder[0]).reshape(-1)
+        n, w, v = values.shape[-1], ladder[1].reshape(-1), values.reshape(-1)
+        tie = v[1:] == v[:-1]
+        tie[n - 1::n] = False  # a row's last entry against the next row's first
+        if tie.any():
+            # the others of a run take the cumulative weight before it (weight 0): csum is stale
+            t, csum = np.flatnonzero(tie), None
+            c[t] = 0.0
+            t = np.unique(t // n)
+            c.reshape(-1, n)[t] = np.maximum.accumulate(c.reshape(-1, n)[t], axis=1)
+        if c[n - 1::n].min(initial=1.0) < 1.0:  # the top, a row's last rise and all after it, is 1
+            np.putmask(c.reshape(-1, n), c.reshape(-1, n) == c[n - 1::n, None], 1.0)
+        np.subtract(c[1:], c[:-1], out=w[1:])
+        w[::n] = c[::n]
+        if w.min(initial=1.0) > 0.0:
+            keep, first, last = None, slice(0, None, n), slice(n - 1, None, n)
         else:
-            take, atoms = _kept(weights != 0.0)
-            c.reshape(-1)[take[:, -1]] = 1.0
-            values, csum = np.take(values, take), None if csum is None else np.take(csum, take)
-            ladder = np.empty((len(ladder),) + take.shape)
-            c, weights = np.take(c, take, out=ladder[0]), ladder[1]
-            weights[:, 0] = c[:, 0]
-            np.subtract(c[:, 1:], c[:, :-1], out=weights[:, 1:])
-        # distances to each row's first atom; the last is the row's span
+            keep = np.flatnonzero(w != 0.0)
+            end = keep.searchsorted(np.arange(n, v.size + 1, n))
+            atoms = np.diff(end, prepend=0)
+            first, last = keep[end - atoms], keep[end - 1]
+        x0, top = v[first], v[last]
         with np.errstate(over="ignore", invalid="ignore"):
-            d = (np.subtract(values, values[:, :1], out=ladder[2]) if csum is None
-                 else values[:, -1:] - values[:, :1])
-        if not math.isfinite(d[:, -1].max(initial=0.0)):
-            r = int(np.argmin(np.isfinite(d[:, -1])))
-            raise ValueError("atom values must span a finite range, got "
-                             f"[{float(values[r, 0])!r}, {float(values[r, -1])!r}]")
-        if csum is None:
-            csum = np.multiply(d, weights, out=d)
-            csum.cumsum(axis=1, out=csum)
-        return cls(values, c, weights, csum, atoms)
+            if not math.isfinite((top - x0).max(initial=0.0)):
+                r = int(np.argmin(np.isfinite(top - x0)))
+                raise ValueError("atom values must span a finite range, got "
+                                 f"[{float(x0[r])!r}, {float(top[r])!r}]")
+            if csum is None:
+                # distances to each row's first atom; an entry below it has
+                # weight 0 and its distance is clamped, so no -inf x 0 enters
+                csum = np.subtract(v.reshape(-1, n), x0[:, None], out=ladder[2].reshape(-1, n))
+                if keep is not None and (v[::n] < x0).any():
+                    np.maximum(csum, 0.0, out=csum)
+                np.multiply(csum, w.reshape(-1, n), out=csum).cumsum(axis=1, out=csum)
+        if keep is None:
+            return cls(v, c, w, csum.reshape(-1), np.full(v.size // n, n))
+        return cls(*(np.take(a, keep) for a in (v, c, w, csum)), atoms)
 
     @classmethod
     def of(cls, laws) -> "_Stack":
-        """Atomic laws as the rows of one stack: each law's own ladder, padded."""
-        values, cum, weights, csum = np.empty((4, len(laws), max(d.n_atoms for d in laws)))
-        for r, d in enumerate(laws):
-            for a, x, pad in ((values, d._values, d._values[-1]), (cum, d._cum, 1.0),
-                              (weights, d._weights, 0.0), (csum, d._csum, d._csum[-1])):
-                a[r, :x.size], a[r, x.size:] = x, pad
-        return cls(values, cum, weights, csum, np.array([d.n_atoms for d in laws]))
+        """Atomic laws as the rows of one stack: their ladders end to end."""
+        ladders = zip(*((d._values, d._cum, d._weights, d._csum) for d in laws))
+        return cls(*map(np.concatenate, ladders), np.array([d.n_atoms for d in laws]))
 
     @classmethod
     def two_point(cls, x, p) -> "_Stack":
@@ -492,22 +474,25 @@ class _Stack:
                                 np.stack((p, np.ones_like(x)), axis=1))
 
     @classmethod
-    def empirical(cls, s) -> "_Stack":
-        """Rows of sorted, equally likely samples: sample k of n reaches k / n."""
-        cum = np.arange(1.0, s.shape[1] + 1.0)
-        cum /= s.shape[1]
-        return cls._from_sorted(s, cum[None])
+    def empirical(cls, s, n=None) -> "_Stack":
+        """Rows of sorted, equally likely samples: sample k of n reaches k / n,
+        with n the rows' length or an array of their counts, NaN padding the rest."""
+        cum = np.arange(1.0, s.shape[-1] + 1.0)
+        return cls._from_sorted(s, np.divide(cum, len(cum), out=cum) if n is None else cum / n)
 
     def laws(self) -> list:
-        return [FiniteAtomic._from_cum(x[:m], c[:m], s[:m])
-                for x, c, s, m in zip(self.values, self.cum, self.csum, self.atoms)]
+        """Each row as a law that holds views of its slice of the stack."""
+        laws = [FiniteAtomic.__new__(FiniteAtomic) for _ in self.atoms]
+        for d, i, j, m in zip(laws, self.start.tolist(), self.end.tolist(), self.atoms[:, None]):
+            d._hold(_Stack(self.values[i:j], self.cum[i:j], self.weights[i:j], self.csum[i:j], m))
+        return laws
 
     def _reach(self, q):
         # flat index of each row's first atom whose cumulative weight reaches a
         # level q <= 1, and that weight; the offset may round q onto weights of
         # its own row just below it, never past the row's top: step over those
         f = self.key.searchsorted(q + self.off)
-        while np.count_nonzero(low := (c := self.cum.ravel()[f]) < q):
+        while np.count_nonzero(low := (c := self.cum[f]) < q):
             f = f + low
         return f, c
 
@@ -517,9 +502,25 @@ class _Stack:
         # level p lies on atom k, (c[k-1], c[k]]: take the integral up to c[k],
         # x_0 c[k] + S[k], less x_k (c[k] - p)
         p = np.asarray(p, dtype=float)
-        (f, c), x0, q = self._reach(p.reshape(1, -1)), self.values[:, :1], p.reshape(1, -1)
-        out = x0 * q + self.csum.ravel()[f] - (self.values.ravel()[f] - x0) * (c - q)
-        return out.reshape(len(self.cum), *p.shape)
+        (f, c), x0 = self._reach(q := p.reshape(1, -1)), self.values[self.start][:, None]
+        out = x0 * q + self.csum[f] - (self.values[f] - x0) * (c - q)
+        return out.reshape(len(self.atoms), *p.shape)
+
+
+def _segment_dots(a, b, begin, stop, center=None):
+    """sum_i a_i (b_i - center) over each segment [begin, stop) of two flat arrays, one np.vecdot
+    per segment length so each sums as over its own row; up to four (one row's) are views."""
+    out = np.zeros(len(begin))
+    if len(begin) <= 4:
+        for j, (i, k) in enumerate(zip(begin.tolist(), stop.tolist())):
+            out[j] = np.vecdot(a[i:k], b[i:k] if center is None else b[i:k] - center[j])
+        return out
+    length = stop - begin
+    for n in set(length.tolist()) - {0}:
+        j = np.flatnonzero(length == n)
+        seg = begin[j][:, None] + np.arange(n)
+        out[j] = np.vecdot(a[seg], b[seg] if center is None else b[seg] - center[j][:, None])
+    return out
 
 
 # Bytes on which numpy's parse and the csv module's could differ: the quote,

@@ -160,8 +160,8 @@ def _hunt_members(rf: RiskFunctional, p: np.ndarray, tol: float):
 def _member_mixtures(s: _Stack, i0, i1, w) -> _Stack:
     """Rows w m0 + (1 - w) m1 of members ``two_point(0, x, p)``, rows i0 and i1 of s,
     as ``mix`` merges them: mass at 0, then the upper atoms, m0's first."""
-    c0, c1 = s.cum[i0, 0], s.cum[i1, 0]  # the mass at 0; 1 for the point mass at 0
-    x0, x1 = s.values[i0, -1], s.values[i1, -1]
+    c0, c1 = s.cum[s.start[i0]], s.cum[s.start[i1]]  # the mass at 0; 1 for the point mass at 0
+    x0, x1 = s.values[s.end[i0] - 1], s.values[s.end[i1] - 1]
     b0, b1 = w * (1.0 - c0), (1.0 - w) * (1.0 - c1)
     lo, hi = np.where(x1 < x0, (b1, b0), (b0, b1))  # the weights of the upper atoms in order
     tie = x0 == x1  # one upper atom, whose weight sums m0's and m1's
@@ -210,7 +210,7 @@ def convex_level_set_test(rf: RiskFunctional, search_budget: int = 10000, seed: 
     w = np.tile(_MIX_WEIGHTS, np.count_nonzero(tried))
     values = rf._evaluate_stack(_member_mixtures(s, i0, i1, w))
     for r in np.flatnonzero(np.abs(values - target) > 10.0 * tol):
-        p0, p1 = (two_point(0.0, s.values[q, -1], s.cum[q, 0]) for q in (i0[r], i1[r]))
+        p0, p1 = (two_point(0.0, s.values[s.end[q] - 1], s.cum[s.start[q]]) for q in (i0[r], i1[r]))
         witness = ConvexityWitness(p0=p0, p1=p1, mix_weight=float(w[r]),
                                    target=float(target[r]), value_at_mixture=float(values[r]))
         if witness.validate(rf, tol):
@@ -247,20 +247,17 @@ class BoundCheckReport:
 
 
 def bound_check(rf: RiskFunctional, C: float, test_set, tol: float = 1e-9) -> BoundCheckReport:
-    """Check l_C <= rho <= u_C on every law in the test set.  Its atomic laws of
-    one atom count form a stack, so no row is padded, and l_C, u_C and the
-    functional make one call of their kernel on each; other laws go one by one."""
+    """Check l_C <= rho <= u_C on every law in the test set.  Its atomic laws
+    form one stack, on which l_C, u_C and the functional make one call of
+    their kernel each; other laws go one by one."""
     tol, C, laws = _check_tol(tol), _check_level(C, "C"), list(test_set)
     lo, hi, v = np.empty((3, len(laws)))
-    nu, stacks = uc_measure(C), {}
-    for k, d in enumerate(laws):
-        if isinstance(d, FiniteAtomic):
-            stacks.setdefault(d.n_atoms, []).append(k)
-        else:
-            lo[k], hi[k], v[k] = l_C(d, C), u_C(d, C), rf.evaluate(d)
-    for rows in stacks.values():
-        s = _Stack.of([laws[k] for k in rows])
-        lo[rows], hi[rows] = -_expectile_rows(s, C / (C + 1.0))[0], -_nu_rows(nu, s)
+    rows = np.array([isinstance(d, FiniteAtomic) for d in laws], dtype=bool)
+    for k in np.flatnonzero(~rows).tolist():
+        lo[k], hi[k], v[k] = l_C(laws[k], C), u_C(laws[k], C), rf.evaluate(laws[k])
+    if rows.any():
+        s = _Stack.of([d for d, atomic in zip(laws, rows) if atomic])
+        lo[rows], hi[rows] = -_expectile_rows(s, C / (C + 1.0))[0], -_nu_rows(uc_measure(C), s)
         v[rows] = rf._evaluate_stack(s)
     entries = [BoundEntry(distribution=d, lower=a, value=x, upper=b, lower_margin=x - a,
                           upper_margin=b - x, ok=bool(x >= a - tol and x <= b + tol))

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import (Distribution, FiniteAtomic, Uniform, _check_count, _check_level,
-                            _check_normal_level, _check_open_unit, _check_tol, _json_number, _Stack)
+                            _check_normal_level, _check_open_unit, _check_tol, _json_number,
+                            _segment_dots, _Stack)
 from .spectral import (JSON_NORMALIZATION_TOL, SpectralMeasure, _nu_rows, measure_from_json,
                        measure_to_json, mp_measure, nu, uc_measure)
 
@@ -79,41 +80,32 @@ def _expectile_rows(s: _Stack, tau: float):
     """mu and p_star of the tau-expectile of every row of a stack, as arrays."""
     # psi(x) = tau E(Y - x)^+ - (1 - tau) E(x - Y)^+ is decreasing and piecewise
     # linear, with slope -(tau + (1 - 2 tau) c_j) on segment j, [x_j, x_{j+1}).
-    x, w, cum = s.values, s.weights, s.cum
-    b = 1.0 - 2.0 * tau
+    x, cum, st, m, b = s.values, s.cum, s.start, s.atoms, 1.0 - 2.0 * tau
     # psi at every atom from the prefix sums locates the sign change: per row,
     # np.searchsorted(-psi, 0.0) within [1, atoms - 1] ...
-    psi = tau * s.csum[:, -1:] + b * s.csum - (x - x[:, :1]) * (tau + b * cum)
-    k = ((psi <= 0.0) + s.off).ravel().searchsorted(0.5 + s.off[:, 0]) - s.start
-    k = np.minimum(np.maximum(k, 1), s.atoms - 1)
-
-    def residual(i):
-        # ... but the residuals at its ends, atoms k - 1 and k, are summed atom by
-        # atom over their tails, accurate in a thin tail; the rows that share
-        # an end atom share the slices, views when all rows do
-        r, ends = np.empty(len(i)), set(i.tolist())
-        for c in ends:
-            rows = slice(None) if len(ends) == 1 else np.flatnonzero(i == c)
-            xc = x[rows, c:c + 1]
-            r[rows] = (tau * np.vecdot(w[rows, c + 1:], x[rows, c + 1:] - xc)
-                       - (1.0 - tau) * np.vecdot(w[rows, :c], xc - x[rows, :c]))
-        return r
-
-    lo, hi = residual(np.maximum(k - 1, 0)), residual(k)
+    rep = (lambda a: a) if len(m) == 1 else (lambda a: np.repeat(a, m))  # a value per row, per atom
+    psi = rep(tau * s.csum[s.end - 1]) + b * s.csum - (x - rep(x[st])) * (tau + b * cum)
+    k = ((psi <= 0.0) + rep(s.off[:, 0])).searchsorted(0.5 + s.off[:, 0])
+    k = np.minimum(np.maximum(k, st + 1), s.end - 1)
+    # ... but the residuals at its ends, atoms k - 1 and k, are summed atom by atom (thin tails):
+    # tau T - (1 - tau) H, T above the end and H below it; h = -H sums w_i (x_i - x_end)
+    lo = np.maximum(k - 1, st)
+    t, h = _segment_dots(s.weights, x, np.concatenate((lo + 1, k + 1, st, st)),
+                         np.concatenate((s.end, s.end, lo, k)),
+                         x[np.concatenate((lo, k, lo, k))]).reshape(2, -1)
+    lo, hi = (tau * t + (1.0 - tau) * h).reshape(2, -1)
     # Rounding may have shifted the segment by one (left, right); else anchor
     # at the end nearer the root, exact when the root is an atom
     left = lo < 0.0
     right = (hi > 0.0) > left
     low_end = left | ((lo < -hi) > right)
-    k += s.start  # flat indices from here: segment j, [x_j, x_{j+1}), and the anchor
-    j = k - 1 - left + right
-    xs, cs = x.ravel(), cum.ravel()
-    xj, xj1 = xs[j], xs[j + 1]
-    mu = xs[k - low_end] + np.where(low_end, lo, hi) / (tau + b * cs[j])
+    j = k - 1 - left + right  # segment j, [x_j, x_{j+1}), and the anchor, flat indices
+    xj, xj1 = x[j], x[j + 1]
+    mu = x[k - low_end] + np.where(low_end, lo, hi) / (tau + b * cum[j])
     mu = np.where(xj > mu, xj, mu)
     mu = np.where(xj1 < mu, xj1, mu)
     # F is c_j on the segment and c_{j+1} at its top end; a point mass is its atom
-    return np.where(s.atoms == 1, x[:, 0], mu), cs[j + (mu >= xj1)]
+    return np.where(m == 1, x[st], mu), cum[j + (mu >= xj1)]
 
 
 def expectile(d: Distribution, tau: float) -> ExpectileSolution:
@@ -201,7 +193,7 @@ class VaR(RiskFunctional):
         return var(d, self.alpha)
 
     def _evaluate_stack(self, s: _Stack) -> np.ndarray:
-        return -s.values.ravel()[s._reach(self.alpha)[0][:, 0]]
+        return -s.values[s._reach(self.alpha)[0][:, 0]]
 
 
 @dataclass(frozen=True)
@@ -323,6 +315,8 @@ _SHIFTS = (-1.0, 0.0, 3.0)
 # the columns of the checks: axiom and parameter
 _AXIOMS = ("subadditivity", *["homogeneity"] * 4, *["translation"] * 3, "monotonicity")
 _PARAMS = (None, *_LAMBDAS, *_SHIFTS, None)
+# the laws of one run of trials, at max_states atoms each, hold at most this many
+_RUN_ATOMS = 1 << 13
 
 
 def coherence_check(rf: RiskFunctional, trials: int = 1000, seed: int = 0,
@@ -340,10 +334,11 @@ def coherence_check(rf: RiskFunctional, trials: int = 1000, seed: int = 0,
     ``uniform(-10, 10, n)`` and x less ``uniform(0, 5, n)``.  So reports
     are reproducible, the first k trials are the same whatever ``trials``
     is, and a violation's trial replays its payoffs: draw the counts up to
-    it and skip 3 n uniforms for each trial before it.  The eleven laws of
-    all trials with the same number of states form one stack, a (11 K, n)
-    ladder that the functional evaluates in one call; violations are listed
-    by trial, then axiom, then parameter.
+    it and skip 3 n uniforms for each trial before it.  The eleven laws of a
+    run of trials, taken in order of state count and holding at most 2**13
+    laws' atoms at ``max_states`` each, form one stack that the functional
+    evaluates in one call; violations are listed by trial, then axiom, then
+    parameter.
 
     Note the granularity caveat: a quantile level below 1/max_states makes
     the quantile functional collapse to the worst-case payoff on these
@@ -361,22 +356,26 @@ def coherence_check(rf: RiskFunctional, trials: int = 1000, seed: int = 0,
     start = np.cumsum(3 * ns) - 3 * ns
     u = draws.random(3 * ns.sum())
 
-    def payoffs(k, n):
-        # x, y and z, dominated statewise by x, of trial or trials k: uniform(a, b)
-        # draws a + (b - a) u, and 0 + 5 u is 5 u
-        v = u[np.add.outer(start[k], np.arange(3 * n))]
-        x = -10.0 + 20.0 * v[..., :n]
-        return x, -10.0 + 20.0 * v[..., n:2 * n], x - 5.0 * v[..., 2 * n:]
+    def payoffs(v):
+        # x, y and z, dominated statewise by x, from uniforms v: uniform(a, b) is a + (b - a) v
+        x = -10.0 + 20.0 * v[0]
+        return x, -10.0 + 20.0 * v[1], x - 5.0 * v[2]
 
-    # per trial: rho of x, y, x + y, lam x, x + a and z
-    r = np.empty((trials, 11))
-    for n in np.flatnonzero(np.bincount(ns)).tolist():
-        ks = np.flatnonzero(ns == n)
-        x, y, z = payoffs(ks, n)
-        laws = np.stack((x, y, x + y, *(lam * x for lam in _LAMBDAS),
-                         *(x + a for a in _SHIFTS), z), axis=1).reshape(-1, n)
-        laws.sort()
-        r[ks] = rf._evaluate_stack(_Stack.empirical(laws)).reshape(-1, 11)
+    # rho of x, y, x + y, lam x, x + a and z by runs of trials in order of state count, each
+    # row padded with NaN to its run's most states, which sorts last and weighs 0 (at cum 1)
+    r, order = np.empty((trials, 11)), np.argsort(ns, kind="stable")
+    per = max(1, _RUN_ATOMS // (11 * max_states))
+    for t in range(0, trials, per):
+        k = order[t:t + per]
+        n = ns[k][:, None]
+        col = np.arange(n.max())
+        at = start[k][:, None] + np.minimum(col, n - 1) + np.multiply.outer([0, 1, 2], n)
+        x, y, z = payoffs(np.where(col < n, u[at], np.nan))
+        xyz = np.sort((x, y, x + y, z))
+        # lam x and x + a are monotone in x: their rows are x's, sorted
+        laws = np.concatenate((xyz[:3], np.multiply.outer(_LAMBDAS, xyz[0]),
+                               np.add.outer(_SHIFTS, xyz[0]), xyz[3:]))
+        r[k] = rf._evaluate_stack(_Stack.empirical(laws, n)).reshape(11, -1).T
     rx = r[:, :1]
     lhs = np.concatenate((r[:, 2:10], rx), axis=1)
     rhs = np.concatenate((rx + r[:, 1:2], np.multiply(_LAMBDAS, rx), rx - _SHIFTS, r[:, 10:]),
@@ -387,7 +386,7 @@ def coherence_check(rf: RiskFunctional, trials: int = 1000, seed: int = 0,
         "subadditivity": trials, "homogeneity": 4 * trials, "translation": 3 * trials,
         "monotonicity": trials})
     for k, c in zip(*np.nonzero(bad)):
-        x, y, z = payoffs(k, ns[k])
+        x, y, z = payoffs(u[start[k]:start[k] + 3 * ns[k]].reshape(3, -1))
         report.violations.append(CoherenceViolation(
             axiom=_AXIOMS[c], trial=int(k), states_x=tuple(x),
             states_y=tuple(y) if c == 0 else tuple(z) if c == 8 else None,

@@ -39,7 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (Distribution, FiniteAtomic, Uniform, _check_level, _check_normal_level,
-                            _check_open_unit, _check_prob, _check_tol, _json_number)
+                            _check_open_unit, _check_prob, _check_tol, _json_number,
+                            _segment_dots)
 
 __all__ = [
     "UcDensity",
@@ -245,13 +246,14 @@ def _atom_part(m: SpectralMeasure, d: Distribution, route: str) -> float:
 
 def _nu_rows(m: SpectralMeasure, s) -> np.ndarray:
     """nu(m, .) of every row of a stack of atomic laws, as an array."""
-    out = m.atom_at_zero * s.values[:, 0] + np.vecdot(s.pqi(m._alphas), m._w_over_a)
+    out = m.atom_at_zero * s.values[s.start] + np.vecdot(s.pqi(m._alphas), m._w_over_a)
     if m.density is None or m.density.C == 1.0:
         return out
-    # the quantile is x_i on (c[i-1], c[i]]; a row's padding spans no level
-    prev = np.zeros_like(s.cum)
-    prev[:, 1:] = s.cum[:, :-1]
-    return out + np.vecdot(s.values, _density_g_integral(m.density, prev, s.cum))
+    # the quantile is x_i on (c[i-1], c[i]], c[-1] = 0 at each row's start
+    prev = np.concatenate(([0.0], s.cum[:-1]))
+    prev[s.start] = 0.0
+    g = _density_g_integral(m.density, prev, s.cum)
+    return out + _segment_dots(s.values, g, s.start, s.end)
 
 
 # Horner coefficients 1/m, m = 60 down to 3, of the series below

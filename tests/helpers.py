@@ -232,7 +232,7 @@ def sorted_rows_ladders(values, cum) -> list:
 def argsort_from_sorted(values, cum) -> _Stack:
     """``_Stack._from_sorted`` as it compacted rows before it merged runs of
     equal values: clip at 1, then a stable argsort moves the kept entries
-    first; the top is pinned and copied over the padding."""
+    first; the top is pinned and copied over the padding, which is then cut."""
     cum = np.minimum(cum, 1.0)
     keep = cum != np.concatenate((np.zeros((len(cum), 1)), cum[:, :-1]), axis=1)
     atoms = keep.sum(axis=1)
@@ -244,7 +244,18 @@ def argsort_from_sorted(values, cum) -> _Stack:
     weights = np.diff(cum, axis=1, prepend=0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         csum = np.cumsum((values - values[:, :1]) * weights, axis=1)
-    return _Stack(values, cum, weights, csum, atoms)
+    kept = np.arange(cum.shape[1]) < atoms[:, None]
+    return _Stack(values[kept], cum[kept], weights[kept], csum[kept], atoms)
+
+
+def padded(s: _Stack) -> tuple:
+    """The (values, cum, weights, csum) of a stack as (K, n) arrays, each row
+    padded to the longest as stacks were before they were stored flat: zero
+    weight at the row's last value, cumulative weight 1 and its top prefix sum."""
+    col = np.minimum(np.arange(s.atoms.max()), s.atoms[:, None] - 1)
+    at, pad = s.start[:, None] + col, np.arange(s.atoms.max()) >= s.atoms[:, None]
+    return (s.values[at], np.where(pad, 1.0, s.cum[at]), np.where(pad, 0.0, s.weights[at]),
+            s.csum[at])
 
 
 def argsort_empirical(samples) -> _Stack:

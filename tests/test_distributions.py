@@ -155,7 +155,7 @@ class TestConstruction:
         s = _Stack._from_sorted(np.array([[0.0, 1.0, 2.0]]), np.array([[0.5, 1.0 + 5e-13,
                                                                        1.0 + 5.1e-13]]))
         assert s.atoms.tolist() == [2]
-        assert s.cum.tolist() == [[0.5, 1.0]] and s.weights.tolist() == [[0.5, 0.5]]
+        assert s.cum.tolist() == [0.5, 1.0] and s.weights.tolist() == [0.5, 0.5]
         for law in (d, m):
             assert np.all(law._weights > 0.0)
 

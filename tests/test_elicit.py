@@ -194,7 +194,7 @@ class TestConvexLevelSetTest:
         for k, t in enumerate(elicit._TARGETS):
             for i, p in enumerate(pts):
                 r = member[i, k]
-                m = None if r < 0 else two_point(0.0, s.values[r, -1], s.cum[r, 0])
+                m = None if r < 0 else two_point(0.0, s.values[s.end[r] - 1], s.cum[s.start[r]])
                 assert (m is None) == (bisection_member(rf, p, t, tol) is None), (t, p)
                 if m is not None:
                     assert abs(rf.evaluate(m) - t) <= 0.01 * tol

@@ -1,8 +1,9 @@
 """Stacks of atomic laws: every kernel against the per-law computation it replaced.
 
-A stack holds K laws as one (K, n) ladder; a law is the stack of one row.
-Each test compares bits, not values within a tolerance: the stacked
-kernels sum the same terms in the same order as the per-law code did.
+A stack holds K laws as one flat ladder, row r the ``atoms[r]`` entries from
+``start[r]``; a law is the stack of one row.  Each test compares bits, not
+values within a tolerance: the stacked kernels sum the same terms in the
+same order as the per-law code did.
 """
 
 import math
@@ -18,12 +19,12 @@ from elicitrisk import (ES, ConvexityWitness, Empirical, ExpectileRisk, FiniteAt
                         Uniform, VaR, bound_check, coherence_check, convex_level_set_test, dirac,
                         es, expectile, identify_C, mix, mp_measure, nu, two_point, uc_measure,
                         var)
-from elicitrisk import elicit
+from elicitrisk import elicit, risk
 from elicitrisk.cli import _elicit_test_set
 from elicitrisk.distributions import _Stack
 
 from helpers import (argsort_empirical, argsort_from_sorted, atomic_expectile, canonical_ladder,
-                     empirical_ladder, ladder_bytes, moved_ladder, per_law_bound_check,
+                     empirical_ladder, ladder_bytes, moved_ladder, padded, per_law_bound_check,
                      per_law_hunt, per_law_identify_C, per_law_nu, per_trial_coherence_check,
                      random_law_pair, random_law_with_ties, random_measure, searched_pqi,
                      searched_quantile, set_ladder, sorted_rows_ladders, stacked_mix)
@@ -61,7 +62,7 @@ def witness_fields(w):
 @pytest.mark.parametrize("rf", [rf for rf, _ in LIBRARY_CASES] + [NegMean(), BUILT_INS[-1]],
                          ids=repr)
 def test_coherence_reports_equal_the_per_trial_oracle(rf):
-    for max_states in (*range(2, 17), 20):
+    for max_states in (*range(2, 17), 20, 33, 40):
         for seed in (0, 11):
             new = coherence_check(rf, trials=25, seed=seed, max_states=max_states)
             old = per_trial_coherence_check(rf, trials=25, seed=seed, max_states=max_states)
@@ -85,6 +86,34 @@ def test_coherence_reports_at_seeds_of_several_words_equal_the_oracle(seed, tria
     new = coherence_check(rf, trials=trials, seed=seed, max_states=max_states)
     assert report_fields(new) == report_fields(
         per_trial_coherence_check(rf, trials=trials, seed=seed, max_states=max_states))
+
+
+def counted_runs(monkeypatch, rf):
+    """Count the builder's calls and rf's kernel calls (their stacks' row counts)."""
+    builds, kernels = [], []
+    build, kernel = _Stack._from_sorted.__func__, type(rf)._evaluate_stack
+    monkeypatch.setattr(_Stack, "_from_sorted", classmethod(
+        lambda cls, *a: builds.append(1) or build(cls, *a)))
+    monkeypatch.setattr(type(rf), "_evaluate_stack",
+                        lambda self, s: kernels.append(len(s.atoms)) or kernel(self, s))
+    return builds, kernels
+
+
+def test_a_probe_chunk_is_one_run(monkeypatch):
+    # the benchmark's largest probe chunk: one builder call and one kernel call
+    rf = ES(0.3)
+    builds, kernels = counted_runs(monkeypatch, rf)
+    coherence_check(rf, trials=40, seed=3, max_states=8)
+    assert (len(builds), kernels) == (1, [11 * 40])
+
+
+def test_runs_are_as_many_as_the_run_bound_implies(monkeypatch):
+    rf = VaR(0.1)
+    builds, kernels = counted_runs(monkeypatch, rf)
+    coherence_check(rf, trials=1500, seed=3, max_states=16)
+    per = risk._RUN_ATOMS // (11 * 16)  # trials whose laws hold at most _RUN_ATOMS atoms
+    assert len(builds) == len(kernels) == math.ceil(1500 / per)
+    assert sum(kernels) == 11 * 1500 and set(kernels[:-1]) == {11 * per}
 
 
 def test_coherence_check_hashes_no_seed_per_trial(monkeypatch):
@@ -201,8 +230,7 @@ def random_test_set(rng):
 
 
 def large_test_set(rng):
-    # laws of 16 to 300 atoms, of several lengths, beside few-atom laws: a sum
-    # over a row padded past 16 atoms need not match the law's own
+    # laws of 16 to 300 atoms, of several lengths, beside few-atom laws
     return [Empirical(rng.standard_normal(17)), two_point(0.0, 1.0, 0.3),
             Empirical(rng.standard_normal(300)), Uniform(-1.0, 2.0),
             Empirical(rng.standard_normal(int(rng.integers(16, 120)))),
@@ -219,9 +247,18 @@ def test_bound_check_equals_the_per_law_oracle(rf):
                 per_law_bound_check(rf, C, test_set)), (test_set, C)
 
 
+def test_a_test_set_of_mixed_atom_counts_is_one_stack(monkeypatch):
+    rf = ES(0.3)
+    rng = np.random.default_rng(30)
+    test_set = large_test_set(rng) + random_test_set(rng)
+    _, kernels = counted_runs(monkeypatch, rf)
+    assert len({d.n_atoms for d in test_set if isinstance(d, FiniteAtomic)}) > 3
+    bound_check(rf, 0.3, test_set)
+    assert kernels == [sum(isinstance(d, FiniteAtomic) for d in test_set)]
+
+
 def stack_bytes(s):
-    return s.values.shape, tuple(a.tobytes() for a in (s.values, s.cum, s.weights, s.csum,
-                                                       s.atoms))
+    return tuple(a.tobytes() for a in (s.atoms, s.values, s.cum, s.weights, s.csum))
 
 
 def test_two_point_rows_equal_the_stacked_laws():
@@ -248,7 +285,8 @@ def test_member_mixtures_equal_the_general_merge():
     i1[tie] = i0[tie] + 300
     w = np.concatenate((np.tile(elicit._MIX_WEIGHTS, 5000), rng.uniform(size=4999), [0.0]))
     new = elicit._member_mixtures(s, i0, i1, w)
-    old = stacked_mix(s.values[i0], s.weights[i0], s.values[i1], s.weights[i1], w)
+    values, _, weights, _ = padded(s)
+    old = stacked_mix(values[i0], weights[i0], values[i1], weights[i1], w)
     assert stack_bytes(new) == stack_bytes(old)
 
 
@@ -258,7 +296,7 @@ def test_the_hunt_makes_three_kernel_calls_and_builds_only_witness_laws(rf, monk
     kernel, build = type(rf)._evaluate_stack, FiniteAtomic._hold
     validate = ConvexityWitness.validate
     monkeypatch.setattr(type(rf), "_evaluate_stack",
-                        lambda self, s: calls.append(len(s.cum)) or kernel(self, s))
+                        lambda self, s: calls.append(len(s.atoms)) or kernel(self, s))
     # every atomic law passes through _hold, however it is built
     monkeypatch.setattr(FiniteAtomic, "_hold",
                         lambda self, *a: builds.append(1) or build(self, *a))
@@ -282,7 +320,8 @@ def test_coherence_memory_grows_with_trials_times_states():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # about 1.7 MB: one state-count group's stack at a time, plus the draws
+    # about 1.1 MB: one run's stack at a time, plus the draws; one stack of
+    # every trial took 12.2 MB
     assert peak < 4 * 2**20, peak
 
 
@@ -294,8 +333,9 @@ def test_coherence_draws_take_no_room_past_each_trials_states():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # about 4.5 MB: the 3 n draws of each trial, 2.4 MB on average, plus one
-    # state-count group's stack; rows of 3 max_states draws each took 6.8 MB
+    # about 3.0 MB: the 3 n draws of each trial, 2.4 MB on average, plus one
+    # run's stack; rows of 3 max_states draws each took 6.8 MB, and one stack
+    # of every trial 136 MB
     assert peak < 5 * 2**20, peak
 
 
@@ -355,7 +395,7 @@ def random_laws(rng, k, max_atoms=15):
 
 @pytest.mark.parametrize("rf", BUILT_INS, ids=repr)
 def test_stacked_rows_equal_evaluate(rf):
-    # rows of 1 to 15 atoms padded to the longest: the padding adds exact zeros
+    # rows of 1 to 15 atoms, end to end
     rng = np.random.default_rng(5)
     for _ in range(20):
         laws = random_laws(rng, int(rng.integers(1, 40)))
@@ -368,14 +408,24 @@ def test_stack_rows_hold_each_laws_ladder():
     laws = random_laws(rng, 60)
     s = _Stack.of(laws)
     assert s.atoms.tolist() == [d.n_atoms for d in laws]
+    assert s.start.tolist() == np.cumsum([0] + [d.n_atoms for d in laws[:-1]]).tolist()
     assert [ladder_bytes(d) for d in s.laws()] == [ladder_bytes(d) for d in laws]
-    # the padding: zero weight at the last value, the top cumulative weight and prefix sum
-    for row, d in enumerate(laws):
-        n = d.n_atoms
-        assert (s.values[row, n:] == d._values[-1]).all() and (s.weights[row, n:] == 0.0).all()
-        assert (s.cum[row, n - 1:] == 1.0).all() and (s.csum[row, n:] == d._csum[-1]).all()
-    # the ladders as the canonicalising build makes them from sorted values
-    assert stack_bytes(s) == stack_bytes(_Stack._from_sorted(s.values, s.cum))
+    assert row_ladders(s) == [ladder_bytes(d) for d in laws]
+    # the ladders as the canonicalising build makes them from sorted values,
+    # each row padded with ties of its top
+    values, cum, _, _ = padded(s)
+    assert stack_bytes(s) == stack_bytes(_Stack._from_sorted(values, cum))
+
+
+def test_rows_become_laws_without_a_build(monkeypatch):
+    # each law holds views of its row: the builder makes none of them
+    rng = np.random.default_rng(31)
+    s = _Stack.of(random_laws(rng, 200))
+    builds, _ = counted_runs(monkeypatch, ES(0.3))
+    laws = s.laws()
+    assert builds == []
+    assert [ladder_bytes(d) for d in laws] == row_ladders(s)
+    assert all(np.shares_memory(d._values, s.values) for d in laws)
 
 
 def test_empirical_rows_equal_empirical_laws():
@@ -387,14 +437,12 @@ def test_empirical_rows_equal_empirical_laws():
 
 
 def row_ladders(s) -> list:
-    """Each row's (values, cum, weights, csum) bytes without its padding, after
-    checking the padding: the top value, cumulative weight 1, weight 0 and the
-    top prefix sum."""
-    for r, m in enumerate(s.atoms):
-        assert (s.values[r, m:] == s.values[r, m - 1]).all() and (s.cum[r, m - 1:] == 1.0).all()
-        assert (s.weights[r, m:] == 0.0).all() and (s.csum[r, m:] == s.csum[r, m - 1]).all()
-    return [tuple(a[r, :m].tobytes() for a in (s.values, s.cum, s.weights, s.csum))
-            for r, m in enumerate(s.atoms)]
+    """Each row's (values, cum, weights, csum) bytes, after checking that the
+    rows lie end to end, each with its top cumulative weight at 1."""
+    assert s.start[0] == 0 and (s.start[1:] == s.end[:-1]).all() and s.end[-1] == s.cum.size
+    assert (s.cum[s.end - 1] == 1.0).all()
+    return [tuple(a[i:j].tobytes() for a in (s.values, s.cum, s.weights, s.csum))
+            for i, j in zip(s.start, s.end)]
 
 
 def oracle_bytes(ladder) -> tuple:
@@ -481,8 +529,8 @@ def test_mixed_rows_equal_mix():
     rng = np.random.default_rng(10)
     pairs = [random_law_pair(rng) for _ in range(60)]
     p = np.array([0.0, 1.0, 0.25, 0.5, 5e-324, 0.75] * 10)
-    s0, s1 = _Stack.of([a for a, _ in pairs]), _Stack.of([b for _, b in pairs])
-    s = stacked_mix(s0.values, s0.weights, s1.values, s1.weights, p)
+    (v0, _, w0, _), (v1, _, w1, _) = (padded(_Stack.of(laws)) for laws in zip(*pairs))
+    s = stacked_mix(v0, w0, v1, w1, p)
     assert [ladder_bytes(d) for d in s.laws()] == [
         ladder_bytes(mix(a, b, w)) for (a, b), w in zip(pairs, p)]
 
