@@ -27,8 +27,7 @@ from .distributions import (Distribution, Empirical, FiniteAtomic, Uniform, _che
                             empirical_from_csv, two_point)
 from .elicit import (bound_check, convex_level_set_test, diagnostic_report,
                      identify_C, spectral_bounds_check)
-from .risk import (InfOverFamily, RiskFunctional, SpectralRisk, functional_from_json,
-                   functional_to_json)
+from .risk import RiskFunctional, functional_from_json, functional_to_json
 from .scoring import ExpectileScore, ForecastSeries, QuantileScore, compare
 from .spectral import SpectralMeasure, interval_mass, mp_measure, uc_measure
 
@@ -186,14 +185,6 @@ def _elicit_test_set():
     ]
 
 
-def _elicit_measures(rf: RiskFunctional):
-    if isinstance(rf, SpectralRisk):
-        return [rf.measure]
-    if isinstance(rf, InfOverFamily):
-        return list(rf.measures)
-    return []
-
-
 def cmd_elicit(args) -> int:
     rf = _functional_from_args(args)
     _check_count(args.grid_size, "--grid-size", 5)
@@ -206,7 +197,7 @@ def cmd_elicit(args) -> int:
     spectral_reports = []
     if ident.consistent:
         bounds = bound_check(rf, ident.c_hat, _elicit_test_set(), tol=args.tol)
-        for m in _elicit_measures(rf):
+        for m in getattr(rf, "measures", ()):
             spectral_reports.append(spectral_bounds_check(m, ident.c_hat, grid=grid))
     witness = convex_level_set_test(rf, search_budget=args.budget, seed=args.seed,
                                     tol=args.tol, grid=grid)
@@ -300,9 +291,9 @@ def main(argv=None) -> int:
         parser.error("--threads must be at least 1")
     try:
         return args.func(args)
-    except (ValueError, NotImplementedError, ArithmeticError, OSError,
+    except (ValueError, NotImplementedError, ArithmeticError, OSError, MemoryError,
             json.JSONDecodeError, csv.Error) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -237,12 +237,14 @@ class FiniteAtomic(Distribution):
         return float(self._values[-1])
 
     def _tails(self, x: float) -> tuple[float, float]:
-        # E(Y - x)^+ and E(x - Y)^+ summed atom by atom: a difference of prefix
-        # sums keeps only the absolute accuracy of the whole sum
-        v, w = self._values, self._weights
+        # E(Y - x)^+ and E(x - Y)^+ summed atom by atom (a difference of prefix sums keeps only
+        # the absolute accuracy of the whole sum); E(x - Y)^+ is 0.0 less a segment sum, exactly
+        v = self._values
         hi, lo = v.searchsorted(x, "right"), v.searchsorted(x, "left")
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.dot(w[hi:], v[hi:] - x), np.dot(w[:lo], x - v[:lo])
+            up, down = _segment_dots(self._weights, v, np.array([hi, 0]), np.array([v.size, lo]),
+                                     np.array([x, x]))
+        return up, 0.0 - down
 
     def upper_partial_moment(self, x: float) -> float:
         return _finite_moment(self._tails(_check_point(x))[0], x)
@@ -428,11 +430,10 @@ class _Stack:
         tie = v[1:] == v[:-1]
         tie[n - 1::n] = False  # a row's last entry against the next row's first
         if tie.any():
-            # the others of a run take the cumulative weight before it (weight 0): csum is stale
-            t, csum = np.flatnonzero(tie), None
-            c[t] = 0.0
-            t = np.unique(t // n)
-            c.reshape(-1, n)[t] = np.maximum.accumulate(c.reshape(-1, n)[t], axis=1)
+            # the others of a run take the cumulative weight before it (weight 0): csum is stale;
+            # a row without a tie is nondecreasing already, which the accumulate leaves as it is
+            c[:-1][tie], csum = 0.0, None
+            np.maximum.accumulate(c.reshape(-1, n), axis=1, out=c.reshape(-1, n))
         if c[n - 1::n].min(initial=1.0) < 1.0:  # the top, a row's last rise and all after it, is 1
             np.putmask(c.reshape(-1, n), c.reshape(-1, n) == c[n - 1::n, None], 1.0)
         np.subtract(c[1:], c[:-1], out=w[1:])

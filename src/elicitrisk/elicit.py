@@ -26,8 +26,8 @@ import numpy as np
 
 from .distributions import (Distribution, FiniteAtomic, _check_count, _check_level, _check_tol,
                             _Stack, mix, two_point)
-from .risk import RiskFunctional, _expectile_rows, l_C, u_C
-from .spectral import SpectralMeasure, _nu_rows, interval_mass, spectral_fn, uc_measure
+from .risk import ExpectileRisk, RiskFunctional, SpectralRisk
+from .spectral import SpectralMeasure, interval_mass, spectral_fn, uc_measure
 
 __all__ = [
     "CIdentification",
@@ -247,21 +247,22 @@ class BoundCheckReport:
 
 
 def bound_check(rf: RiskFunctional, C: float, test_set, tol: float = 1e-9) -> BoundCheckReport:
-    """Check l_C <= rho <= u_C on every law in the test set.  Its atomic laws
-    form one stack, on which l_C, u_C and the functional make one call of
-    their kernel each; other laws go one by one."""
+    """Check l_C <= rho <= u_C on every law in the test set, the envelopes being the
+    functionals ExpectileRisk(C / (C + 1)) and SpectralRisk(uc_measure(C)).  Its atomic laws
+    form one stack, on which all three make one call of their kernel; other laws go one by one."""
     tol, C, laws = _check_tol(tol), _check_level(C, "C"), list(test_set)
-    lo, hi, v = np.empty((3, len(laws)))
+    functionals = (ExpectileRisk(C / (C + 1.0)), SpectralRisk(uc_measure(C)), rf)
+    table = np.empty((3, len(laws)))
     rows = np.array([isinstance(d, FiniteAtomic) for d in laws], dtype=bool)
     for k in np.flatnonzero(~rows).tolist():
-        lo[k], hi[k], v[k] = l_C(laws[k], C), u_C(laws[k], C), rf.evaluate(laws[k])
+        table[:, k] = [f.evaluate(laws[k]) for f in functionals]
     if rows.any():
         s = _Stack.of([d for d, atomic in zip(laws, rows) if atomic])
-        lo[rows], hi[rows] = -_expectile_rows(s, C / (C + 1.0))[0], -_nu_rows(uc_measure(C), s)
-        v[rows] = rf._evaluate_stack(s)
+        for f, column in zip(functionals, table):
+            column[rows] = f._evaluate_stack(s)
     entries = [BoundEntry(distribution=d, lower=a, value=x, upper=b, lower_margin=x - a,
                           upper_margin=b - x, ok=bool(x >= a - tol and x <= b + tol))
-               for d, a, x, b in zip(laws, lo.tolist(), v.tolist(), hi.tolist())]
+               for d, (a, b, x) in zip(laws, table.T.tolist())]
     return BoundCheckReport(C=C, tolerance=tol, entries=entries)
 
 

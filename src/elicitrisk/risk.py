@@ -218,6 +218,10 @@ class SpectralRisk(RiskFunctional):
 
     measure: SpectralMeasure
 
+    @property
+    def measures(self) -> tuple[SpectralMeasure, ...]:  # as InfOverFamily lists its family's
+        return (self.measure,)
+
     def evaluate(self, d: Distribution) -> float:
         return -nu(self.measure, d)
 
@@ -315,7 +319,7 @@ _SHIFTS = (-1.0, 0.0, 3.0)
 # the columns of the checks: axiom and parameter
 _AXIOMS = ("subadditivity", *["homogeneity"] * 4, *["translation"] * 3, "monotonicity")
 _PARAMS = (None, *_LAMBDAS, *_SHIFTS, None)
-# the laws of one run of trials, at max_states atoms each, hold at most this many
+# a run of trials starts where the laws' atoms before it, by state count, pass a multiple of this
 _RUN_ATOMS = 1 << 13
 
 
@@ -334,11 +338,11 @@ def coherence_check(rf: RiskFunctional, trials: int = 1000, seed: int = 0,
     ``uniform(-10, 10, n)`` and x less ``uniform(0, 5, n)``.  So reports
     are reproducible, the first k trials are the same whatever ``trials``
     is, and a violation's trial replays its payoffs: draw the counts up to
-    it and skip 3 n uniforms for each trial before it.  The eleven laws of a
-    run of trials, taken in order of state count and holding at most 2**13
-    laws' atoms at ``max_states`` each, form one stack that the functional
-    evaluates in one call; violations are listed by trial, then axiom, then
-    parameter.
+    it and skip 3 n uniforms for each trial before it.  Taken in order of
+    state count, the trials fall into runs, a new one where the atoms of the
+    laws before it, 11 n per trial, cross a multiple of 2**13; the eleven laws
+    of each trial of a run form one stack that the functional evaluates in
+    one call.  Violations are listed by trial, then axiom, then parameter.
 
     Note the granularity caveat: a quantile level below 1/max_states makes
     the quantile functional collapse to the worst-case payoff on these
@@ -364,9 +368,10 @@ def coherence_check(rf: RiskFunctional, trials: int = 1000, seed: int = 0,
     # rho of x, y, x + y, lam x, x + a and z by runs of trials in order of state count, each
     # row padded with NaN to its run's most states, which sorts last and weighs 0 (at cum 1)
     r, order = np.empty((trials, 11)), np.argsort(ns, kind="stable")
-    per = max(1, _RUN_ATOMS // (11 * max_states))
-    for t in range(0, trials, per):
-        k = order[t:t + per]
+    atoms = 11 * ns[order]
+    run = (np.cumsum(atoms) - atoms) // _RUN_ATOMS
+    cut = [0, *(np.flatnonzero(run[1:] != run[:-1]) + 1).tolist(), trials]
+    for k in (order[a:b] for a, b in zip(cut, cut[1:])):
         n = ns[k][:, None]
         col = np.arange(n.max())
         at = start[k][:, None] + np.minimum(col, n - 1) + np.multiply.outer([0, 1, 2], n)

@@ -334,8 +334,9 @@ def _breakpoint_edges(score, d: Distribution, lo: float, hi: float, constant: bo
         raise NotImplementedError(f"no exact argmin for {score!r} on {type(d).__name__}: it needs a"
                                   " strictly increasing or strictly convex generator, or knots"
                                   " and an atomic law")
-    b = np.unique(np.concatenate(([lo, hi], d._values, knots)))
-    b = b[(b >= lo) & (b <= hi)]
+    # sorted and distinct, as np.unique keeps them; np.unique without an index imports numpy.ma
+    b = np.sort(np.concatenate(([lo, hi], d._values, knots)))
+    b = b[np.concatenate(([True], b[1:] != b[:-1])) & (b >= lo) & (b <= hi)]
     # with the interior points the breakpoints sit at even indices
     x = np.append(np.column_stack((b[:-1], 0.5 * b[:-1] + 0.5 * b[1:])), b[-1]) if constant else b
     gen, y = score.generator, d._values

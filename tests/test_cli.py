@@ -13,6 +13,7 @@ import pytest
 import elicitrisk
 from elicitrisk import (Empirical, SpectralMeasure, es, interval_mass, measure_to_json,
                         uc_measure)
+from elicitrisk import cli
 from elicitrisk.cli import _csv_table, _fmt, main
 from helpers import figure_text_oracle, per_value_csv_table
 
@@ -419,6 +420,20 @@ class TestElicit:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError("Unable to allocate 931. GiB for an array with shape (2, 499999500000)"),
+         "error: Unable to allocate 931. GiB for an array with shape (2, 499999500000)\n"),
+        (MemoryError(), "error: MemoryError\n")])
+    def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch, exc, line):
+        # --grid-size 1000000 asks the hunt for all 5e11 pairs of grid points, which
+        # numpy refuses with a MemoryError; the hunt raises it here without allocating
+        def hunt(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "convex_level_set_test", hunt)
+        assert run_cli(["elicit", "--type", "negmean"]) == 1
+        assert capsys.readouterr() == ("", line)
+
 
 class TestFigure:
     def parse(self, text):
@@ -621,16 +636,30 @@ def test_import_needs_numpy_only():
     assert out.strip() == "[] False"
 
 
-def test_elicit_leaves_numpy_ma_unimported():
-    # np.median's NaN check imported numpy.ma, about half the time of a process's first elicit
+def test_elicit_leaves_numpy_ma_unimported(tmp_path):
+    # np.median's NaN check imported numpy.ma, about half the time of a process's first
+    # elicit, and so does np.unique without an index: in the ladders' tie repair (a VaR's
+    # hunt, a tied sample) and in a tabulated argmin's breakpoints
     src = str(Path(elicitrisk.__file__).resolve().parents[1])
     # a consistent spectral functional runs bound_check and spectral_bounds_check too
     measure = json.dumps(measure_to_json(SpectralMeasure(atoms=[(1.0, 1.0)])))
+    data = tmp_path / "tied.csv"
+    data.write_text("y\n1.5\n-2\n1.5\n0\n-2\n1.5\n")
     code = ("import sys; from elicitrisk.cli import main; "
+            "from elicitrisk import Empirical, ExpectileScore, TabulatedGenerator, "
+            "argmin_expected_score; "
+            "ma = lambda: 'numpy.ma' in sys.modules; "
             "codes = [main(['elicit', '--type', 'es', '--level', '0.5']), "
             "main(['elicit', '--type', 'expectile', '--level', '0.25']), "
             f"main(['elicit', '--type', 'spectral', '--measure', {measure!r}])]; "
-            "print(codes, 'numpy.ma' in sys.modules)")
+            "print(codes, ma()); "
+            "print(main(['elicit', '--type', 'var', '--level', '0.3']), ma()); "
+            f"print(main(['eval', '--type', 'var', '--level', '0.5', '--data', {str(data)!r}]), "
+            "ma()); "
+            "gen = TabulatedGenerator([(-10.0, 0.0), (0.0, 5.0), (10.0, 20.0)]); "
+            "argmin_expected_score(ExpectileScore(0.3, gen), Empirical([-1.0, 2.0, 3.0, 7.0])); "
+            "print(ma())")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.splitlines()[-1] == "[2, 0, 0] False"
+    flags = [line for line in out.splitlines() if line.endswith(("True", "False"))]
+    assert flags == ["[2, 0, 0] False", "2 False", "0 False", "False"]

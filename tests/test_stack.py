@@ -110,10 +110,19 @@ def test_a_probe_chunk_is_one_run(monkeypatch):
 def test_runs_are_as_many_as_the_run_bound_implies(monkeypatch):
     rf = VaR(0.1)
     builds, kernels = counted_runs(monkeypatch, rf)
-    coherence_check(rf, trials=1500, seed=3, max_states=16)
-    per = risk._RUN_ATOMS // (11 * 16)  # trials whose laws hold at most _RUN_ATOMS atoms
-    assert len(builds) == len(kernels) == math.ceil(1500 / per)
-    assert sum(kernels) == 11 * 1500 and set(kernels[:-1]) == {11 * per}
+    for trials, max_states in ((1500, 16), (1000, 200)):
+        del builds[:], kernels[:]
+        coherence_check(rf, trials=trials, seed=3, max_states=max_states)
+        # the state counts in order, and the atoms of the laws of the trials before each
+        atoms = 11 * np.sort(np.random.default_rng(3).spawn(2)[0].integers(
+            2, max_states + 1, size=trials))
+        before = np.cumsum(atoms) - atoms
+        # run j holds the trials with j _RUN_ATOMS <= before < (j + 1) _RUN_ATOMS
+        per_run = np.bincount(before // risk._RUN_ATOMS)
+        assert len(builds) == len(kernels) and kernels == (11 * per_run).tolist()
+        # so a run's laws hold less than _RUN_ATOMS atoms and one trial's more
+        run_atoms = np.add.reduceat(atoms, np.cumsum(per_run) - per_run)
+        assert run_atoms.max() < risk._RUN_ATOMS + 11 * max_states
 
 
 def test_coherence_check_hashes_no_seed_per_trial(monkeypatch):

@@ -1,13 +1,16 @@
-"""The benchmark's tracer against the library it wraps.
+"""The benchmark's tracer and its own tests against the library.
 
 ``benchmark/run.py --trace 1`` installs ``benchmark/tracing.Tracer`` over the
 library; a refactor that renames or moves a traced callable breaks that run
 or silently drops its metric.  The tracer replaces module attributes and
-class methods, so it runs in a subprocess.
+class methods, so it runs in a subprocess.  ``benchmark/selftest.py`` checks
+the benchmark's output checks on the library's real output, so a library
+change that breaks them fails here too.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -39,3 +42,10 @@ def test_the_tracer_wraps_every_callable_it_lists():
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout.splitlines()[-1]) == []
+
+
+def test_the_benchmark_selftest_passes():
+    run = subprocess.run([sys.executable, str(ROOT / "benchmark" / "selftest.py")], cwd=ROOT,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr[-4000:]
+    assert re.search(r"^Ran \d+ tests", run.stderr, re.M) and run.stderr.rstrip().endswith("OK")
