@@ -25,10 +25,6 @@ import numpy as np
 from .distributions import (Distribution, Empirical, FiniteAtomic, Uniform, _check_count,
                             _check_level, _check_open_unit, _check_tol, _json_number, dirac,
                             empirical_from_csv, two_point)
-from .elicit import (bound_check, convex_level_set_test, diagnostic_report,
-                     identify_C, spectral_bounds_check)
-from .risk import RiskFunctional, functional_from_json, functional_to_json
-from .scoring import ExpectileScore, ForecastSeries, QuantileScore, compare
 from .spectral import SpectralMeasure, interval_mass, mp_measure, uc_measure
 
 __all__ = ["main"]
@@ -109,7 +105,8 @@ def _dist_from_json(text: str) -> Distribution:
     raise ValueError(f"unknown law type {kind!r}")
 
 
-def _functional_from_args(args) -> RiskFunctional:
+def _functional_from_args(args):
+    from .risk import functional_from_json
     if args.spec is not None:
         if args.type is not None or args.level is not None or args.measure is not None:
             raise ValueError("--spec replaces --type/--level/--measure")
@@ -130,6 +127,7 @@ def _add_functional_flags(p: argparse.ArgumentParser):
 
 
 def cmd_eval(args) -> int:
+    from .risk import functional_to_json
     if (args.data is None) == (args.dist is None):
         raise ValueError("exactly one of --data and --dist is required")
     if args.data is not None:
@@ -153,6 +151,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_score(args) -> int:
+    from .scoring import ExpectileScore, ForecastSeries, QuantileScore, compare
     if (args.quantile is None) == (args.expectile is None):
         raise ValueError("exactly one of --quantile and --expectile is required")
     if args.quantile is not None:
@@ -161,15 +160,15 @@ def cmd_score(args) -> int:
         score = ExpectileScore(tau=args.expectile)
     series = ForecastSeries.from_csv(args.forecasts)
     ranking = compare(series, score)
-    width = max(len(r.method) for r in ranking)
-    print(f"{'rank':>4}  {'method':<{width}}  mean_score")
-    for r in ranking:
-        print(f"{r.rank:>4}  {r.method:<{width}}  {_fmt(r.mean_score)}")
     if args.out is not None:
         lines = ["method,mean_score,rank"]
         lines += [f"{r.method},{_fmt(r.mean_score)},{r.rank}" for r in ranking]
         with open(args.out, "w", newline="") as fh:
             fh.write("\n".join(lines) + "\n")
+    width = max(len(r.method) for r in ranking)
+    print(f"{'rank':>4}  {'method':<{width}}  mean_score")
+    for r in ranking:
+        print(f"{r.rank:>4}  {r.method:<{width}}  {_fmt(r.mean_score)}")
     return 0
 
 
@@ -186,6 +185,8 @@ def _elicit_test_set():
 
 
 def cmd_elicit(args) -> int:
+    from .elicit import (bound_check, convex_level_set_test, diagnostic_report, identify_C,
+                         spectral_bounds_check)
     rf = _functional_from_args(args)
     _check_count(args.grid_size, "--grid-size", 5)
     _check_tol(args.tol, "--tol")

@@ -13,7 +13,6 @@ import pytest
 import elicitrisk
 from elicitrisk import (Empirical, SpectralMeasure, es, interval_mass, measure_to_json,
                         uc_measure)
-from elicitrisk import cli
 from elicitrisk.cli import _csv_table, _fmt, main
 from helpers import figure_text_oracle, per_value_csv_table
 
@@ -277,6 +276,14 @@ class TestScore:
         assert out == ""
         assert err == "error: line 5: forecast and realization must be finite\n"
 
+    def test_out_that_cannot_be_written_leaves_stdout_empty(self, capsys, tmp_path):
+        f = tmp_path / "panel.csv"
+        f.write_text(SCORE_CSV)
+        assert run_cli(["score", str(f), "--quantile", "0.5", "--out", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_bad_panel(self, capsys, tmp_path):
         f = tmp_path / "panel.csv"
         f.write_text("method,period,forecast\nalpha,t1,1.0\n")
@@ -430,7 +437,7 @@ class TestElicit:
         def hunt(*args, **kwargs):
             raise exc
 
-        monkeypatch.setattr(cli, "convex_level_set_test", hunt)
+        monkeypatch.setattr(elicitrisk.elicit, "convex_level_set_test", hunt)
         assert run_cli(["elicit", "--type", "negmean"]) == 1
         assert capsys.readouterr() == ("", line)
 
@@ -663,3 +670,39 @@ def test_elicit_leaves_numpy_ma_unimported(tmp_path):
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
     flags = [line for line in out.splitlines() if line.endswith(("True", "False"))]
     assert flags == ["[2, 0, 0] False", "2 False", "0 False", "False"]
+
+
+FIGURE_MODULES = ["elicitrisk.cli", "elicitrisk.distributions", "elicitrisk.spectral"]
+
+
+@pytest.mark.parametrize("argv, code, extra", [
+    (["figure", "--C", "0.5"], 0, []),
+    (EVAL_ARGV, 0, ["risk"]),
+    (["eval", "--type", "es", "--level", "0.5", "--data", "y.csv"], 0, ["risk"]),
+    (["score", "panel.csv", "--quantile", "0.5"], 0, ["risk", "scoring"]),
+    (["elicit", "--type", "es", "--level", "0.5", "--budget", "100"], 2, ["elicit", "risk"]),
+    (["frobnicate"], 1, [])])
+def test_a_verb_loads_only_its_modules(tmp_path, argv, code, extra):
+    # a fresh process compiles only the modules its verb runs: figure never
+    # needs risk, elicit or scoring, and a usage error needs none of them
+    (tmp_path / "y.csv").write_text("y\n1.5\n-2\n0\n")
+    (tmp_path / "panel.csv").write_text(SCORE_CSV)
+    src = str(Path(elicitrisk.__file__).resolve().parents[1])
+    script = ("import sys; from elicitrisk.cli import main\n"
+              "try:\n    code = main(sys.argv[1:])\n"
+              "except SystemExit as exc:\n    code = exc.code\n"
+              "print(code, sorted(m for m in sys.modules if m.startswith('elicitrisk.')))")
+    run = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                         cwd=tmp_path, env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    modules = sorted(FIGURE_MODULES + [f"elicitrisk.{m}" for m in extra])
+    assert run.stdout.splitlines()[-1] == f"{code} {modules}"
+
+
+def test_import_loads_no_module():
+    src = str(Path(elicitrisk.__file__).resolve().parents[1])
+    code = ("import sys, elicitrisk; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'elicitrisk')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "['elicitrisk']"

@@ -20,7 +20,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 INSTALL = textwrap.dedent("""
     import inspect, json, sys
-    import elicitrisk, elicitrisk.cli
+    import elicitrisk.distributions, elicitrisk.spectral, elicitrisk.risk
+    import elicitrisk.elicit, elicitrisk.scoring, elicitrisk.cli
     import tracing
     tracing.Tracer().install()
     unwrapped = []
@@ -49,3 +50,17 @@ def test_the_benchmark_selftest_passes():
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr[-4000:]
     assert re.search(r"^Ran \d+ tests", run.stderr, re.M) and run.stderr.rstrip().endswith("OK")
+
+
+def test_the_traced_run_counts_in_every_layer():
+    # install() reads every layer from sys.modules, and the run's warm-up pass
+    # is what imports them: a layer missing then fails the run, and a traced
+    # callable that no operation reaches reads a count of 0
+    run = subprocess.run([sys.executable, str(ROOT / "benchmark" / "run.py"), "--workload",
+                          "library", "--seed", "1", "--seconds", "1", "--trace", "1"],
+                         cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr[-4000:]
+    report = json.loads(run.stdout.splitlines()[-1])
+    assert report["correct"] is True and report["failed"] == 0
+    counts = {k: m["value"] for k, m in report["metrics"].items() if m["unit"] == "count"}
+    assert counts and all(counts.values()), counts
