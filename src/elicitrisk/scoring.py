@@ -13,14 +13,15 @@ Both are nonnegative, and the expected score under the outcome law is
 unimodal in the forecast with its minimizer set at the functional's value.
 Piecewise-linear generators are legal for expectiles but make the score
 piecewise constant in the forecast, so the minimizer interval can be wide.
-:func:`argmin_expected_score` is exact on every supported generator: closed
-forms for the strict ones, a breakpoint kernel for the piecewise-linear ones
-that evaluates the generator once per solve.
+:func:`argmin_expected_score` is exact on every supported generator, in closed
+form: the functional's value for the strict ones, and for the piecewise-linear
+ones that value widened to the nearest knots where the slope of g changes
+(expectile) or stops being zero (quantile), read from g' at the knots.  No
+tolerance enters.
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
 import functools
 import math
@@ -107,7 +108,8 @@ class TabulatedGenerator:
     slopes.  The derivative at a knot is one-sided: ``side="left"`` gives the
     slope of the segment ending there (a valid subgradient when convex),
     ``side="right"`` the one starting there.  ``knots`` holds the abscissae,
-    the only points where the slope may change.
+    the only points where the slope may change; :func:`argmin_expected_score`
+    reads ``derivative(knots, side)`` on both sides, and no other value of g.
     """
 
     is_strictly_convex = False
@@ -184,11 +186,7 @@ class QuantileScore:
     def _score(self, forecast, outcome):
         x = np.asarray(forecast, dtype=float)
         y = np.asarray(outcome, dtype=float)
-        return self._terms(x, y, self.generator(x), self.generator(y), None)
-
-    def _terms(self, x, y, gx, gy, sx):
-        # the score from g(x) and g(y); the slope sx is not needed
-        return ((x >= y) - self.alpha) * (gx - gy)
+        return ((x >= y) - self.alpha) * (self.generator(x) - self.generator(y))
 
     score = _finite(_score)
 
@@ -209,18 +207,27 @@ class QuantileScore:
                                   f"{type(d).__name__} with {self.generator!r}")
 
     def _minimizer_edges(self, d: Distribution, lo: float, hi: float):
-        # a strictly increasing g keeps the minimizers at the alpha-quantiles:
-        # [q-, q+] on the ladder, a single point on a uniform law
-        if not getattr(self.generator, "is_strictly_increasing", False):
-            return _breakpoint_edges(self, d, lo, hi, constant=False)
+        # the slope g'(x) (F(x) - alpha) keeps the minimizers at the alpha-quantiles,
+        # [q-, q+] on the ladder and a single point on a uniform law, for a strictly
+        # increasing g; a knotted g widens each end, clipped to the bracket first,
+        # through the knot segments next to it where g' = 0
         q = d.quantile(self.alpha)
-        if isinstance(d, FiniteAtomic):
-            return q, float(d._values[np.searchsorted(d._cum, self.alpha, side="right")])
-        return q, q
-
-    def _line(self, gx, slope, u):
-        # (alpha - 1) (g(y) - g(x)) below x, alpha (g(y) - g(x)) above
-        return self.alpha - 1.0, self.alpha, gx, 0.0
+        q_hi = (float(d._values[d._cum.searchsorted(self.alpha, side="right")])
+                if isinstance(d, FiniteAtomic) else q)
+        if getattr(self.generator, "is_strictly_increasing", False):
+            return q, q_hi
+        knots, left, right = _knot_slopes(self, d)
+        a, b = (min(max(e, lo), hi) for e in (q, q_hi))
+        # the ends and the starts of the segments where g rises, and g' on
+        # (-inf, k_0), (k_0, k_1), ..., (k_last, inf)
+        ends, starts, slope = knots[left > 0.0], knots[right > 0.0], np.append(left, right[-1:])
+        if slope[knots.searchsorted(a)] <= 0.0:
+            i = ends.searchsorted(a)
+            a = float(ends[i - 1]) if i else -math.inf
+        if slope[knots.searchsorted(b, side="right")] <= 0.0:
+            j = starts.searchsorted(b, side="right")
+            b = float(starts[j]) if j < starts.size else math.inf
+        return a, b
 
     def __repr__(self):
         return f"QuantileScore(alpha={self.alpha!r}, generator={self.generator!r})"
@@ -246,11 +253,8 @@ class ExpectileScore:
         x = np.asarray(forecast, dtype=float)
         y = np.asarray(outcome, dtype=float)
         g = self.generator
-        return self._terms(x, y, g(x), g(y), g.derivative(x))
-
-    def _terms(self, x, y, gx, gy, sx):
-        # the score from g(x), g(y) and the slope sx = g'(x): a Bregman divergence
-        return np.abs((x >= y) - self.tau) * (gy - gx - sx * (y - x))
+        # a Bregman divergence
+        return np.abs((x >= y) - self.tau) * (g(y) - g(x) - g.derivative(x) * (y - x))
 
     score = _finite(_score)
 
@@ -270,15 +274,24 @@ class ExpectileScore:
                                   f"{type(d).__name__} with {self.generator!r}")
 
     def _minimizer_edges(self, d: Distribution, lo: float, hi: float):
-        # a strictly convex g has the tau-expectile as its unique minimizer
-        if not getattr(self.generator, "is_strictly_convex", False):
-            return _breakpoint_edges(self, d, lo, hi, constant=True)
+        # a strictly convex g has the tau-expectile mu as its unique minimizer
+        if getattr(self.generator, "is_strictly_convex", False):
+            mu = expectile(d, self.tau).mu
+            return mu, mu
+        # a knotted g makes the expected score constant between its kinks (knots where
+        # g' rises) and step by -(g'(k+) - g'(k-)) psi(k) across a kink k, with
+        # psi(x) = tau E(Y - x)^+ - (1 - tau) E(x - Y)^+ positive below mu and negative
+        # above: the minimizers run from the last kink below mu to the first above it,
+        # mu read as hi past the bracket, and from lo to the first kink from lo on
+        # when mu lies below the bracket
+        knots, left, right = _knot_slopes(self, d)
+        kinks = knots[right > left]
         mu = expectile(d, self.tau).mu
-        return mu, mu
-
-    def _line(self, gx, slope, u):
-        # (1 - tau) and tau times g(y) less the tangent line g(x) + g'(x)(y - x)
-        return 1.0 - self.tau, self.tau, gx - slope * u, slope
+        m = min(max(mu, lo), hi)
+        i = kinks.searchsorted(m)
+        j = kinks.searchsorted(m, side="left" if mu < lo else "right")
+        return (float(kinks[i - 1]) if i else -math.inf,
+                float(kinks[j]) if j < kinks.size else math.inf)
 
     def __repr__(self):
         return f"ExpectileScore(tau={self.tau!r}, generator={self.generator!r})"
@@ -286,7 +299,7 @@ class ExpectileScore:
 
 @dataclass(frozen=True)
 class ArgminInterval:
-    """Closed interval of (near-)minimizers of an expected score."""
+    """Closed interval of minimizers of an expected score: the closure of the set."""
 
     lo: float
     hi: float
@@ -300,62 +313,16 @@ class ArgminInterval:
         return self.lo - slack <= x <= self.hi + slack
 
 
-def _ladder_values(score, d: FiniteAtomic, x, gx, gy, sx) -> np.ndarray:
-    """Expected score at every x from prefix sums, centred on the first atom
-    y_0 like the law's own: both scores weigh g(y) - a - b (y - y_0), g
-    centred on g(y_0), by c_le over the atoms y <= x and c_gt over the rest,
-    with (c_le, c_gt, a, b) from the score's ``_line``, given g at x and at
-    the atoms (gx, gy) and g' at x (sx)."""
-    g_cum = np.cumsum(d._weights * (gy - gy[:1]))
-    j = d._values.searchsorted(x, side="right")
-    w, g, y = (np.concatenate(([0.0], s))[j] for s in (d._cum, g_cum, d._csum))
-    c_le, c_gt, a, b = score._line(gx - gy[:1], sx, x - d._values[:1])
-    below = g - a * w - b * y
-    above = g_cum[-1] - g - a * (1.0 - w) - b * (d._csum[-1] - y)
-    return c_le * below + c_gt * above
-
-
-def _breakpoint_edges(score, d: Distribution, lo: float, hi: float, constant: bool):
-    """Exact minimizer edges on [lo, hi] for a generator linear between its knots.
-
-    Between two breakpoints (atoms, knots, bracket ends) the expected quantile
-    score is linear and the expected expectile score ``constant``, as
-    g(x) + g'(x)(y - x) does not move with x inside a knot segment; so one
-    interior point per segment joins the expectile's candidates.  Prefix sums
-    pin the minimum; the minimizer set is the candidates within fmin + 1e-11
-    (1 + |fmin|), and by quasi-convexity each edge is a bisection over the
-    candidate index.  fmin and the O(log n) bisection values are summed atom
-    by atom.  Both passes read g on the atoms and g, g' on the candidates,
-    evaluated once per solve.  An edge on an interior point extends to its
-    segment's end.
-    """
-    knots = getattr(score.generator, "knots", None)
+def _knot_slopes(score, d: Distribution):
+    """The generator's knots, and g' just below and just above each, for a
+    minimizer on an atomic law in closed form; any other case raises."""
+    gen = score.generator
+    knots = getattr(gen, "knots", None)
     if knots is None or not isinstance(d, FiniteAtomic):
         raise NotImplementedError(f"no exact argmin for {score!r} on {type(d).__name__}: it needs a"
                                   " strictly increasing or strictly convex generator, or knots"
                                   " and an atomic law")
-    # sorted and distinct, as np.unique keeps them; np.unique without an index imports numpy.ma
-    b = np.sort(np.concatenate(([lo, hi], d._values, knots)))
-    b = b[np.concatenate(([True], b[1:] != b[:-1])) & (b >= lo) & (b <= hi)]
-    # with the interior points the breakpoints sit at even indices
-    x = np.append(np.column_stack((b[:-1], 0.5 * b[:-1] + 0.5 * b[1:])), b[-1]) if constant else b
-    gen, y = score.generator, d._values
-    # an overflow, of a generator value or a sum, ends in the score's ValueError
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            gx, gy, sx = gen(x), gen(y), gen.derivative(x)
-        except _NotFinite:
-            raise ValueError("the score is not a finite number") from None
-        k = int(np.argmin(_ladder_values(score, d, x, gx, gy, sx)))
-    f = _finite(lambda i: score._terms(x[i], y, gx[i], gy, sx[i]) @ d._weights)
-    fmin = f(k)
-    level = fmin + 1e-11 * (1.0 + abs(fmin))
-    left = bisect.bisect_left(range(k), True, key=lambda i: f(i) <= level)
-    right = k - 1 + bisect.bisect_left(range(k, x.size), True, key=lambda i: f(i) > level)
-    if constant:
-        left -= left % 2
-        right += right % 2
-    return float(x[left]), float(x[right])
+    return knots, gen.derivative(knots, "left"), gen.derivative(knots, "right")
 
 
 def argmin_expected_score(score, d: Distribution, bracket=None) -> ArgminInterval:
@@ -366,8 +333,11 @@ def argmin_expected_score(score, d: Distribution, bracket=None) -> ArgminInterva
     the atom ladder, one point on a uniform law), an expectile score with a
     strictly convex generator at the tau-expectile alone; both are clipped
     to the bracket.  A generator exposing its ``knots``, linear between them,
-    takes an exact breakpoint kernel on an atomic law, whose interval can be
-    wide.  Any other generator raises ``NotImplementedError``.
+    has closed forms on an atomic law too, read from ``derivative(t, side)``
+    at the knots: the expectile's interval runs between the kinks (knots
+    where g' rises) next to the expectile, the quantile's is [q-, q+] widened
+    through the flat knot segments next to it.  Its interval can be wide, and
+    no tolerance enters.  Any other generator raises ``NotImplementedError``.
     """
     if bracket is None:
         lo, hi = d.support_min() - 0.5, d.support_max() + 0.5

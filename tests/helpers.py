@@ -4,18 +4,20 @@ import bisect
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
 
 from elicitrisk import (BoundCheckReport, BoundEntry, CIdentification, CoherenceReport,
-                        CoherenceViolation, ConvexityWitness, Empirical, FiniteAtomic,
-                        QuantileScore, SpectralMeasure, dirac, interval_mass, l_C, mix,
-                        mp_measure, nu, spectral_fn, two_point, u_C, uc_measure)
+                        CoherenceViolation, ConvexityWitness, Empirical, ExpectileScore,
+                        FiniteAtomic, QuantileScore, SpectralMeasure, dirac, interval_mass, l_C,
+                        mix, mp_measure, nu, spectral_fn, two_point, u_C, uc_measure)
 from elicitrisk.cli import _fmt
 from elicitrisk.distributions import _check_tol, _Stack
 from elicitrisk.elicit import _MIX_WEIGHTS, _TARGETS, DEFAULT_GRID, _check_grid
 from elicitrisk.risk import _LAMBDAS, _SHIFTS
+from elicitrisk.scoring import _finite, _NotFinite
 from elicitrisk.spectral import _density_g_integral
 
 
@@ -664,8 +666,8 @@ def stepwise_breakpoint_edges(score, d: FiniteAtomic, lo: float, hi: float):
         g_cum = np.cumsum(d._weights * (value(gen, y) - value(gen, y[:1])))
         j = y.searchsorted(x, side="right")
         w, g, c = (np.concatenate(([0.0], s))[j] for s in (d._cum, g_cum, d._csum))
-        c_le, c_gt, a, s = score._line(value(gen, x) - value(gen, y[:1]), slope(gen, x),
-                                       x - y[:1])
+        c_le, c_gt, a, s = line_coefficients(score, value(gen, x) - value(gen, y[:1]),
+                                             slope(gen, x), x - y[:1])
         ladder = (c_le * (g - a * w - s * c)
                   + c_gt * (g_cum[-1] - g - a * (1.0 - w) - s * (d._csum[-1] - c)))
     k = int(np.argmin(ladder))
@@ -677,6 +679,136 @@ def stepwise_breakpoint_edges(score, d: FiniteAtomic, lo: float, hi: float):
 
     left = bisect.bisect_left(range(k), True, key=lambda i: not above(i))
     right = k - 1 + bisect.bisect_left(range(k, x.size), True, key=above)
+    if constant:
+        left -= left % 2
+        right += right % 2
+    return float(x[left]), float(x[right])
+
+
+def line_coefficients(score, gx, slope, u):
+    """(c_le, c_gt, a, b) of the breakpoint kernel at x, given g(x) (gx), g'(x)
+    (slope) and u = x - y_0: both expected scores weigh g(y) - a - b (y - y_0)
+    by c_le over the atoms y <= x and by c_gt over the rest.  The quantile
+    score takes (alpha - 1) and alpha times g(y) - g(x), the expectile score
+    (1 - tau) and tau times g(y) less the tangent line g(x) + g'(x)(y - x)."""
+    if isinstance(score, QuantileScore):
+        return score.alpha - 1.0, score.alpha, gx, 0.0
+    return 1.0 - score.tau, score.tau, gx - slope * u, slope
+
+
+def score_terms(score, x, y, gx, gy, sx):
+    """The score of forecast x at outcome y from g(x), g(y) and g'(x) (sx)."""
+    if isinstance(score, QuantileScore):
+        return ((x >= y) - score.alpha) * (gx - gy)
+    return np.abs((x >= y) - score.tau) * (gy - gx - sx * (y - x))
+
+
+def ladder_values(score, d: FiniteAtomic, x, gx, gy, sx) -> np.ndarray:
+    """Expected score at every x from prefix sums, centred on the first atom
+    y_0 like the law's own: g(y) - a - b (y - y_0), g centred on g(y_0), summed
+    over the atoms on each side of x with the weights of ``line_coefficients``,
+    given g at x and at the atoms (gx, gy) and g' at x (sx)."""
+    g_cum = np.cumsum(d._weights * (gy - gy[:1]))
+    j = d._values.searchsorted(x, side="right")
+    w, g, y = (np.concatenate(([0.0], s))[j] for s in (d._cum, g_cum, d._csum))
+    c_le, c_gt, a, b = line_coefficients(score, gx - gy[:1], sx, x - d._values[:1])
+    below = g - a * w - b * y
+    above = g_cum[-1] - g - a * (1.0 - w) - b * (d._csum[-1] - y)
+    return c_le * below + c_gt * above
+
+
+def breakpoint_edges(score, d: FiniteAtomic, lo: float, hi: float):
+    """Minimizer-set edges in [lo, hi] from the breakpoint kernel.
+
+    This was the argmin of a generator with knots (and no strictness flag)
+    before the closed forms.  Between two breakpoints (atoms, knots, bracket
+    ends) the expected quantile score is linear and the expected expectile
+    score constant, so one interior point per segment joins the expectile's
+    candidates.  Prefix sums pin the minimum; the minimizer set is the
+    candidates within fmin + 1e-11 (1 + |fmin|), and by quasi-convexity each
+    edge is a bisection over the candidate index, fmin and the bisection
+    values summed atom by atom from g on the atoms and g, g' on the
+    candidates, evaluated once.  An edge on an interior point extends to its
+    segment's end.
+    """
+    constant = isinstance(score, ExpectileScore)
+    b = np.sort(np.concatenate(([lo, hi], d._values, score.generator.knots)))
+    b = b[np.concatenate(([True], b[1:] != b[:-1])) & (b >= lo) & (b <= hi)]
+    # with the interior points the breakpoints sit at even indices
+    x = np.append(np.column_stack((b[:-1], 0.5 * b[:-1] + 0.5 * b[1:])), b[-1]) if constant else b
+    gen, y = score.generator, d._values
+    # an overflow, of a generator value or a sum, ends in the score's ValueError
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            gx, gy, sx = gen(x), gen(y), gen.derivative(x)
+        except _NotFinite:
+            raise ValueError("the score is not a finite number") from None
+        k = int(np.argmin(ladder_values(score, d, x, gx, gy, sx)))
+    f = _finite(lambda i: score_terms(score, x[i], y, gx[i], gy, sx[i]) @ d._weights)
+    fmin = f(k)
+    level = fmin + 1e-11 * (1.0 + abs(fmin))
+    left = bisect.bisect_left(range(k), True, key=lambda i: f(i) <= level)
+    right = k - 1 + bisect.bisect_left(range(k, x.size), True, key=lambda i: f(i) > level)
+    if constant:
+        left -= left % 2
+        right += right % 2
+    return float(x[left]), float(x[right])
+
+
+def exact_breakpoint_edges(score, d: FiniteAtomic, lo: float, hi: float):
+    """Minimizer-set edges in [lo, hi] from a candidate scan in exact arithmetic.
+
+    The candidates are the breakpoints (atoms, knots, bracket ends) and, for
+    an expectile score, the midpoint of each segment between them; an edge on
+    a midpoint extends to its segment's end.  g is the exact line through
+    each pair of adjacent knots, and each expected score is summed in
+    fractions from prefix sums of w, w y and w g(y) over the law's atoms y
+    and weights w: the edges are the candidates at the least of these exact
+    values, and no level enters.
+    """
+    gen = score.generator
+    knots = gen.knots.tolist()
+    k, v = [Fraction(t) for t in knots], [Fraction(t) for t in gen._v.tolist()]
+    slopes = [(v[i + 1] - v[i]) / (k[i + 1] - k[i]) for i in range(len(k) - 1)]
+
+    def segment(t, search):
+        return min(max(search(knots, t) - 1, 0), len(slopes) - 1)
+
+    def g(t):
+        i = segment(t, bisect.bisect_right)
+        return v[i] + slopes[i] * (Fraction(t) - k[i])
+
+    ys = d._values.tolist()
+    weights = [Fraction(t) for t in d._weights.tolist()]
+    # the sums of w, w y and w g(y) over the first j atoms, at index j
+    sums = [list(itertools.accumulate(terms, initial=Fraction(0))) for terms in
+            (weights, [w * Fraction(y) for w, y in zip(weights, ys)],
+             [w * g(y) for w, y in zip(weights, ys)])]
+    b = np.unique(np.concatenate(([lo, hi], ys, knots)))
+    b = b[(b >= lo) & (b <= hi)].tolist()
+    constant = isinstance(score, ExpectileScore)
+    if constant:
+        x = [t for pair in zip(b, (0.5 * s + 0.5 * t for s, t in zip(b, b[1:]))) for t in pair]
+        x.append(b[-1])
+        c_le, c_gt = 1 - Fraction(score.tau), Fraction(score.tau)
+    else:
+        x = b
+        c_le, c_gt = Fraction(score.alpha) - 1, Fraction(score.alpha)
+
+    def f(t):
+        # both scores weigh g(y) - a - s y, with a + s y the line g(t) (quantile)
+        # or the tangent at t (expectile), by c_le over the atoms y <= t and by
+        # c_gt over the rest
+        s = slopes[segment(t, bisect.bisect_left)] if constant else 0
+        a = g(t) - s * Fraction(t)
+        j = bisect.bisect_right(ys, t)
+        below, above = [e[j] for e in sums], [e[-1] - e[j] for e in sums]
+        return sum(c * (wg - a * w - s * wy) for c, (w, wy, wg) in ((c_le, below), (c_gt, above)))
+
+    values = [f(t) for t in x]
+    fmin = min(values)
+    inside = [i for i, value in enumerate(values) if value == fmin]
+    left, right = inside[0], inside[-1]
     if constant:
         left -= left % 2
         right += right % 2

@@ -27,7 +27,8 @@ from elicitrisk import (
     two_point,
 )
 
-from helpers import (bisection_expectile, derivative_argmin, random_atomic, random_law_with_ties,
+from helpers import (bisection_expectile, breakpoint_edges, derivative_argmin,
+                     exact_breakpoint_edges, random_atomic, random_law_with_ties,
                      stepwise_breakpoint_edges, sublevel_argmin)
 
 
@@ -372,10 +373,17 @@ KNOTS = [(-6.0, 18.0), (-2.0, 2.0), (0.0, 0.0), (1.0, 0.5), (3.0, 4.5), (6.0, 18
 CONVEX = [(-4.0, 8.0), (-1.0, 0.5), (0.5, 0.0), (2.0, 1.0), (4.0, 6.0)]
 FLAT = [(-5.0, -5.0), (0.0, 0.0), (1.0, 0.0), (3.0, 2.0)]
 STEPS = [(-2.0, 0.0), (-1.0, 0.0), (1.0, 1.0), (2.0, 1.0), (3.0, 4.0)]
+# flat end segments: both for a nondecreasing generator, one for a convex one
+FLAT_ENDS = [(-4.0, 0.0), (-1.0, 0.0), (1.0, 2.0), (4.0, 2.0)]
+CONVEX_FLAT = [(-4.0, 0.0), (-1.0, 0.0), (1.0, 2.0), (4.0, 8.0)]
+# law and knots moved to c + s y
+MOVES = [(0.0, 1e-8), (0.0, 1e-3), (0.0, 1e3), (0.0, 1e8),
+         (1e8, 1.0), (-1e8, 1.0), (1e8, 1e3), (-1e8, 1e8)]
 
 
 def kernel_scores(level, c=0.0, s=1.0):
-    """The scores that take the breakpoint kernel, knots moved to c + s t."""
+    """The scores whose knotted generators are neither strictly convex nor
+    strictly increasing, knots moved to c + s t."""
     def gen(knots):
         return TabulatedGenerator([(c + s * t, s * v) for t, v in knots])
     return [ExpectileScore(level, generator=gen(KNOTS)), ExpectileScore(level, generator=gen(CONVEX)),
@@ -405,6 +413,30 @@ def brute_force_edges(score, d, lo, hi):
         left -= left % 2
         right += right % 2
     return float(x[left]), float(x[right])
+
+
+def random_knots(rng, convex: bool, grid: bool):
+    """Knots of a random convex generator, or of a nondecreasing one with a
+    flat segment, which keeps a quantile score off the strictly increasing
+    closed form.  On a grid of halves slopes repeat, so some knots are
+    collinear, and knots meet atoms; off it they are drawn uniformly."""
+    m = int(rng.integers(2, 7))
+    if grid:
+        x = np.sort(rng.choice(np.arange(-6.0, 6.5, 0.5), m, replace=False))
+        slopes = rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0] if convex
+                            else [0.0, 0.0, 0.5, 1.0, 2.0], m - 1)
+        v0 = 0.5 * float(rng.integers(-6, 7))
+    else:
+        x = np.sort(rng.uniform(-6.0, 6.0, m))
+        slopes = (rng.uniform(-3.0, 3.0, m - 1) if convex
+                  else rng.uniform(0.0, 3.0, m - 1) * (rng.random(m - 1) < 0.6))
+        v0 = float(rng.uniform(-3.0, 3.0))
+    if convex:
+        slopes = np.sort(slopes)
+    else:
+        slopes[rng.integers(m - 1)] = 0.0
+    v = v0 + np.concatenate(([0.0], np.cumsum(slopes * np.diff(x))))
+    return list(zip(x.tolist(), v.tolist()))
 
 
 def kernel_laws(rng, count):
@@ -486,16 +518,14 @@ class TestBreakpointKernel:
         r = argmin_expected_score(ExpectileScore(0.5, generator=TabulatedGenerator(KNOTS)), d)
         assert (r.lo, r.hi) == (0.0, 1.0)
 
-    @pytest.mark.parametrize("c, s", [(0.0, 1e-8), (0.0, 1e-3), (0.0, 1e3), (0.0, 1e8),
-                                      (1e8, 1.0), (-1e8, 1.0), (1e8, 1e3), (-1e8, 1e8)])
+    @pytest.mark.parametrize("c, s", MOVES)
     def test_offsets_and_scales(self, c, s):
-        # law and knots moved to c + s y together: the values scale by s, so
-        # the edges are the images of the unmoved ones, up to the level's
-        # absolute part 1e-11, which widens the set at s < 1 and narrows it
-        # at s > 1.  They match brute force on the moved law, except at
-        # s = 1e8: g reaches 1e9 there, and a zero expected score can sum
-        # to 1e-9 or so, above the level 1e-11 of a zero minimum
+        # law and knots moved to c + s y together: the expected score scales
+        # by s and no tolerance enters, so the edges are the images of the
+        # unmoved ones, and those of the exact-arithmetic scan on the moved
+        # law, which is checked on every other solve for time
         rng = np.random.default_rng(63)
+        solves = 0
         for d in kernel_laws(rng, 30):
             lo, hi = d.support_min() - 0.5, d.support_max() + 0.5
             moved = d.scale(s).shift(c)
@@ -504,18 +534,19 @@ class TestBreakpointKernel:
                 for base, score in zip(kernel_scores(level), kernel_scores(level, c, s)):
                     r0 = argmin_expected_score(base, d)
                     r = argmin_expected_score(score, moved, bracket=bracket)
-                    image = (c + s * r0.lo, c + s * r0.hi)
-                    if s <= 1.0:
-                        assert r.lo <= image[0] and r.hi >= image[1], (d, score)
-                    if s >= 1.0:
-                        assert r.lo >= image[0] and r.hi <= image[1], (d, score)
-                    if s < 1e8:
-                        assert (r.lo, r.hi) == brute_force_edges(score, moved, *bracket), (d, score)
+                    assert (r.lo, r.hi) == (c + s * r0.lo, c + s * r0.hi), (d, score)
+                    if solves % 2 == 0:
+                        assert (r.lo, r.hi) == exact_breakpoint_edges(score, moved, *bracket), (
+                            d, score)
+                    solves += 1
+        assert solves == 240
 
     def test_matches_the_stepwise_solve(self):
-        # bit for bit with the kernel as it was when every exact sum called
-        # expected_score: edges and value, or the same ValueError; this
-        # covers s = 1e8, where brute force may disagree with both
+        # at s = 1, bit for bit with the kernel as it was when every exact sum
+        # called expected_score: edges and value, or the same ValueError.  At
+        # s = 1e-8 and 1e8 that kernel's level 1e-11 (1 + |fmin|) does not
+        # scale with the law, and the edges are those of the exact-arithmetic
+        # scan instead, checked on one solve in four for time
         rng = np.random.default_rng(65)
         moves = [(0.0, 1.0), (1e8, 1.0), (-1e8, 1.0), (0.0, 1e-8), (0.0, 1e8), (-1e8, 1e8)]
         solves = 0
@@ -529,9 +560,14 @@ class TestBreakpointKernel:
                 ends = bracket or (moved.support_min() - 0.5, moved.support_max() + 0.5)
                 for score in kernel_scores(float(rng.uniform(0.01, 0.99)), c, s):
                     r = argmin_expected_score(score, moved, bracket=bracket)
-                    left, right = stepwise_breakpoint_edges(score, moved, *ends)
-                    value = float(score.expected_score(0.5 * (left + right), moved))
-                    assert (r.lo, r.hi, r.value) == (left, right, value), (moved, score, bracket)
+                    if s == 1.0:
+                        left, right = stepwise_breakpoint_edges(score, moved, *ends)
+                        value = float(score.expected_score(0.5 * (left + right), moved))
+                        assert (r.lo, r.hi, r.value) == (left, right, value), (moved, score,
+                                                                               bracket)
+                    elif solves % 4 == 0:
+                        assert (r.lo, r.hi) == exact_breakpoint_edges(score, moved, *ends), (
+                            moved, score, bracket)
                     solves += 1
         d = OVERFLOWING_LAW
         for score in OVERFLOWING:
@@ -539,7 +575,7 @@ class TestBreakpointKernel:
             expected = result_or_error(lambda: stepwise_breakpoint_edges(score, d, lo, hi))
             got = result_or_error(lambda: argmin_expected_score(score, d))
             assert got == expected == "ValueError: the score is not a finite number"
-        assert solves >= 2000
+        assert solves == 2160
 
     @pytest.mark.parametrize("score", OVERFLOWING)
     def test_overflow_is_one_value_error(self, score):
@@ -550,10 +586,10 @@ class TestBreakpointKernel:
                 argmin_expected_score(score, OVERFLOWING_LAW)
 
     def test_generator_is_evaluated_once_per_solve(self):
-        # g on the atoms and g, g' on the candidates, whatever the size of
-        # the law: the stepwise solve evaluated g on every atom again at each
-        # of its O(log n) exact sums.  The solve's calls are the argmin's
-        # less those of the value at the midpoint
+        # g' on the knots, whatever the size of the law: the stepwise solve
+        # evaluated g on every atom again at each of its O(log n) exact sums.
+        # The solve's calls are the argmin's less those of the value at the
+        # midpoint
         rng = np.random.default_rng(66)
         for knots, make in ((KNOTS, lambda g: ExpectileScore(0.3, generator=g)),
                             (FLAT, lambda g: QuantileScore(0.3, g))):
@@ -586,6 +622,130 @@ class TestBreakpointKernel:
             assert (r.lo, r.hi) == (d.support_min() - 0.5, d.support_max() + 0.5)
             assert r.value == 0.0
             assert peak < 64e6
+
+    @pytest.mark.parametrize("c, s", [(0.0, 1.0)] + MOVES)
+    def test_point_mass_on_a_kink(self, c, s):
+        # psi vanishes at mu, here the kink itself, so the expected score is 0
+        # on both segments next to it, and the edges are the kinks on either
+        # side, clipped to the bracket (-6 and 6 end KNOTS with no change of
+        # slope).  The value is summed in floats at the midpoint, where g
+        # reaches 18 s
+        gen = TabulatedGenerator([(c + s * t, s * v) for t, v in KNOTS])
+        for kink, (left, right) in ((-2.0, (-math.inf, 0.0)), (0.0, (-2.0, 1.0)),
+                                    (1.0, (0.0, 3.0)), (3.0, (1.0, math.inf))):
+            d = dirac(c + s * kink)
+            # a bracket past the end knots, and the default one
+            for lo, hi in ((c + s * -7.0, c + s * 7.0),
+                           (d.support_min() - 0.5, d.support_max() + 0.5)):
+                edges = (max(c + s * left, lo), min(c + s * right, hi))
+                for tau in (0.1, 0.59, 0.9):
+                    score = ExpectileScore(tau, generator=gen)
+                    r = argmin_expected_score(score, d, bracket=(lo, hi))
+                    assert (r.lo, r.hi) == edges, (kink, tau, lo, hi)
+                    assert abs(r.value) <= 1e-14 * s, (kink, tau, lo, hi)
+
+    def test_expectile_on_a_kink(self):
+        # the 0.5-expectile of two_point(-1, 1, 0.5) is 0, a kink of KNOTS:
+        # the minimizers run from the kink -2, clipped to the default
+        # bracket's -1.5, to the kink 1
+        score = ExpectileScore(0.5, generator=TabulatedGenerator(KNOTS))
+        d = two_point(-1.0, 1.0, 0.5)
+        assert expectile(d, 0.5).mu == 0.0
+        r = argmin_expected_score(score, d)
+        assert (r.lo, r.hi, r.value) == (-1.5, 1.0, 0.375)
+        r = argmin_expected_score(score, d, bracket=(-3.0, 2.0))
+        assert (r.lo, r.hi) == (-2.0, 1.0)
+
+    def test_bracket_past_the_expectile(self):
+        # the 0.5-expectile of the law is 8/15, between the kinks 0 and 1 of
+        # KNOTS (-2, 0, 1, 3): above it the score rises at each kink, so the
+        # edges run from lo to the first kink from lo on, and a lo on a kink
+        # is the whole set; below it the score falls at each kink, so they
+        # run from the last kink below hi to hi
+        score = ExpectileScore(0.5, generator=TabulatedGenerator(KNOTS))
+        d = Empirical([-1.0, 0.6, 2.0])
+        for bracket, edges in (((1.5, 5.0), (1.5, 3.0)), ((1.0, 5.0), (1.0, 1.0)),
+                               ((3.0, 9.0), (3.0, 3.0)), ((3.5, 9.0), (3.5, 9.0)),
+                               ((-5.0, -1.0), (-2.0, -1.0)), ((-5.0, 0.0), (-2.0, 0.0)),
+                               ((-9.0, -3.0), (-9.0, -3.0)), ((-2.0, 0.5), (0.0, 0.5))):
+            r = argmin_expected_score(score, d, bracket=bracket)
+            assert (r.lo, r.hi) == edges == exact_breakpoint_edges(score, d, *bracket), bracket
+
+    def test_quantile_flat_past_the_bracket(self):
+        # the median 0.5 lies on FLAT's flat segment [0, 1]; a bracket that
+        # cuts the segment keeps the part inside, one past it the end nearest
+        # the segment, widened through it only where it is flat.  STEPS is
+        # flat on [-2, -1] and [1, 2], and the median 1.5 lies on the second:
+        # a bracket inside the first is minimized whole
+        d = Empirical([-3.0, 0.5, 2.0])
+        cases = [(QuantileScore(0.5, TabulatedGenerator(FLAT)), d,
+                  [((-3.5, 2.5), (0.0, 1.0)), ((0.25, 0.75), (0.25, 0.75)),
+                   ((0.25, 3.0), (0.25, 1.0)), ((-2.0, 0.75), (0.0, 0.75)),
+                   ((0.75, 3.0), (0.75, 1.0)), ((1.5, 3.0), (1.5, 1.5)),
+                   ((-4.0, -1.0), (-1.0, -1.0))]),
+                 (QuantileScore(0.5, TabulatedGenerator(STEPS)), d.shift(1.0),
+                  [((-1.5, -1.2), (-1.5, -1.2)), ((-1.5, 0.0), (0.0, 0.0)),
+                   ((0.0, 1.7), (1.0, 1.7)), ((2.5, 5.0), (2.5, 2.5))])]
+        for score, law, brackets in cases:
+            for bracket, edges in brackets:
+                r = argmin_expected_score(score, law, bracket=bracket)
+                assert (r.lo, r.hi) == edges == exact_breakpoint_edges(score, law, *bracket), (
+                    score, bracket)
+
+    def test_collinear_knots_and_flat_ends(self):
+        # a knot inside a segment changes no slope, and the closed forms
+        # step over it, so adding such knots leaves every edge as it was;
+        # flat end segments reach past the bracket.  All match the exact scan
+        # the knots, collinear ones to add, and whether g is convex
+        cases = [(KNOTS, [(0.5, 0.25), (4.5, 11.25)], True),
+                 (FLAT, [(0.5, 0.0), (2.0, 1.0)], False), (STEPS, [(-1.5, 0.0), (1.5, 1.0)], False),
+                 (FLAT_ENDS, [(-2.0, 0.0), (3.0, 2.0)], False), (CONVEX_FLAT, [(-2.0, 0.0)], True)]
+        rng = np.random.default_rng(67)
+        solves = 0
+        for d in kernel_laws(rng, 24):
+            lo, hi = d.support_min() - 0.5, d.support_max() + 0.5
+            for level in (0.25, 0.5, float(rng.uniform(0.01, 0.99))):
+                for knots, extra, convex in cases:
+                    make = ((lambda g: ExpectileScore(level, generator=g)) if convex
+                            else (lambda g: QuantileScore(level, g)))
+                    score = make(TabulatedGenerator(knots))
+                    r = argmin_expected_score(score, d)
+                    r2 = argmin_expected_score(make(TabulatedGenerator(knots + extra)), d)
+                    assert (r.lo, r.hi) == (r2.lo, r2.hi), (d, score)
+                    if solves % 3 == 0:
+                        assert (r.lo, r.hi) == exact_breakpoint_edges(score, d, lo, hi), (d, score)
+                    solves += 1
+        assert solves == 360
+
+    def test_random_generators_match_the_kernel(self):
+        # random convex and nondecreasing knots, collinear ones and flat
+        # stretches included, against the breakpoint kernel that the closed
+        # forms replaced, at unit scale: edges and value bit for bit, on the
+        # default bracket and on one that may cut the support.  Where the
+        # kernel's level 1e-11 (1 + |fmin|) merges segments whose exact scores
+        # differ by less (about 1 solve in 6000), the exact scan decides
+        rng = np.random.default_rng(68)
+        solves = 0
+        for n, d in enumerate(kernel_laws(rng, 300)):
+            lo, hi = d.support_min() - 0.5, d.support_max() + 0.5
+            a, b = np.sort(rng.uniform(lo - 1.0, hi + 1.0, 2))
+            level = float(rng.uniform(0.01, 0.99))
+            for convex in (True, False):
+                knots = random_knots(rng, convex, grid=n % 2 == 0)
+                gen = TabulatedGenerator(knots)
+                score = (ExpectileScore(level, generator=gen) if convex
+                         else QuantileScore(level, gen))
+                for bracket in (None, (float(a), float(b) + 0.1)):
+                    r = argmin_expected_score(score, d, bracket=bracket)
+                    ends = bracket or (lo, hi)
+                    left, right = breakpoint_edges(score, d, *ends)
+                    if (r.lo, r.hi) != (left, right):
+                        left, right = exact_breakpoint_edges(score, d, *ends)
+                    value = float(score.expected_score(0.5 * (left + right), d))
+                    assert (r.lo, r.hi, r.value) == (left, right, value), (d, knots, bracket)
+                    assert type(r.lo) is float and type(r.hi) is float
+                    solves += 1
+        assert solves == 1200
 
 
 class TestConsistency:
