@@ -161,11 +161,12 @@ def cmd_score(args) -> int:
     series = ForecastSeries.from_csv(args.forecasts)
     ranking = compare(series, score)
     if args.out is not None:
-        lines = ["method,mean_score,rank"]
-        lines += [f"{r.method},{_fmt(r.mean_score)},{r.rank}" for r in ranking]
         with open(args.out, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-    width = max(len(r.method) for r in ranking)
+            # quotes a label that holds a comma or a quote
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["method", "mean_score", "rank"])
+            writer.writerows([r.method, _fmt(r.mean_score), r.rank] for r in ranking)
+    width = max(len("method"), *(len(r.method) for r in ranking))
     print(f"{'rank':>4}  {'method':<{width}}  mean_score")
     for r in ranking:
         print(f"{r.rank:>4}  {r.method:<{width}}  {_fmt(r.mean_score)}")

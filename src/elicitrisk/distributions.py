@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import math
 import operator
 import os
@@ -536,141 +537,282 @@ _PREFIX = np.array([(1 << 8 * L) - 1 for L in range(9)], np.uint64)
 # scan cuts each after a line end
 _PIECE = 1 << 20
 
+# Zeros after each piece, enough for the last 8-byte word of a field of up
+# to this many bytes
+_SLACK = bytes(64)
 
-def _read_columns(path, numbers, labels=()):
-    """Named columns of a CSV file with a header row, parsed by numpy.
+
+def _read_columns(path, numbers, labels=(), raw=None):
+    """Named columns of a CSV file with a header row, or None where the
+    per-row parser must decide.
 
     Returns a float64 array with one column per name in ``numbers``, one row
     per data row, blank lines skipped, and a list with a triple ``(names,
     codes, first)`` per name in ``labels``: the distinct stripped labels in
     sorted order, each row's index into them and the row where each first
-    occurs.  A name given twice in the header means its last column.
-    Returns None whenever the per-row parser must decide: the file holds a
-    quote, a byte in ``_PER_ROW_ONLY`` or a field that may pass the csv
-    module's field size limit, a name is missing, or numpy rejects the data
-    (undecodable bytes, ragged rows, empty fields and the numbers Python's
-    ``float`` reads but numpy does not, such as ``1_0`` or non-ASCII digits),
-    or numpy would decompress or fetch the path; with labels, also when a
-    line has not the header's number of fields or a label column held at
-    its widest label's width would outgrow the file and 1 MiB.
+    occurs.  With ``raw``, the name of a column kept as bytes, also a triple
+    ``(first, rows, cells)``: its field where each label of the last label
+    column first occurs, in the order of the labels, and the rows whose
+    field differs from that of their label, with their fields.  A name given
+    twice in the header means its last column.
+
+    Numbers alone are parsed by numpy's ``loadtxt`` after a scan of the
+    file's bytes.  With labels the file is read once, in pieces: the fields
+    come from a scan of each piece's bytes (``_label_cells``), its numbers
+    are cast from their bytes (``_floats``) and its labels numbered against
+    those of the pieces before (``_Factors``).  Returns None whenever the
+    per-row parser must decide: the file holds a quote, a byte in
+    ``_PER_ROW_ONLY`` or a field that may pass the csv module's field size
+    limit, the header does not end in the first piece or a name is missing;
+    numbers alone also when numpy rejects the data (undecodable bytes,
+    ragged rows, empty fields and the numbers Python's ``float`` reads but
+    numpy does not, such as ``1_0`` or non-ASCII digits) or would decompress
+    or fetch the path; with labels, also when a byte does not decode, a
+    number does not parse, a line has not the header's number of fields or
+    outgrows a piece, or a column held at its widest field's width would
+    outgrow the file and 1 MiB.
     """
     fname = os.fspath(path) if isinstance(path, os.PathLike) else path
-    if (not isinstance(fname, str) or "://" in fname
-            or fname.endswith((".gz", ".bz2", ".xz", ".lzma"))):
+    if not isinstance(fname, str) or not labels and (
+            "://" in fname or fname.endswith((".gz", ".bz2", ".xz", ".lzma"))):
         return None
-    # a field longer than the csv module's limit covers a whole block of at
-    # most half that length, so a block with no field end declines; reads of
-    # whole blocks keep the blocks aligned
-    block = min(max(1, (csv.field_size_limit() + 1) // 2), _PIECE)
     try:
         # the per-row parser's own file, so the same text encoding
         with open(fname, newline="") as fh:
-            encoding, read, head = fh.encoding, fh.buffer.read, b""
-            # the label scan reads the whole file; the numbers alone need no bytes kept
-            for chunk in [read()] if labels else iter(lambda: read(_PIECE // block * block), b""):
-                head = head or chunk
-                if any(c in chunk for c in _PER_ROW_ONLY) or any(
-                        all(chunk.find(c, i, i + block) < 0 for c in b",\n\r")
-                        for i in range(0, len(chunk) - block + 1, block)):
-                    return None
-        end = min((i for i in (head.find(b"\n", 0, _PIECE), head.find(b"\r", 0, _PIECE))
-                   if i >= 0), default=len(head))
-        if end >= _PIECE:
-            return None
-        header = head[:end].decode(encoding).split(",")
-        column = {name: i for i, name in enumerate(header)}
-        if not all(name in column for name in (*numbers, *labels)):
-            return None
-        if labels:
-            cells = _label_cells(head, end + 1 + (head[end:end + 2] == b"\r\n"), len(header),
-                                 [column[name] for name in labels])
-            # the bytes go before numpy parses the numbers
-            del head, chunk
-            if cells is None:
+            encoding, chunks = fh.encoding, _chunks(fh.buffer.read)
+            head = next(chunks, b"")
+            end = min((i for i in (head.find(b"\n"), head.find(b"\r")) if i >= 0),
+                      default=len(head))
+            if end == len(head):
                 return None
-            factors = [_factorise(c, encoding) for c in cells]
-            del cells
+            header = head[:end].decode(encoding).split(",")
+            column = {name: i for i, name in enumerate(header)}
+            names = (*numbers, *labels, *([raw] if raw else []))
+            if not all(name in column for name in names):
+                return None
+            if labels:
+                pieces = _pieces(head[end + 1 + (head[end:end + 2] == b"\r\n"):], chunks, encoding)
+                cells = _label_cells(pieces, len(header), [column[name] for name in names],
+                                     max(os.fstat(fh.fileno()).st_size, _PIECE))
+                return _tally(cells, len(numbers), len(labels), encoding)
+            for _ in chunks:
+                pass
         with warnings.catch_warnings():
             # a warning, such as that for a file with no data rows, declines too
             warnings.simplefilter("error")
             values = np.loadtxt(fname, delimiter=",", comments=None, ndmin=2, skiprows=1,
                                 usecols=[column[name] for name in numbers])
-    # ValueError covers undecodable bytes, whose message the per-row parser gives
+    # ValueError covers undecodable bytes, whose message the per-row parser
+    # gives, and every check of the scan
     except (ValueError, IndexError, Warning):
         return None
-    if not labels:
-        return values, []
-    return (values, factors) if all(c.size == len(values) for _, c, _ in factors) else None
+    return values, []
 
 
-def _label_cells(data: bytes, lo: int, nfields: int, cols: list):
-    """The fields ``cols`` of each non-empty line of ``data[lo:]``: one ``S``
-    array per column, zero-padded to a multiple of 8 bytes.  None unless every
-    such line has ``nfields`` fields and each column's widest field, times the
-    rows, fits in the larger of ``data`` and a piece.
+def _chunks(read):
+    """The file's bytes in chunks of whole blocks, each scanned first: a
+    ValueError where the per-row parser must decide."""
+    # a field longer than the csv module's limit covers a whole block of at
+    # most half that length, so a block with no field end declines; reads of
+    # whole blocks keep the blocks aligned
+    block = min(max(1, (csv.field_size_limit() + 1) // 2), _PIECE)
+    for chunk in iter(lambda: read(_PIECE // block * block), b""):
+        if any(c in chunk for c in _PER_ROW_ONLY) or any(
+                all(chunk.find(c, i, i + block) < 0 for c in b",\n\r")
+                for i in range(0, len(chunk) - block + 1, block)):
+            raise ValueError("the per-row parser reads this file")
+        yield chunk
 
-    Lines end at LF, CR and CRLF, as both parsers end them.
+
+def _pieces(first: bytes, chunks, encoding: str):
+    """``first`` and then ``chunks`` in pieces cut after their last line end,
+    a line end added to a last line that has none: per piece, its bytes and
+    some after it in one array, and its length.  A ValueError where a piece
+    does not decode or a line outgrows a piece.
+
+    Lines end at LF, CR and CRLF, as both parsers end them; the LF of a CRLF
+    cut between two pieces starts the next as an empty line.
     """
-    buf, n, rows = np.frombuffer(data, np.uint8), len(data), 0
-    parts, widest = [[] for _ in cols], [0] * len(cols)
-    while lo < n:
-        # cut after the piece's last line end; the LF of a CRLF cut there
-        # starts the next piece as an empty line
-        hi = n if n - lo <= _PIECE else 1 + max(data.rfind(b"\n", lo, lo + _PIECE),
-                                                data.rfind(b"\r", lo, lo + _PIECE))
-        if hi <= lo:
-            return None
-        piece, lo = buf[lo:hi], hi
-        pos = np.flatnonzero((piece == 44) | (piece == 10) | (piece == 13)).astype(np.int32)
-        if hi == n and data[-1] not in b"\r\n":
-            # the last line has no line end
-            pos = np.append(pos, np.int32(piece.size))
-        # the piece with zeros past its end, which also mark the missing line end
-        padded = np.append(piece, np.zeros(8, np.uint8))
-        sep = padded[pos]
-        # a field starts after the separator before it; the LF of a CRLF ends
-        # none, and neither does the line end of an empty line
-        start = np.concatenate((np.zeros(1, np.int32), pos[:-1] + 1))
-        keep = np.concatenate(([True], (sep[1:] != 10) | (sep[:-1] != 13)
-                               | (pos[1:] != pos[:-1] + 1)))
+    carry = b""
+    for chunk in itertools.chain((first,), chunks, [None]):
+        if chunk is None:
+            if not carry:
+                return
+            chunk = b"\n"
+        data = b"".join((carry, chunk, _SLACK))
+        cut = 1 + max(data.rfind(b"\n"), data.rfind(b"\r"))
+        carry = data[cut:-len(_SLACK)]
+        if len(carry) > _PIECE:
+            raise ValueError("a line outgrows a piece")
+        if not data.isascii():
+            data[:cut].decode(encoding)
+        if cut:
+            yield np.frombuffer(data, np.uint8), cut
+
+
+def _label_cells(pieces, nfields: int, cols: list, limit: int):
+    """The fields ``cols`` of the non-empty lines of each of ``pieces``, pairs
+    of a byte array and the length of its part that ends after a line end:
+    per piece, one ``S`` array per column, zero-padded to a multiple of 8
+    bytes no narrower than the column's widest field so far.  A ValueError
+    unless every line has ``nfields`` fields and each column's widest field,
+    times the rows so far, is at most ``limit``.
+    """
+    widest, rows = [0] * len(cols), 0
+    for data, size in pieces:
+        piece = data[:size]
+        # the separators are among the bytes below "-"
+        pos = np.flatnonzero(piece < 45)
+        sep = piece[pos]
+        if not (kept := (sep == 44) | (sep == 10) | (sep == 13)).all():
+            pos, sep = pos[kept], sep[kept]
         ends = sep != 44
-        keep &= ~ends | (start != pos) | np.concatenate(([False], ~ends[:-1]))
-        if not keep.all():
+        # a field starts after the separator before it
+        start = np.concatenate((np.zeros(1, pos.dtype), pos[:-1] + 1))
+        # lines of more than one field that all have nfields hold no CRLF and
+        # no empty line; else the LF of a CRLF ends no field, and neither
+        # does the line end of an empty line
+        if nfields == 1 or not _whole_lines(ends, nfields):
+            keep = np.concatenate(([True], (sep[1:] != 10) | (sep[:-1] != 13)
+                                   | (pos[1:] != pos[:-1] + 1)))
+            keep &= ~ends | (start != pos) | np.concatenate(([False], ~ends[:-1]))
             pos, ends, start = pos[keep], ends[keep], start[keep]
-        count = int(np.count_nonzero(ends))
-        if pos.size != count * nfields or not ends[nfields - 1::nfields].all():
-            return None
+            if not _whole_lines(ends, nfields):
+                raise ValueError("a line has not the header's number of fields")
+        count = ends.size // nfields
         rows += count
         fields = [(start[c::nfields], pos[c::nfields] - start[c::nfields]) for c in cols]
         widest = [max(w, int(length.max(initial=0))) for w, (_, length) in zip(widest, fields)]
-        if any(rows * w > max(n, _PIECE) for w in widest):
-            return None
-        # a field as little-endian 8-byte words, read at any byte offset
-        words = np.ndarray((piece.size + 1,), "<u8", padded, strides=(1,))
-        for part, w, (s, length) in zip(parts, widest, fields):
-            cell = np.empty((count, max(1, -(-w // 8))), "<u8")
-            for k in range(cell.shape[1]):
-                cell[:, k] = (words[np.minimum(s + 8 * k, piece.size)]
-                              & _PREFIX[np.clip(length - 8 * k, 0, 8)])
-            part.append(cell.view(f"S{8 * cell.shape[1]}")[:, 0])
-    return [np.concatenate(part) for part in parts] if rows else None
+        if rows * max(widest) > limit:
+            raise ValueError("a column outgrows the file")
+        words = [max(1, -(-w // 8)) for w in widest]
+        # the piece as little-endian 8-byte words at every byte offset; the
+        # bytes after it are masked off, and more zeros follow where needed
+        reach = size + 8 * max(words) - 7
+        if data.size < reach + 7:
+            data = np.concatenate((piece, np.zeros(8 * max(words), np.uint8)))
+        at = np.ndarray((reach,), "<u8", data, strides=(1,))
+        cells = []
+        for (s, length), n in zip(fields, words):
+            cell = np.empty((count, n), "<u8")
+            for k in range(n):
+                cell[:, k] = at[s + 8 * k]
+                if length.min(initial=8 * k + 8) < 8 * k + 8:
+                    cell[:, k] &= _PREFIX[np.clip(length - 8 * k, 0, 8)]
+            cells.append(cell.view(f"S{8 * n}")[:, 0])
+        yield cells
 
 
-def _factorise(cells: np.ndarray, encoding: str):
-    """Distinct stripped labels of ``cells`` in sorted order, each cell's index
-    into them and the first cell of each."""
+def _whole_lines(ends: np.ndarray, nfields: int) -> bool:
+    """Whether every ``nfields``-th separator ends a line, and no other."""
+    return ends.size == nfields * np.count_nonzero(ends) and ends[nfields - 1::nfields].all()
+
+
+def _floats(cells: np.ndarray) -> np.ndarray:
+    """Numbers from their bytes by numpy's cast, which reads what Python's
+    ``float`` reads of ASCII text; a ValueError where one does not parse."""
+    return cells.astype(np.float64)
+
+
+def _tally(pieces, n: int, k: int, encoding: str):
+    """``_read_columns``'s result from each piece's fields: ``n`` numbers,
+    ``k`` labels and, if one follows, the raw column."""
+    values, factors = [], [_Factors() for _ in range(k)]
+    table, rows, cells = np.empty(0, "S8"), [], []
+    for fields in pieces:
+        values.append(np.stack([_floats(c) for c in fields[:n]], axis=1))
+        for f, c in zip(factors, fields[n:n + k]):
+            codes, new = f.add(c)
+        if len(fields) > n + k:
+            # the raw field at the row where each number of the last label
+            # first occurs, and the rows whose field differs from their number's
+            raw = fields[-1]
+            if new.size:
+                table = np.concatenate((table, raw[new]))
+            differ = np.flatnonzero(raw != table[codes])
+            rows.append(factors[-1].rows - raw.size + differ)
+            cells.append(raw[differ])
+    if not factors[0].rows:
+        raise ValueError("no data rows")
+    labels = [f.factors(encoding) for f in factors]
+    out = np.concatenate(values), [triple for triple, _, _ in labels]
+    if not rows:
+        # no raw column
+        return out
+    # where stripping merged numbers into one label, the fields of all but
+    # the first are compared with the first's
+    (names, _, first), label, start = labels[-1]
+    lead = start == first[label]
+    kept = np.empty(len(names), table.dtype)
+    kept[label[lead]] = table[lead]
+    rows.append(start[~lead])
+    cells.append(table[~lead])
+    return *out, (kept, np.concatenate(rows), np.concatenate(cells))
+
+
+class _Factors:
+    """The distinct fields of a label column, numbered in order of first
+    occurrence as the pieces of its rows come in."""
+
+    def __init__(self):
+        self.width = 8
+        self.keys = _keys(np.empty(0, "S8"))  # the distinct fields, sorted
+        self.number = np.empty(0, np.int32)   # the number of each
+        self.start, self.codes = [], []       # by piece: new numbers' rows, each row's number
+        self.rows = 0
+
+    def add(self, cells: np.ndarray):
+        """Number the fields of a piece: each row's number and, in the order
+        of the numbers, the rows of the piece where new numbers first occur."""
+        if cells.itemsize > self.width:
+            self.width = cells.itemsize
+            self.keys = _keys(_bytes(self.keys).astype(cells.dtype))
+        keys, first, codes = np.unique(_keys(cells.astype(f"S{self.width}", copy=False)),
+                                       return_index=True, return_inverse=True)
+        at = self.keys.searchsorted(keys)
+        seen = at < self.keys.size
+        seen[seen] = self.keys[at[seen]] == keys[seen]
+        new = np.flatnonzero(~seen)
+        fresh = new[np.argsort(first[new])]
+        number = np.empty(keys.size, np.int32)
+        number[seen] = self.number[at[seen]]
+        number[fresh] = self.number.size + np.arange(fresh.size)
+        if new.size:
+            self.keys = np.insert(self.keys, at[new], keys[new])
+            self.number = np.insert(self.number, at[new], number[new])
+        self.start.append(self.rows + first[fresh])
+        self.codes.append(number[codes])
+        self.rows += cells.size
+        return self.codes[-1], first[fresh]
+
+    def factors(self, encoding: str):
+        """The triple ``(names, codes, first)`` of ``_read_columns``, each
+        number's index into the names and the row where each number first
+        occurs."""
+        raw = _bytes(self.keys)
+        # no field holds a line end
+        names = b"\n".join(raw.tolist()).decode(encoding).split("\n")
+        index = np.arange(len(names))
+        # bytes sort as their ASCII text; other text, or stripping, may merge
+        # or reorder (ASCII whitespace strips alike as bytes and as text)
+        if raw.view(np.uint8).max(initial=0) > 127 or (np.strings.strip(raw) != raw).any():
+            names, index = np.unique([name.strip() for name in names], return_inverse=True)
+            names = names.tolist()
+        label = np.empty(index.size, np.int32)
+        label[self.number] = index
+        start = np.concatenate(self.start)
+        first = np.full(len(names), self.rows)
+        np.minimum.at(first, label, start)
+        return (names, label[np.concatenate(self.codes)], first), label, start
+
+
+def _keys(cells: np.ndarray) -> np.ndarray:
     # eight bytes sort as their big-endian integer, and faster
-    keys = cells.view(">u8").astype(np.uint64) if cells.itemsize == 8 else cells
-    keys, first, codes = np.unique(keys, return_index=True, return_inverse=True)
-    raw = keys.astype(">u8").view("S8").tolist() if cells.itemsize == 8 else keys.tolist()
-    names = [b.decode(encoding).strip() for b in raw]
-    # bytes sort as their ASCII text; other text, or stripping, may merge or reorder
-    if any(not b.isascii() or len(b) != len(name) for b, name in zip(raw, names)):
-        names, merged = np.unique(names, return_inverse=True)
-        codes, names, merged_first = merged[codes], names.tolist(), np.full(len(names), codes.size)
-        np.minimum.at(merged_first, merged, first)
-        first = merged_first
-    return names, codes, first
+    return cells.view(">u8").astype(np.uint64) if cells.itemsize == 8 else cells
+
+
+def _bytes(keys: np.ndarray) -> np.ndarray:
+    return keys.astype(">u8").view("S8") if keys.dtype == np.uint64 else keys
 
 
 @contextlib.contextmanager

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (Distribution, FiniteAtomic, Uniform, _check_open_unit, _decode_errors,
-                            _read_columns)
+                            _floats, _read_columns)
 from .risk import expectile
 
 __all__ = [
@@ -426,39 +426,55 @@ class ForecastSeries:
     def from_csv(cls, path) -> "ForecastSeries":
         """Read a long-format panel: columns method, period, forecast, realization.
 
-        The numbers are parsed by numpy and the labels taken from one scan of
-        the file's bytes; a file that either cannot read, or one that fails a
-        check, is read again row by row, which names the physical line of the
-        first fault.
+        The file is read once, in pieces, and the labels taken from a scan of
+        their bytes; the forecasts are cast from their bytes, and of the
+        realizations only each period's first and those whose bytes differ
+        from it.  A file that the scan cannot read, or one that fails a
+        check, is read again row by row, which names the physical line of
+        the first fault.
         """
-        columns = _read_columns(path, ("forecast", "realization"), ("method", "period"))
+        columns = _read_columns(path, ("forecast",), ("method", "period"), "realization")
         panel = None if columns is None else cls._from_columns(*columns)
         return panel if panel is not None else cls._from_rows(path)
 
     @classmethod
-    def _from_columns(cls, numbers: np.ndarray, labels: list):
-        """The panel from (forecast, realization) columns and the (names,
-        codes, first) triples of the method and period labels.
+    def _from_columns(cls, numbers: np.ndarray, labels: list, realizations: tuple):
+        """The panel from the forecast column, the (names, codes, first)
+        triples of the method and period labels and the realizations as
+        bytes: each period's first, and the rows that differ from it.
 
         Returns None where a check fails, so that the per-row parser can name
         the line at fault.
         """
-        x, y = numbers.T
+        x = numbers[:, 0]
         (methods, m_code, _), (periods, p_code, first) = labels
+        (cells, rows, other) = realizations
+        try:
+            y, other = _floats(cells), _floats(other)
+        except ValueError:
+            return None
+        # a realization that differs from its period's first as bytes must
+        # equal it as a number
+        if (other != y[p_code[rows]]).any():
+            return None
         # renumber the periods in first-occurrence order
         order = np.argsort(first)
-        rank = np.empty_like(order)
+        rank = np.empty(order.size, p_code.dtype)
         rank[order] = np.arange(order.size)
-        p_code, first, periods = rank[p_code], first[order], [periods[i] for i in order]
+        y, periods = y[order], [periods[i] for i in order]
         n_m, n_p = len(methods), len(periods)
         if ("" in methods or "" in periods or x.size != n_m * n_p
-                or not np.isfinite(numbers).all()
-                or (np.bincount(m_code * n_p + p_code, minlength=x.size) != 1).any()
-                or (y != y[first][p_code]).any()):
+                or not (np.isfinite(x).all() and np.isfinite(y).all())):
             return None
-        matrix = np.empty((n_m, n_p))
-        matrix[m_code, p_code] = x
-        return cls._from_matrix(periods, methods, matrix, y[first])
+        cell = np.ravel_multi_index((m_code, rank[p_code]), (n_m, n_p))
+        # with as many rows as cells, a cell left empty means one given twice
+        filled = np.zeros(x.size, bool)
+        filled[cell] = True
+        if not filled.all():
+            return None
+        matrix = np.empty(x.size)
+        matrix[cell] = x
+        return cls._from_matrix(periods, methods, matrix.reshape(n_m, n_p), y)
 
     @classmethod
     def _from_rows(cls, path) -> "ForecastSeries":

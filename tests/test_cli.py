@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: output text, exit codes, determinism."""
 
+import csv
 import json
 import os
 import re
@@ -242,6 +243,26 @@ class TestScore:
             "beta,0,1\n"
             "alpha,0.1,2\n"
             "gamma,0.85,3\n")
+
+    def test_out_quotes_labels_that_need_it(self, capsys, tmp_path):
+        # a quoted label with a comma, and one with a quote inside
+        f = tmp_path / "panel.csv"
+        f.write_text(SCORE_CSV.replace("alpha", '"a,b"').replace("gamma", 'q"x'))
+        dest = tmp_path / "ranking.csv"
+        assert run_cli(["score", str(f), "--quantile", "0.5", "--out", str(dest)]) == 0
+        capsys.readouterr()
+        with open(dest, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["method", "mean_score", "rank"], ["beta", "0", "1"],
+                        ["a,b", "0.1", "2"], ['q"x', "0.85", "3"]]
+
+    def test_table_columns_line_up_under_short_names(self, capsys, tmp_path):
+        f = tmp_path / "panel.csv"
+        f.write_text(SCORE_CSV.replace("alpha", "a").replace("gamma", "g"))
+        assert run_cli(["score", str(f), "--quantile", "0.5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        at = lines[0].index("mean_score")
+        assert all(line[at - 2:at] == "  " and line[at] != " " for line in lines)
 
     def test_repeat_runs_byte_identical(self, capsys, tmp_path):
         f = tmp_path / "panel.csv"

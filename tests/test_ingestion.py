@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from elicitrisk import ForecastSeries, empirical_from_csv
-from elicitrisk import distributions
+from elicitrisk import distributions, scoring
 
 from helpers import loadtxt_labels, panel_csv_texts, sample_csv_texts, write_csv
 
@@ -30,7 +30,7 @@ def panel_key(fs):
             fs.realization_vector().tobytes())
 
 
-PANEL = ("forecast", "realization"), ("method", "period")
+PANEL = ("forecast",), ("method", "period"), "realization"
 
 
 def labels_match_numpy(path) -> bool:
@@ -117,7 +117,11 @@ def test_labels_sort_as_text_where_their_bytes_do_not():
     # in cp1252 the byte 0x80 is U+20AC, above the U+00E9 of 0xe9; 0xa0 is a
     # space that strips away, so " x" and "x" are one label
     cells = np.array([b"\x80", b"\xe9", b"\xa0x", b"x", b"\xe9"], dtype="S8")
-    names, codes, first = distributions._factorise(cells, "cp1252")
+    factors = distributions._Factors()
+    # in two pieces, the second repeating a field of the first
+    factors.add(cells[:3])
+    factors.add(cells[3:])
+    (names, codes, first), _, _ = factors.factors("cp1252")
     assert names == ["x", "\u00e9", "\u20ac"]
     assert codes.tolist() == [2, 1, 0, 0, 1]
     assert first.tolist() == [2, 1, 0]
@@ -147,8 +151,9 @@ def test_pieces_cut_anywhere_read_as_one(tmp_path, monkeypatch):
     assert labels_match_numpy(path)
     for piece in range(40, 72):
         monkeypatch.setattr(distributions, "_PIECE", piece)
-        values, labels = distributions._read_columns(path, *PANEL)
+        values, labels, raw = distributions._read_columns(path, *PANEL)
         assert values.tobytes() == whole[0].tobytes()
+        assert [c.tolist() for c in raw] == [c.tolist() for c in whole[2]]
         for (names, codes, first), (want_names, want_codes, want_first) in zip(labels, whole[1]):
             assert names == want_names
             assert codes.tolist() == want_codes.tolist() and first.tolist() == want_first.tolist()
@@ -230,3 +235,56 @@ def test_the_panel_reader_peaks_below_a_multiple_of_the_file(tmp_path, monkeypat
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * path.stat().st_size
+
+
+def test_equal_realizations_in_other_bytes_read_without_rows(tmp_path, monkeypatch):
+    monkeypatch.setattr(ForecastSeries, "_from_rows", classmethod(_no_rows))
+    text = "method,period,forecast,realization\na,1,0,2\nb,1,1,2.0\nc,1,2, 2\n"
+    fs = ForecastSeries.from_csv(write_csv(tmp_path, text))
+    monkeypatch.undo()
+    assert panel_key(fs) == panel_key(ForecastSeries._from_rows(write_csv(tmp_path, text)))
+    assert fs.realization_vector().tolist() == [2.0]
+
+
+def test_conflicting_realizations_still_name_their_line(tmp_path):
+    path = write_csv(tmp_path, "method,period,forecast,realization\na,1,0,2\nb,1,1,2.5\n")
+    assert distributions._read_columns(path, *PANEL) is not None
+    with pytest.raises(ValueError, match="^line 3: period '1' has conflicting realizations"):
+        ForecastSeries.from_csv(path)
+
+
+def test_a_panel_is_read_once_and_each_period_cast_once(tmp_path, monkeypatch):
+    # 5 methods x 2000 periods, method-major: every forecast and one
+    # realization per period are cast
+    rng = np.random.default_rng(3)
+    y = rng.normal(size=2000).tolist()
+    lines = [f"m{k},{t},{x!r},{v!r}" for k in range(5)
+             for t, x, v in zip(range(2000), rng.normal(size=2000).tolist(), y)]
+    path = write_csv(tmp_path, "\n".join(["method,period,forecast,realization", *lines]) + "\n")
+    cast, opened = [], []
+    floats, real_open = distributions._floats, open
+
+    def counting_floats(cells):
+        cast.append(cells.size)
+        return floats(cells)
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return real_open(*args, **kwargs)
+
+    monkeypatch.setattr(distributions, "_floats", counting_floats)
+    monkeypatch.setattr(scoring, "_floats", counting_floats)
+    monkeypatch.setattr(distributions, "open", counting_open, raising=False)
+    monkeypatch.setattr(np, "loadtxt", _no_rows)
+    monkeypatch.setattr(ForecastSeries, "_from_rows", classmethod(_no_rows))
+    fs = ForecastSeries.from_csv(path)
+    assert sum(cast) == 5 * 2000 + 2000
+    assert opened == [str(path)]
+    assert fs.realization_vector().tolist() == y
+
+
+def test_a_number_only_pythons_float_reads_needs_no_rows(tmp_path, monkeypatch):
+    monkeypatch.setattr(ForecastSeries, "_from_rows", classmethod(_no_rows))
+    fs = ForecastSeries.from_csv(write_csv(
+        tmp_path, "method,period,forecast,realization\na,1,1_000,2\nb,1,-0.5,2\n"))
+    assert fs.forecast_matrix.tolist() == [[1000.0], [-0.5]]
