@@ -537,9 +537,8 @@ _PREFIX = np.array([(1 << 8 * L) - 1 for L in range(9)], np.uint64)
 # scan cuts each after a line end
 _PIECE = 1 << 20
 
-# Zeros after each piece, enough for the last 8-byte word of a field of up
-# to this many bytes
-_SLACK = bytes(64)
+# Zeros after each piece, so that an 8-byte word may start at its end
+_SLACK = bytes(8)
 
 
 def _read_columns(path, numbers, labels=(), raw=None):
@@ -553,14 +552,14 @@ def _read_columns(path, numbers, labels=(), raw=None):
     occurs.  With ``raw``, the name of a column kept as bytes, also a triple
     ``(first, rows, cells)``: its field where each label of the last label
     column first occurs, in the order of the labels, and the rows whose
-    field differs from that of their label, with their fields.  A name given
-    twice in the header means its last column.
+    field differs from that of their label, with their fields cast to
+    float64.  A name given twice in the header means its last column.
 
     Numbers alone are parsed by numpy's ``loadtxt`` after a scan of the
     file's bytes.  With labels the file is read once, in pieces: the fields
     come from a scan of each piece's bytes (``_label_cells``), its numbers
-    are cast from their bytes (``_floats``) and its labels numbered against
-    those of the pieces before (``_Factors``).  Returns None whenever the
+    are cast from their bytes (``_floats``), a run of rows at a time, and its
+    labels numbered against those of the pieces before (``_Factors``).  Returns None whenever the
     per-row parser must decide: the file holds a quote, a byte in
     ``_PER_ROW_ONLY`` or a field that may pass the csv module's field size
     limit, the header does not end in the first piece or a name is missing;
@@ -569,8 +568,8 @@ def _read_columns(path, numbers, labels=(), raw=None):
     numpy does not, such as ``1_0`` or non-ASCII digits) or would decompress
     or fetch the path; with labels, also when a byte does not decode, a
     number does not parse, a line has not the header's number of fields or
-    outgrows a piece, or a column held at its widest field's width would
-    outgrow the file and 1 MiB.
+    outgrows a piece, or a label column, or the raw fields kept, held at
+    their widest field's width would outgrow the file and 1 MiB.
     """
     fname = os.fspath(path) if isinstance(path, os.PathLike) else path
     if not isinstance(fname, str) or not labels and (
@@ -592,9 +591,9 @@ def _read_columns(path, numbers, labels=(), raw=None):
                 return None
             if labels:
                 pieces = _pieces(head[end + 1 + (head[end:end + 2] == b"\r\n"):], chunks, encoding)
-                cells = _label_cells(pieces, len(header), [column[name] for name in names],
-                                     max(os.fstat(fh.fileno()).st_size, _PIECE))
-                return _tally(cells, len(numbers), len(labels), encoding)
+                cells = _label_cells(pieces, len(header), [column[name] for name in names])
+                return _tally(cells, len(numbers), len(labels), encoding,
+                              max(os.fstat(fh.fileno()).st_size, _PIECE))
             for _ in chunks:
                 pass
         with warnings.catch_warnings():
@@ -650,62 +649,48 @@ def _pieces(first: bytes, chunks, encoding: str):
             yield np.frombuffer(data, np.uint8), cut
 
 
-def _label_cells(pieces, nfields: int, cols: list, limit: int):
+def _label_cells(pieces, nfields: int, cols: list):
     """The fields ``cols`` of the non-empty lines of each of ``pieces``, pairs
     of a byte array and the length of its part that ends after a line end:
-    per piece, one ``S`` array per column, zero-padded to a multiple of 8
-    bytes no narrower than the column's widest field so far.  A ValueError
-    unless every line has ``nfields`` fields and each column's widest field,
-    times the rows so far, is at most ``limit``.
+    per piece, its bytes as little-endian 8-byte words at every byte offset
+    up to its end and, per column, each field's start and length.  A
+    ValueError unless every line has ``nfields`` fields.
     """
-    widest, rows = [0] * len(cols), 0
     for data, size in pieces:
         piece = data[:size]
-        # the separators are among the bytes below "-"
-        pos = np.flatnonzero(piece < 45)
+        pos = np.flatnonzero((piece == 44) | (piece == 10) | (piece == 13))
         sep = piece[pos]
-        if not (kept := (sep == 44) | (sep == 10) | (sep == 13)).all():
-            pos, sep = pos[kept], sep[kept]
-        ends = sep != 44
-        # a field starts after the separator before it
+        # a field starts after the separator before it; the LF of a CRLF ends
+        # none, and neither does the line end of an empty line
         start = np.concatenate((np.zeros(1, pos.dtype), pos[:-1] + 1))
-        # lines of more than one field that all have nfields hold no CRLF and
-        # no empty line; else the LF of a CRLF ends no field, and neither
-        # does the line end of an empty line
-        if nfields == 1 or not _whole_lines(ends, nfields):
-            keep = np.concatenate(([True], (sep[1:] != 10) | (sep[:-1] != 13)
-                                   | (pos[1:] != pos[:-1] + 1)))
-            keep &= ~ends | (start != pos) | np.concatenate(([False], ~ends[:-1]))
+        keep = np.concatenate(([True], (sep[1:] != 10) | (sep[:-1] != 13)
+                               | (pos[1:] != pos[:-1] + 1)))
+        ends = sep != 44
+        keep &= ~ends | (start != pos) | np.concatenate(([False], ~ends[:-1]))
+        if not keep.all():
             pos, ends, start = pos[keep], ends[keep], start[keep]
-            if not _whole_lines(ends, nfields):
-                raise ValueError("a line has not the header's number of fields")
-        count = ends.size // nfields
-        rows += count
-        fields = [(start[c::nfields], pos[c::nfields] - start[c::nfields]) for c in cols]
-        widest = [max(w, int(length.max(initial=0))) for w, (_, length) in zip(widest, fields)]
-        if rows * max(widest) > limit:
-            raise ValueError("a column outgrows the file")
-        words = [max(1, -(-w // 8)) for w in widest]
-        # the piece as little-endian 8-byte words at every byte offset; the
-        # bytes after it are masked off, and more zeros follow where needed
-        reach = size + 8 * max(words) - 7
-        if data.size < reach + 7:
-            data = np.concatenate((piece, np.zeros(8 * max(words), np.uint8)))
-        at = np.ndarray((reach,), "<u8", data, strides=(1,))
-        cells = []
-        for (s, length), n in zip(fields, words):
-            cell = np.empty((count, n), "<u8")
-            for k in range(n):
-                cell[:, k] = at[s + 8 * k]
-                if length.min(initial=8 * k + 8) < 8 * k + 8:
-                    cell[:, k] &= _PREFIX[np.clip(length - 8 * k, 0, 8)]
-            cells.append(cell.view(f"S{8 * n}")[:, 0])
-        yield cells
+        if pos.size != nfields * np.count_nonzero(ends) or not ends[nfields - 1::nfields].all():
+            raise ValueError("a line has not the header's number of fields")
+        words = np.ndarray((size + 1,), "<u8", data, strides=(1,))
+        yield words, [(start[c::nfields], pos[c::nfields] - start[c::nfields]) for c in cols]
 
 
-def _whole_lines(ends: np.ndarray, nfields: int) -> bool:
-    """Whether every ``nfields``-th separator ends a line, and no other."""
-    return ends.size == nfields * np.count_nonzero(ends) and ends[nfields - 1::nfields].all()
+def _gather(words: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The fields at ``start`` of ``length`` bytes in a piece's ``words``: an
+    ``S`` array zero-padded to a multiple of 8 bytes no narrower than the
+    widest field."""
+    end = words.size - 1
+    cell = np.empty((start.size, max(1, -(-int(length.max(initial=0)) // 8))), "<u8")
+    for k in range(cell.shape[1]):
+        cell[:, k] = words[np.minimum(start + 8 * k, end)] & _PREFIX[np.clip(length - 8 * k, 0, 8)]
+    return cell.view(f"S{8 * cell.shape[1]}")[:, 0]
+
+
+def _runs(length: np.ndarray) -> list:
+    """Slices of the rows of ``length`` whose fields, gathered, take at most a
+    piece's bytes."""
+    step = max(1, _PIECE // (8 + int(length.max(initial=0))))
+    return [slice(i, i + step) for i in range(0, max(1, length.size), step)]
 
 
 def _floats(cells: np.ndarray) -> np.ndarray:
@@ -714,24 +699,38 @@ def _floats(cells: np.ndarray) -> np.ndarray:
     return cells.astype(np.float64)
 
 
-def _tally(pieces, n: int, k: int, encoding: str):
+def _tally(pieces, n: int, k: int, encoding: str, limit: int):
     """``_read_columns``'s result from each piece's fields: ``n`` numbers,
-    ``k`` labels and, if one follows, the raw column."""
-    values, factors = [], [_Factors() for _ in range(k)]
-    table, rows, cells = np.empty(0, "S8"), [], []
-    for fields in pieces:
-        values.append(np.stack([_floats(c) for c in fields[:n]], axis=1))
-        for f, c in zip(factors, fields[n:n + k]):
-            codes, new = f.add(c)
+    ``k`` labels and, if one follows, the raw column.  A ValueError where a
+    number does not parse, or where a label column, or the raw fields kept,
+    held at their widest field's width would outgrow ``limit`` bytes.
+    """
+    values, factors, widest = [], [_Factors() for _ in range(k)], [0] * (k + 1)
+    table, rows, other = np.empty(0, "S8"), [], []
+    for words, fields in pieces:
+        # numbers are cast a run of rows at a time and their bytes dropped
+        values.append(np.stack([np.concatenate([
+            _floats(_gather(words, s[j], length[j])) for j in _runs(length)])
+            for s, length in fields[:n]], axis=1))
+        for i, (f, (s, length)) in enumerate(zip(factors, fields[n:])):
+            widest[i] = max(widest[i], int(length.max(initial=0)))
+            if (f.rows + s.size) * widest[i] > limit:
+                raise ValueError("a label column outgrows the file")
+            codes, new = f.add(_gather(words, s, length))
         if len(fields) > n + k:
             # the raw field at the row where each number of the last label
-            # first occurs, and the rows whose field differs from their number's
-            raw = fields[-1]
-            if new.size:
-                table = np.concatenate((table, raw[new]))
-            differ = np.flatnonzero(raw != table[codes])
-            rows.append(factors[-1].rows - raw.size + differ)
-            cells.append(raw[differ])
+            # first occurs, and as numbers the fields that differ from their
+            # number's
+            s, length = fields[-1]
+            widest[k] = max(widest[k], int(length[new].max(initial=0)))
+            if (table.size + new.size) * widest[k] > limit:
+                raise ValueError("the raw column outgrows the file")
+            table = np.concatenate((table, _gather(words, s[new], length[new])))
+            for j in _runs(length):
+                raw = _gather(words, s[j], length[j])
+                differ = np.flatnonzero(raw != table[codes[j]])
+                rows.append(factors[-1].rows - s.size + j.start + differ)
+                other.append(_floats(raw[differ]))
     if not factors[0].rows:
         raise ValueError("no data rows")
     labels = [f.factors(encoding) for f in factors]
@@ -746,8 +745,8 @@ def _tally(pieces, n: int, k: int, encoding: str):
     kept = np.empty(len(names), table.dtype)
     kept[label[lead]] = table[lead]
     rows.append(start[~lead])
-    cells.append(table[~lead])
-    return *out, (kept, np.concatenate(rows), np.concatenate(cells))
+    other.append(_floats(table[~lead]))
+    return *out, (kept, np.concatenate(rows), np.concatenate(other))
 
 
 class _Factors:

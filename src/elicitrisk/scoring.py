@@ -440,8 +440,9 @@ class ForecastSeries:
     @classmethod
     def _from_columns(cls, numbers: np.ndarray, labels: list, realizations: tuple):
         """The panel from the forecast column, the (names, codes, first)
-        triples of the method and period labels and the realizations as
-        bytes: each period's first, and the rows that differ from it.
+        triples of the method and period labels and the realizations: each
+        period's first as bytes, and the rows whose bytes differ from it with
+        their values.
 
         Returns None where a check fails, so that the per-row parser can name
         the line at fault.
@@ -450,7 +451,7 @@ class ForecastSeries:
         (methods, m_code, _), (periods, p_code, first) = labels
         (cells, rows, other) = realizations
         try:
-            y, other = _floats(cells), _floats(other)
+            y = _floats(cells)
         except ValueError:
             return None
         # a realization that differs from its period's first as bytes must

@@ -288,3 +288,16 @@ def test_a_number_only_pythons_float_reads_needs_no_rows(tmp_path, monkeypatch):
     fs = ForecastSeries.from_csv(write_csv(
         tmp_path, "method,period,forecast,realization\na,1,1_000,2\nb,1,-0.5,2\n"))
     assert fs.forecast_matrix.tolist() == [[1000.0], [-0.5]]
+
+
+def test_one_long_number_keeps_a_panel_off_the_row_parser(tmp_path, monkeypatch):
+    # 1e5 short rows and one 32-byte forecast and realization: held at that
+    # width for every row, the two columns would outgrow the 1.2 MB file
+    lines = [f"m{k},{t},0.5,1" for k in range(5) for t in range(20_000)]
+    lines[7] = "m0,7," + "0." + "5" * 30 + ",1"
+    lines[20_007] = "m1,7,0.5," + "1." + "0" * 30
+    path = write_csv(tmp_path, "\n".join(["method,period,forecast,realization", *lines]) + "\n")
+    monkeypatch.setattr(ForecastSeries, "_from_rows", classmethod(_no_rows))
+    fs = ForecastSeries.from_csv(path)
+    monkeypatch.undo()
+    assert panel_key(fs) == panel_key(ForecastSeries._from_rows(path))
