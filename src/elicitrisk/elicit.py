@@ -20,12 +20,12 @@ C(1 - p) / (C(1 - p) + p).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import random
 
 import numpy as np
 
 from .distributions import (Distribution, FiniteAtomic, _check_count, _check_level, _check_tol,
-                            _Stack, mix, two_point)
+                            _Record, _Stack, mix, two_point)
 from .risk import ExpectileRisk, RiskFunctional, SpectralRisk
 from .spectral import SpectralMeasure, interval_mass, spectral_fn, uc_measure
 
@@ -53,8 +53,7 @@ _TARGETS = (-0.5, -1.0, -2.0)
 _MIX_WEIGHTS = (0.25, 0.5, 0.75)
 
 
-@dataclass(frozen=True)
-class CIdentification:
+class CIdentification(_Record):
     """Result of inverting the two-point display for C on a grid.
 
     ``residuals`` holds (p, C_p - C_hat) for every grid point where the
@@ -122,8 +121,7 @@ def identify_C(rf: RiskFunctional, grid=None, tolerance: float = 1e-8) -> CIdent
                            tolerance=tolerance, degenerate=degenerate)
 
 
-@dataclass(frozen=True)
-class ConvexityWitness:
+class ConvexityWitness(_Record):
     """Two equal-value laws whose mixture changes the functional's value."""
 
     p0: FiniteAtomic
@@ -143,13 +141,13 @@ class ConvexityWitness:
                 and abs(vm - self.target) > 10.0 * tol)
 
 
-def _hunt_members(rf: RiskFunctional, p: np.ndarray, tol: float):
-    """The hunt's members as rows of a stack and a (grid point, target) table
-    of their rows, -1 where there is no member."""
+def _hunt_members(rf: RiskFunctional, p: np.ndarray, used: np.ndarray, tol: float):
+    """The hunt's members, at the (grid point, target) cells ``used`` marks,
+    as rows of a stack and a table of their rows, -1 where there is none."""
     r = rf._evaluate_stack(_Stack.two_point(np.ones_like(p), p))[:, None]
     with np.errstate(all="ignore"):  # x is used only where r_p < 0
         x = np.divide(_TARGETS, r)
-    made = (r < 0.0) & np.isfinite(x)
+    made = used & (r < 0.0) & np.isfinite(x)
     member = np.full(x.shape, -1)
     s = _Stack.two_point(x[made], np.broadcast_to(p[:, None], x.shape)[made])
     hit = np.abs(rf._evaluate_stack(s) - np.broadcast_to(_TARGETS, x.shape)[made]) <= tol
@@ -171,6 +169,24 @@ def _member_mixtures(s: _Stack, i0, i1, w) -> _Stack:
     return _Stack._from_sorted(values, cum)
 
 
+def _isqrt(x: np.ndarray) -> np.ndarray:
+    """floor(sqrt(x)) of non-negative integers, exactly: the float root is
+    within one of it."""
+    r = np.sqrt(x).astype(np.int64)
+    r -= r * r > x
+    return r + ((r + 1) * (r + 1) <= x)
+
+
+def _pair(q: np.ndarray, g: int):
+    """The pairs (i, j), i < j < g, at indices q of their row-major order.
+    Row i holds m = g - 1 - i pairs, and the rows after it m (m - 1) / 2,
+    so with r = pairs - 1 - q the pairs after q, m is the least m with
+    r < m (m + 1) / 2, which one integer square root gives."""
+    r = g * (g - 1) // 2 - 1 - q
+    m = (_isqrt(8 * r + 1) + 1) // 2
+    return g - 1 - m, g - 1 - r + m * (m - 1) // 2
+
+
 def convex_level_set_test(rf: RiskFunctional, search_budget: int = 10000, seed: int = 0,
                           tol: float = 1e-9, grid=None):
     """Seeded hunt for a mixture that breaks convex level sets.
@@ -183,25 +199,34 @@ def convex_level_set_test(rf: RiskFunctional, search_budget: int = 10000, seed: 
 
     The candidates are a target and an unordered pair i < j of grid weights,
     3 g (g - 1) / 2 of them on a grid of g points; the mixture weights are
-    symmetric, so the ordered pair (j, i) would add nothing.  They are tried
-    in the order of a permutation seeded by ``seed``, at most
-    ``search_budget`` of them, and each is evaluated at three interior
-    mixtures.  The laws r_p, the members and all mixtures tried are three
-    stacks, each evaluated in one call.  Then, in the order tried, a mixture
-    off its target builds the laws of a witness, and the first witness whose
-    recomputation passes :meth:`ConvexityWitness.validate` is returned.
-    ``None`` means only that no violation was found among the candidates tried.
+    symmetric, so the ordered pair (j, i) would add nothing.  Numbered
+    target by target, the pairs of each in row-major order, they are tried
+    in the order ``random.Random(seed).sample(range(n), min(search_budget,
+    n))`` gives their numbers, n being their count.  Each number decodes to
+    its target and pair in closed form, and members are built only for the
+    grid points and targets of the candidates drawn, so the hunt's time and
+    memory grow as the budget plus the grid, not as the space.  Each
+    candidate is evaluated at three interior mixtures.  The laws r_p, the
+    members and all mixtures tried are three stacks, each evaluated in one
+    call.  Then, in the order tried, a mixture off its target builds the
+    laws of a witness, and the first witness whose recomputation passes
+    :meth:`ConvexityWitness.validate` is returned.  ``None`` means only that
+    no violation was found among the candidates tried.
     """
     search_budget = _check_count(search_budget, "search_budget", 1)
     seed = _check_count(seed, "seed", 0)
     tol = _check_tol(tol)
     p = np.array(_check_grid(DEFAULT_GRID if grid is None else grid, minimum=2))
-    s, member = _hunt_members(rf, p, tol)
     # candidate k is (target k // pairs, pair k % pairs), pairs i < j in row-major order
-    i, j = np.triu_indices(p.size, 1)
-    k = np.random.default_rng(seed).permutation(len(_TARGETS) * i.size)[:search_budget]
-    t, pair = np.divmod(k, i.size)
-    r0, r1 = member[i[pair], t], member[j[pair], t]
+    pairs = p.size * (p.size - 1) // 2
+    n = len(_TARGETS) * pairs
+    t, pair = np.divmod(np.array(random.Random(seed).sample(range(n), min(search_budget, n)),
+                                 dtype=np.int64), pairs)
+    i, j = _pair(pair, p.size)
+    used = np.zeros((p.size, len(_TARGETS)), bool)
+    used[i, t] = used[j, t] = True
+    s, member = _hunt_members(rf, p, used, tol)
+    r0, r1 = member[i, t], member[j, t]
     tried = (r0 >= 0) & (r1 >= 0)
     if not tried.any():
         return None
@@ -218,8 +243,7 @@ def convex_level_set_test(rf: RiskFunctional, search_budget: int = 10000, seed: 
     return None
 
 
-@dataclass(frozen=True)
-class BoundEntry:
+class BoundEntry(_Record):
     """One law's position inside the [l_C, u_C] corridor."""
 
     distribution: Distribution
@@ -231,8 +255,7 @@ class BoundEntry:
     ok: bool
 
 
-@dataclass
-class BoundCheckReport:
+class BoundCheckReport(_Record):
     C: float
     tolerance: float
     entries: list
@@ -266,8 +289,7 @@ def bound_check(rf: RiskFunctional, C: float, test_set, tol: float = 1e-9) -> Bo
     return BoundCheckReport(C=C, tolerance=tol, entries=entries)
 
 
-@dataclass(frozen=True)
-class SpectralBoundsEntry:
+class SpectralBoundsEntry(_Record):
     """Corridor margins for one level p.
 
     Margins are signed so that a negative value (beyond the equality
@@ -289,8 +311,7 @@ class SpectralBoundsEntry:
     violated: bool
 
 
-@dataclass
-class SpectralBoundsReport:
+class SpectralBoundsReport(_Record):
     C: float
     equality_tol: float
     entries: list

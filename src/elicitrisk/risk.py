@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .distributions import (Distribution, FiniteAtomic, Uniform, _check_count, _check_level,
                             _check_normal_level, _check_open_unit, _check_tol, _json_number,
-                            _segment_dots, _Stack)
+                            _Record, _segment_dots, _Stack)
 from .spectral import (JSON_NORMALIZATION_TOL, SpectralMeasure, _nu_rows, measure_from_json,
                        measure_to_json, mp_measure, nu, uc_measure)
 
@@ -67,8 +66,7 @@ def es(d: Distribution, alpha: float) -> float:
     return -(1.0 / alpha) * d.partial_quantile_integral(alpha)
 
 
-@dataclass(frozen=True)
-class ExpectileSolution:
+class ExpectileSolution(_Record):
     """Root of the asymmetric first-moment equation, with its CDF location."""
 
     mu: float
@@ -180,8 +178,7 @@ class RiskFunctional:
         return np.array([self.evaluate(d) for d in s.laws()], dtype=float)
 
 
-@dataclass(frozen=True)
-class VaR(RiskFunctional):
+class VaR(RiskFunctional, _Record):
     """Quantile-based functional; elicited by pinball-type scores."""
 
     alpha: float
@@ -196,8 +193,7 @@ class VaR(RiskFunctional):
         return -s.values[s._reach(self.alpha)[0][:, 0]]
 
 
-@dataclass(frozen=True)
-class ES(RiskFunctional):
+class ES(RiskFunctional, _Record):
     """Tail-average functional; coherent but without convex level sets."""
 
     alpha: float
@@ -212,8 +208,7 @@ class ES(RiskFunctional):
         return -(1.0 / self.alpha) * s.pqi(self.alpha)
 
 
-@dataclass(frozen=True)
-class SpectralRisk(RiskFunctional):
+class SpectralRisk(RiskFunctional, _Record):
     """Minus the spectral functional of one fixed measure."""
 
     measure: SpectralMeasure
@@ -229,8 +224,7 @@ class SpectralRisk(RiskFunctional):
         return -_nu_rows(self.measure, s)
 
 
-@dataclass(frozen=True)
-class InfOverFamily(RiskFunctional):
+class InfOverFamily(RiskFunctional, _Record):
     """Minus the infimum of the spectral functional over a finite family."""
 
     measures: tuple[SpectralMeasure, ...]
@@ -251,8 +245,7 @@ class InfOverFamily(RiskFunctional):
         return -low
 
 
-@dataclass(frozen=True)
-class ExpectileRisk(RiskFunctional):
+class ExpectileRisk(RiskFunctional, _Record):
     """Minus the tau-expectile; coherent exactly when tau <= 1/2."""
 
     tau: float
@@ -267,8 +260,7 @@ class ExpectileRisk(RiskFunctional):
         return -_expectile_rows(s, self.tau)[0]
 
 
-@dataclass(frozen=True)
-class NegMean(RiskFunctional):
+class NegMean(RiskFunctional, _Record):
     """Minus the mean: the C = 1 corner of the envelope family."""
 
     def evaluate(self, d: Distribution) -> float:
@@ -283,8 +275,7 @@ def evaluate(rf: RiskFunctional, d: Distribution) -> float:
     return rf.evaluate(d)
 
 
-@dataclass(frozen=True)
-class CoherenceViolation:
+class CoherenceViolation(_Record):
     """One recorded axiom failure with enough state to replay it."""
 
     axiom: str
@@ -296,15 +287,15 @@ class CoherenceViolation:
     rhs: float
 
 
-@dataclass
-class CoherenceReport:
+class CoherenceReport(_Record):
     """Outcome of randomized coherence testing on finite equal-weight spaces."""
 
     trials: int
     max_states: int
     tolerance: float
-    checks: dict = field(default_factory=dict)
-    violations: list = field(default_factory=list)
+    # copied for each report
+    checks: dict = {}
+    violations: list = []
 
     @property
     def ok(self) -> bool:

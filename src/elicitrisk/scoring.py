@@ -25,12 +25,11 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (Distribution, FiniteAtomic, Uniform, _check_open_unit, _decode_errors,
-                            _floats, _read_columns)
+from ._ingest import _decode_errors, _floats, _read_columns
+from .distributions import Distribution, FiniteAtomic, Uniform, _check_open_unit, _Record
 from .risk import expectile
 
 __all__ = [
@@ -297,8 +296,7 @@ class ExpectileScore:
         return f"ExpectileScore(tau={self.tau!r}, generator={self.generator!r})"
 
 
-@dataclass(frozen=True)
-class ArgminInterval:
+class ArgminInterval(_Record):
     """Closed interval of minimizers of an expected score: the closure of the set."""
 
     lo: float
@@ -519,8 +517,7 @@ class ForecastSeries:
         return cls(periods, realizations, forecasts)
 
 
-@dataclass(frozen=True)
-class MethodScore:
+class MethodScore(_Record):
     method: str
     mean_score: float
     rank: int

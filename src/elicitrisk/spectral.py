@@ -34,12 +34,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import (Distribution, FiniteAtomic, Uniform, _check_level, _check_normal_level,
-                            _check_open_unit, _check_prob, _check_tol, _json_number,
+                            _check_open_unit, _check_prob, _check_tol, _json_number, _Record,
                             _segment_dots)
 
 __all__ = [
@@ -63,8 +62,7 @@ NORMALIZATION_TOL = 1e-10
 JSON_NORMALIZATION_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class UcDensity:
+class UcDensity(_Record):
     """Density 2C(1-C)v / (v + C(1-v))^3 on (0, 1), with mass 1 - C."""
 
     C: float

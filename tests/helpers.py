@@ -3,6 +3,7 @@
 import bisect
 import itertools
 import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -391,7 +392,7 @@ def per_trial_coherence_check(rf, trials=1000, seed=0, max_states=8, tol=1e-9):
         rz = rf.evaluate(Empirical(z))
         if rx > rz + tol:
             record("monotonicity", k, x, z, None, rx, rz)
-    report.checks = checks
+    report.checks.update(checks)
     return report
 
 
@@ -463,7 +464,7 @@ def per_law_hunt(rf, search_budget=10000, seed=0, tol=1e-9, grid=None, memo=None
     pts = _check_grid(DEFAULT_GRID if grid is None else grid, minimum=2)
     members = per_law_members(rf, pts, tol)
     space = [(t, i, j) for t in _TARGETS for i, j in itertools.combinations(range(len(pts)), 2)]
-    for k in np.random.default_rng(seed).permutation(len(space))[:search_budget]:
+    for k in random.Random(seed).sample(range(len(space)), min(search_budget, len(space))):
         t, i, j = space[k]
         m0, m1 = members.get((t, i)), members.get((t, j))
         if m0 is None or m1 is None:

@@ -653,15 +653,25 @@ class TestGlobalFlags:
 
 def test_import_needs_numpy_only():
     # numpy is the one runtime dependency: importing the package and the CLI
-    # must not pull in scipy, nor numpy.random, which only coherence_check and
-    # the hunt use and which costs a fresh process about 10 ms
+    # must not pull in scipy, nor numpy.random, which costs a fresh process
+    # about 10 ms and which only coherence_check uses; the hunt draws its
+    # order from the standard library's random, so no elicit imports it
     src = str(Path(elicitrisk.__file__).resolve().parents[1])
+    uc = json.dumps(measure_to_json(uc_measure(0.5)))
+    family = json.dumps({"type": "inf_family",
+                         "measures": [{"atoms": [[0.3, 1.0]]}, {"atoms": [[1.0, 1.0]]}]})
+    verbs = [["--type", "es", "--level", "0.5"], ["--type", "var", "--level", "0.3"],
+             ["--type", "expectile", "--level", "0.25"], ["--type", "negmean"],
+             ["--type", "spectral", "--measure", uc], ["--spec", family]]
     code = ("import sys, elicitrisk.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
-            "'numpy.random' in sys.modules)")
+            "'numpy.random' in sys.modules)\n"
+            f"codes = [elicitrisk.cli.main(['elicit', *argv]) for argv in {verbs!r}]\n"
+            "print(codes, 'numpy.random' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.strip() == "[] False"
+    flags = [line for line in out.splitlines() if line.endswith(("True", "False"))]
+    assert flags == ["[] False", "[2, 2, 0, 0, 2, 2] False"]
 
 
 def test_elicit_leaves_numpy_ma_unimported(tmp_path):
@@ -699,13 +709,14 @@ FIGURE_MODULES = ["elicitrisk.cli", "elicitrisk.distributions", "elicitrisk.spec
 @pytest.mark.parametrize("argv, code, extra", [
     (["figure", "--C", "0.5"], 0, []),
     (EVAL_ARGV, 0, ["risk"]),
-    (["eval", "--type", "es", "--level", "0.5", "--data", "y.csv"], 0, ["risk"]),
-    (["score", "panel.csv", "--quantile", "0.5"], 0, ["risk", "scoring"]),
+    (["eval", "--type", "es", "--level", "0.5", "--data", "y.csv"], 0, ["_ingest", "risk"]),
+    (["score", "panel.csv", "--quantile", "0.5"], 0, ["_ingest", "risk", "scoring"]),
     (["elicit", "--type", "es", "--level", "0.5", "--budget", "100"], 2, ["elicit", "risk"]),
     (["frobnicate"], 1, [])])
 def test_a_verb_loads_only_its_modules(tmp_path, argv, code, extra):
     # a fresh process compiles only the modules its verb runs: figure never
-    # needs risk, elicit or scoring, and a usage error needs none of them
+    # needs risk, elicit or scoring, only a CSV file needs the readers of
+    # _ingest, and a usage error needs none of them
     (tmp_path / "y.csv").write_text("y\n1.5\n-2\n0\n")
     (tmp_path / "panel.csv").write_text(SCORE_CSV)
     src = str(Path(elicitrisk.__file__).resolve().parents[1])

@@ -1,8 +1,8 @@
 """Identification, mixture witnesses, and the two bound corridors."""
 
-import dataclasses
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,8 +143,8 @@ class TestConvexLevelSetTest:
     def test_tampered_witness_rejected(self):
         rf = ES(0.5)
         w = convex_level_set_test(rf, search_budget=10000, seed=0)
-        assert not dataclasses.replace(w, value_at_mixture=w.target).validate(rf, 1e-9)
-        assert not dataclasses.replace(w, target=w.target + 0.1).validate(rf, 1e-9)
+        assert not w._replace(value_at_mixture=w.target).validate(rf, 1e-9)
+        assert not w._replace(target=w.target + 0.1).validate(rf, 1e-9)
 
     def test_expectile_finds_nothing(self):
         assert convex_level_set_test(ExpectileRisk(0.25), search_budget=10000) is None
@@ -190,7 +190,7 @@ class TestConvexLevelSetTest:
         # the closed-form member exists exactly where the old bisection found one
         tol = 1e-9
         pts = sorted(float(p) for p in np.linspace(0.05, 0.95, 37))
-        s, member = elicit._hunt_members(rf, np.array(pts), tol)
+        s, member = elicit._hunt_members(rf, np.array(pts), np.ones((len(pts), 3), bool), tol)
         for k, t in enumerate(elicit._TARGETS):
             for i, p in enumerate(pts):
                 r = member[i, k]
@@ -268,6 +268,39 @@ class TestHuntCoverage:
         grid = np.linspace(0.05, 0.95, 37)
         convex_level_set_test(rf, search_budget=10000, grid=grid)
         assert len(set(rf.mixtures)) == len(rf.mixtures) == 3 * 1998
+
+    def test_memory_follows_the_budget_not_the_space(self):
+        # at the default budget a grid of 200 points already has more
+        # candidates than are tried, so a larger grid may add only its
+        # points; a hunt that lists or permutes the whole space needs
+        # 89.6 MB at 2000 points and several GB at 20 000
+        def peak(g):
+            grid = np.linspace(0.05, 0.95, g)
+            tracemalloc.start()
+            try:
+                assert convex_level_set_test(NegMean(), grid=grid) is None
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        base = peak(200)
+        assert peak(2000) <= 1.5 * base and peak(20_000) <= 1.5 * base
+
+    def test_pairs_decode_in_row_major_order(self):
+        # every index on small grids, as np.triu_indices lists the pairs, and
+        # both ends and a few inside of large ones: at 2**30 points the float
+        # root of 8 r + 1 alone puts three of these seven in the wrong row
+        for n in range(2, 40):
+            i, j = elicit._pair(np.arange(n * (n - 1) // 2), n)
+            want = np.triu_indices(n, 1)
+            assert i.tolist() == want[0].tolist() and j.tolist() == want[1].tolist()
+        for g in (123_457, 10**6, 2**30):
+            pairs = g * (g - 1) // 2
+            q = np.array([0, 1, g - 2, g - 1, pairs // 3, pairs - 2, pairs - 1], np.int64)
+            i, j = elicit._pair(q, g)
+            assert ((0 <= i) & (i < j) & (j < g)).all()
+            # row i starts at i (2 g - i - 1) / 2
+            assert (i * (2 * g - i - 1) // 2 + j - i - 1).tolist() == q.tolist()
 
 
 class TestBoundCheck:
@@ -364,7 +397,7 @@ class TestSpectralBoundsCheck:
             grid = grids[int(rng.integers(len(grids)))]
             eq_tol = float(rng.choice([1e-10, 1e-3]))
             rep = spectral_bounds_check(m, C, grid, eq_tol)
-            got = [dataclasses.astuple(e) for e in rep.entries]
+            got = [e._astuple() for e in rep.entries]
             want = pointwise_bounds_entries(m, C, grid, eq_tol)
             assert [e[9:] for e in got] == [e[9:] for e in want]
             np.testing.assert_allclose([e[:9] for e in got], [e[:9] for e in want],

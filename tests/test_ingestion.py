@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from elicitrisk import ForecastSeries, empirical_from_csv
-from elicitrisk import distributions, scoring
+from elicitrisk import _ingest, distributions, scoring
 
 from helpers import loadtxt_labels, panel_csv_texts, sample_csv_texts, write_csv
 
@@ -37,7 +37,7 @@ def labels_match_numpy(path) -> bool:
     """Whether the byte scan reads the file's labels; if it does, they must be
     numpy's string reader's: names sorted, each row's code and each name's
     first row."""
-    columns = distributions._read_columns(path, *PANEL)
+    columns = _ingest._read_columns(path, *PANEL)
     if columns is None:
         return False
     want = loadtxt_labels(path, PANEL[1])
@@ -70,7 +70,7 @@ def test_sample_reader_matches_rows(csv_dir, text):
     path = write_csv(csv_dir, text)
     kind, got = outcome(empirical_from_csv, path)
     want_kind, want = outcome(lambda p: distributions.Empirical(
-        distributions._samples_by_rows(p)), path)
+        _ingest._samples_by_rows(p)), path)
     assert kind == want_kind
     assert (law_key(got) == law_key(want)) if kind == "ok" else got == want
 
@@ -117,7 +117,7 @@ def test_labels_sort_as_text_where_their_bytes_do_not():
     # in cp1252 the byte 0x80 is U+20AC, above the U+00E9 of 0xe9; 0xa0 is a
     # space that strips away, so " x" and "x" are one label
     cells = np.array([b"\x80", b"\xe9", b"\xa0x", b"x", b"\xe9"], dtype="S8")
-    factors = distributions._Factors()
+    factors = _ingest._Factors()
     # in two pieces, the second repeating a field of the first
     factors.add(cells[:3])
     factors.add(cells[3:])
@@ -134,8 +134,8 @@ def test_a_label_column_too_wide_for_the_file_is_read_by_rows(tmp_path, monkeypa
         f"{m},{t},0,1\n" for m in ("a", "b" * 60) for t in range(20))
     path = write_csv(tmp_path, text)
     assert labels_match_numpy(path)
-    monkeypatch.setattr(distributions, "_PIECE", 64)
-    assert distributions._read_columns(path, *PANEL) is None
+    monkeypatch.setattr(_ingest, "_PIECE", 64)
+    assert _ingest._read_columns(path, *PANEL) is None
     assert panel_key(ForecastSeries.from_csv(path)) == panel_key(ForecastSeries._from_rows(path))
 
 
@@ -147,11 +147,11 @@ def test_pieces_cut_anywhere_read_as_one(tmp_path, monkeypatch):
     text = "method,period,forecast,realization\n" + "".join(
         row + ends[i % len(ends)] for i, row in enumerate(rows))
     path = write_csv(tmp_path, text[:-1])
-    whole = distributions._read_columns(path, *PANEL)
+    whole = _ingest._read_columns(path, *PANEL)
     assert labels_match_numpy(path)
     for piece in range(40, 72):
-        monkeypatch.setattr(distributions, "_PIECE", piece)
-        values, labels, raw = distributions._read_columns(path, *PANEL)
+        monkeypatch.setattr(_ingest, "_PIECE", piece)
+        values, labels, raw = _ingest._read_columns(path, *PANEL)
         assert values.tobytes() == whole[0].tobytes()
         assert [c.tolist() for c in raw] == [c.tolist() for c in whole[2]]
         for (names, codes, first), (want_names, want_codes, want_first) in zip(labels, whole[1]):
@@ -169,8 +169,8 @@ EDGE_FILES = ["y\r\n1\r\n2.5\r\n", "y\r1\r2.5\r", "y\r\n1\r2\n3\r\n", "y\n1\n\n2
 @pytest.mark.parametrize("text", EDGE_FILES)
 def test_numpy_path_and_row_reader_agree_on_edge_files(tmp_path, text):
     path = write_csv(tmp_path, text)
-    columns = distributions._read_columns(path, ["y"])
-    kind, rows = outcome(distributions._samples_by_rows, path)
+    columns = _ingest._read_columns(path, ["y"])
+    kind, rows = outcome(_ingest._samples_by_rows, path)
     if columns is not None:
         assert kind == "ok"
         assert columns[0][:, 0].tobytes() == np.array(rows).tobytes()
@@ -187,7 +187,7 @@ def test_a_path_numpy_would_decompress_is_read_by_rows(tmp_path):
     # numpy opens a path ending in .gz as gzip; this one is plain text
     path = tmp_path / "sample.csv.gz"
     path.write_text("y\n1\n2\n")
-    assert distributions._read_columns(path, ["y"]) is None
+    assert _ingest._read_columns(path, ["y"]) is None
     assert empirical_from_csv(path).atoms() == [(1.0, 0.5), (2.0, 0.5)]
 
 
@@ -196,7 +196,7 @@ def _no_rows(*args):
 
 
 def test_clean_files_skip_the_row_parser(tmp_path, monkeypatch):
-    monkeypatch.setattr(distributions, "_samples_by_rows", _no_rows)
+    monkeypatch.setattr(_ingest, "_samples_by_rows", _no_rows)
     monkeypatch.setattr(ForecastSeries, "_from_rows", classmethod(_no_rows))
     y = write_csv(tmp_path, "note,y\r\nx, 1.5\r\n\r\ny,-0.0\r\nz,2e3\r\n")
     assert [v for v, _ in empirical_from_csv(y).atoms()] == [-0.0, 1.5, 2000.0]
@@ -248,7 +248,7 @@ def test_equal_realizations_in_other_bytes_read_without_rows(tmp_path, monkeypat
 
 def test_conflicting_realizations_still_name_their_line(tmp_path):
     path = write_csv(tmp_path, "method,period,forecast,realization\na,1,0,2\nb,1,1,2.5\n")
-    assert distributions._read_columns(path, *PANEL) is not None
+    assert _ingest._read_columns(path, *PANEL) is not None
     with pytest.raises(ValueError, match="^line 3: period '1' has conflicting realizations"):
         ForecastSeries.from_csv(path)
 
@@ -262,7 +262,7 @@ def test_a_panel_is_read_once_and_each_period_cast_once(tmp_path, monkeypatch):
              for t, x, v in zip(range(2000), rng.normal(size=2000).tolist(), y)]
     path = write_csv(tmp_path, "\n".join(["method,period,forecast,realization", *lines]) + "\n")
     cast, opened = [], []
-    floats, real_open = distributions._floats, open
+    floats, real_open = _ingest._floats, open
 
     def counting_floats(cells):
         cast.append(cells.size)
@@ -272,9 +272,9 @@ def test_a_panel_is_read_once_and_each_period_cast_once(tmp_path, monkeypatch):
         opened.append(args[0])
         return real_open(*args, **kwargs)
 
-    monkeypatch.setattr(distributions, "_floats", counting_floats)
+    monkeypatch.setattr(_ingest, "_floats", counting_floats)
     monkeypatch.setattr(scoring, "_floats", counting_floats)
-    monkeypatch.setattr(distributions, "open", counting_open, raising=False)
+    monkeypatch.setattr(_ingest, "open", counting_open, raising=False)
     monkeypatch.setattr(np, "loadtxt", _no_rows)
     monkeypatch.setattr(ForecastSeries, "_from_rows", classmethod(_no_rows))
     fs = ForecastSeries.from_csv(path)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from elicitrisk import (
+    CoherenceReport,
     ES,
     Empirical,
     ExpectileRisk,
@@ -471,6 +472,25 @@ class TestEvaluate:
             ExpectileRisk(1.0)
         with pytest.raises(ValueError):
             InfOverFamily(())
+
+    def test_records_bind_as_dataclasses_did(self):
+        # by position or name, a default copied for each record, and a
+        # TypeError for a missing, extra or repeated argument
+        assert ExpectileRisk(tau=0.3) == ExpectileRisk(0.3) != ES(0.3)
+        assert hash(ExpectileRisk(tau=0.3)) == hash(ExpectileRisk(0.3))
+        a, b = CoherenceReport(1, 8, 1e-9), CoherenceReport(trials=1, max_states=8, tolerance=1e-9)
+        a.violations.append("x")
+        assert b.violations == [] and b.checks == {} and a.checks is not b.checks
+        assert repr(b) == ("CoherenceReport(trials=1, max_states=8, tolerance=1e-09, "
+                           "checks={}, violations=[])")
+        for args, kwargs in (((), {}), ((0.2, 0.3), {}), ((0.2,), {"alpha": 0.3}),
+                             ((), {"level": 0.2})):
+            with pytest.raises(TypeError):
+                VaR(*args, **kwargs)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del VaR(0.2).alpha
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.violations = []
 
 
 class TestCoherenceCheck:
